@@ -69,7 +69,7 @@ pub fn run(len: RunLength) -> String {
     out.push_str("\n=== Fig 13 — TCP/UDP performance isolation (per-second Mbit/s) ===\n");
     let d = run_cell(NfvniceConfig::off(), len);
     let n = run_cell(NfvniceConfig::full(), len);
-    let secs = d.report.series.flow_mbps[0].len();
+    let secs = d.report.series.intervals();
     let mut t = Table::new(&[
         "sec",
         "TCP (Default)",
@@ -77,12 +77,18 @@ pub fn run(len: RunLength) -> String {
         "TCP (NFVnice)",
         "UDP agg (NFVnice)",
     ]);
+    let (d_tcp, n_tcp) = (
+        d.report.series.flow_mbps(d.tcp_flow),
+        n.report.series.flow_mbps(n.tcp_flow),
+    );
     for sec in 0..secs {
         let udp_sum = |r: &Fig13Run| -> f64 {
             r.udp_flows
                 .iter()
                 .map(|&f| {
-                    r.report.series.flow_mbps[f]
+                    r.report
+                        .series
+                        .flow_mbps(f)
                         .get(sec)
                         .copied()
                         .unwrap_or(0.0)
@@ -91,9 +97,9 @@ pub fn run(len: RunLength) -> String {
         };
         t.row(vec![
             format!("{}", (sec as u64 + 1) * len.timeline_scale),
-            format!("{:.1}", d.report.series.flow_mbps[d.tcp_flow][sec]),
+            format!("{:.1}", d_tcp[sec]),
             format!("{:.1}", udp_sum(&d)),
-            format!("{:.1}", n.report.series.flow_mbps[n.tcp_flow][sec]),
+            format!("{:.1}", n_tcp[sec]),
             format!("{:.1}", udp_sum(&n)),
         ]);
     }

@@ -65,7 +65,6 @@ pub struct Simulation {
     sweeps: Vec<SweepSource>,
     tcp: Vec<TcpSource>,
     tcp_by_flow: BTreeMap<FlowId, usize>,
-    flow_chain: Vec<ChainId>,
     bp: Backpressure,
     load: LoadMonitor,
     ecn: EcnMarker,
@@ -150,7 +149,6 @@ impl Simulation {
             sweeps: Vec::new(),
             tcp: Vec::new(),
             tcp_by_flow: BTreeMap::new(),
-            flow_chain: Vec::new(),
             bp: Backpressure::new(cfg.nfvnice.bp, 0, 0),
             load: LoadMonitor::new(cfg.nfvnice.load, 0),
             ecn: EcnMarker::new(cfg.nfvnice.ecn_cfg, Vec::new()),
@@ -237,7 +235,6 @@ impl Simulation {
         let flow = self.platform.install_flow(tuple, chain);
         self.udp
             .push(customize(CbrFlow::new(tuple, frame_size, rate_pps)));
-        self.note_flow(flow, chain);
         flow
     }
 
@@ -276,15 +273,7 @@ impl Simulation {
         let src = customize(TcpSource::new(tuple, frame_size, rtt));
         self.tcp_by_flow.insert(flow, self.tcp.len());
         self.tcp.push(src);
-        self.note_flow(flow, chain);
         flow
-    }
-
-    fn note_flow(&mut self, flow: FlowId, chain: ChainId) {
-        while self.flow_chain.len() <= flow.index() {
-            self.flow_chain.push(chain);
-        }
-        self.flow_chain[flow.index()] = chain;
     }
 
     /// Mark a flow as triggering storage I/O at I/O-capable NFs.
@@ -411,9 +400,7 @@ impl Simulation {
         if matches!(self.cfg.platform.policy, Policy::Slo) {
             self.derive_slo_deadlines();
         }
-        self.flow_bytes_snapshot = vec![0; self.platform.stats.flows.len()];
         self.series.cpu_pct = vec![Vec::new(); n_nfs];
-        self.series.flow_mbps = vec![Vec::new(); self.platform.stats.flows.len()];
 
         let q = &mut self.queue;
         q.push(SimTime::ZERO + self.cfg.traffic_poll, Ev::Traffic);

@@ -5,7 +5,7 @@
 use super::Simulation;
 use crate::report::{ChainReport, FlowReport, NfReport, Report};
 use nfv_des::Duration;
-use nfv_pkt::{ChainId, FlowId, NfId};
+use nfv_pkt::{FlowId, NfId};
 
 impl Simulation {
     /// Close a measurement interval of `span_secs`: append one column to
@@ -26,19 +26,18 @@ impl Simulation {
             }
         }
         self.domains = domains;
-        // Wildcard classification can add flows mid-run; grow the
-        // bookkeeping (their series start at the current interval).
-        while self.flow_bytes_snapshot.len() < self.platform.stats.flows.len() {
-            self.flow_bytes_snapshot.push(0);
-            // nfv-lint: allow(hot-alloc) -- grows once per newly classified flow, not per event
-            self.series.flow_mbps.push(Vec::new());
+        // Wildcard classification can add flows mid-run: the column
+        // covers every flow known now, so a new flow's series starts at
+        // the current interval.
+        let flows = &self.platform.stats.flows;
+        self.flow_bytes_snapshot.resize(flows.len(), 0);
+        let mut col = Vec::with_capacity(flows.len());
+        for (fs, snap) in flows.iter().zip(&mut self.flow_bytes_snapshot) {
+            let delta = fs.delivered_bytes - *snap;
+            *snap = fs.delivered_bytes;
+            col.push(delta as f64 * 8.0 / span_secs / 1e6);
         }
-        for f in 0..self.platform.stats.flows.len() {
-            let bytes = self.platform.stats.flows[f].delivered_bytes;
-            let delta = bytes - self.flow_bytes_snapshot[f];
-            self.flow_bytes_snapshot[f] = bytes;
-            self.series.flow_mbps[f].push(delta as f64 * 8.0 / span_secs / 1e6);
-        }
+        self.series.flow_cols.push(col);
     }
 
     pub(super) fn build_report(&mut self, wall: Duration) -> Report {
@@ -70,7 +69,7 @@ impl Simulation {
                 let fs = &self.platform.stats.flows[f];
                 FlowReport {
                     flow: FlowId(f as u32),
-                    chain: self.flow_chain.get(f).copied().unwrap_or(ChainId(0)),
+                    chain: self.platform.flow_table.chain_of(FlowId(f as u32)),
                     delivered: fs.delivered,
                     delivered_pps: fs.delivered as f64 / secs,
                     mbps: fs.delivered_bytes as f64 * 8.0 / secs / 1e6,

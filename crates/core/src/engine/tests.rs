@@ -283,6 +283,71 @@ fn flow_backends_produce_identical_runs() {
 }
 
 #[test]
+fn wildcard_learned_flows_report_their_table_chain() {
+    // Two tenants' wildcards steer onto chains 0 and 1: every learned
+    // flow's report must carry the chain its flow-table entry holds.
+    use nfv_traffic::{tenant, TenantSpec};
+    let mut sim = Simulation::new(base_cfg(1, Policy::CfsNormal, NfvniceConfig::off()));
+    let a = sim.add_nf(NfSpec::new("a", 0, 120));
+    let b = sim.add_nf(NfSpec::new("b", 0, 120));
+    let chains = [sim.add_chain(&[a]), sim.add_chain(&[b])];
+    for (index, &chain) in chains.iter().enumerate() {
+        let t = tenant(TenantSpec {
+            index: index as u32,
+            flows: 64,
+            rate_pps: 200_000.0,
+            frame_size: 64,
+        });
+        sim.add_wildcard(t.pattern, chain, 0);
+        sim.add_sweep(t.sweep);
+    }
+    let r = sim.run(Duration::from_millis(20));
+    assert_eq!(r.flows.len(), 128);
+    let table = &sim.platform.flow_table;
+    let mut per_chain = [0; 2];
+    for f in &r.flows {
+        let entry = table.get(&table.tuple_of(f.flow)).unwrap();
+        assert_eq!(entry.flow, f.flow);
+        assert_eq!(f.chain, entry.chain, "flow {:?}", f.flow);
+        per_chain[f.chain.index()] += 1;
+    }
+    assert_eq!(per_chain, [64, 64]);
+}
+
+#[test]
+fn flow_learned_mid_run_gets_a_series_from_its_first_interval() {
+    // Series columns close every simulated second (plus the final partial
+    // interval): a flow first classified during the second interval has
+    // no value for the first one, so its series is one shorter.
+    use nfv_pkt::TuplePattern;
+    use nfv_traffic::SweepSource;
+    let mut sim = Simulation::new(base_cfg(1, Policy::CfsNormal, NfvniceConfig::off()));
+    let nf = sim.add_nf(NfSpec::new("fwd", 0, 120));
+    let chain = sim.add_chain(&[nf]);
+    let pinned = sim.add_udp(chain, 10_000.0, 64);
+    sim.add_wildcard(TuplePattern::any(), chain, 0);
+    sim.add_sweep(SweepSource::flash(
+        1 << 20,
+        2,
+        64,
+        10_000.0,
+        SimTime::from_millis(1_200),
+        Duration::from_millis(300),
+    ));
+    let r = sim.run(Duration::from_millis(2_500));
+    assert_eq!(r.series.intervals(), 3);
+    assert_eq!(r.flows.len(), 3);
+    let base = r.series.flow_mbps(pinned.index());
+    assert_eq!(base.len(), 3);
+    assert!(base.iter().all(|&m| m > 0.0), "{base:?}");
+    for learned in 1..3 {
+        let s = r.series.flow_mbps(learned);
+        assert_eq!(s.len(), 2, "flow {learned} starts at interval 1: {s:?}");
+        assert!(s[0] > 0.0 && s[1] == 0.0, "flow {learned}: {s:?}");
+    }
+}
+
+#[test]
 fn aging_runs_are_reproducible_and_keep_metrics_clean() {
     // Aging is deterministic sim state: two identical runs with eviction
     // active must produce byte-identical metrics documents, and the

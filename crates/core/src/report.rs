@@ -84,8 +84,28 @@ pub struct ChainReport {
 pub struct Series {
     /// `cpu_pct[nf][second]`: CPU share of its core, percent.
     pub cpu_pct: Vec<Vec<f64>>,
-    /// `flow_mbps[flow][second]`: delivered Mbit/s.
-    pub flow_mbps: Vec<Vec<f64>>,
+    /// Delivered Mbit/s, one column per stats interval: `flow_cols[i][f]`
+    /// for every flow `f` known when interval `i` closed. Flows only
+    /// appear, so column lengths never shrink; read through
+    /// [`Series::flow_mbps`].
+    pub(crate) flow_cols: Vec<Vec<f64>>,
+}
+
+impl Series {
+    /// Closed stats intervals (seconds, plus a final partial one).
+    pub fn intervals(&self) -> usize {
+        self.flow_cols.len()
+    }
+
+    /// `flow`'s delivered Mbit/s per interval, starting at the first
+    /// interval the flow existed in (flows learned mid-run start late);
+    /// empty for a flow no interval saw.
+    pub fn flow_mbps(&self, flow: usize) -> Vec<f64> {
+        self.flow_cols
+            .iter()
+            .filter_map(|col| col.get(flow).copied())
+            .collect()
+    }
 }
 
 /// Complete results of one simulation run.

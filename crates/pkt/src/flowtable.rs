@@ -19,8 +19,12 @@
 //! - **Sharded open addressing.** The exact-match index is a set of
 //!   power-of-two linear-probing shards selected by the *high* bits of a
 //!   seed-free multiply-xor tuple hash (in-shard position uses the low
-//!   bits). Growth rehashes one shard at a time, so the amortized rehash
-//!   spike is 1/64th of a monolithic table's. The pre-shard flat table
+//!   bits). Each 8-byte slot holds the hash's low 32 bits as a tag beside
+//!   `flow + 1`, so probe mismatches, rehash and deletion work from the
+//!   slot alone; only a tag match loads the flow's key. A shard doubles
+//!   when an insert would pass 1/2 occupancy and rehashes alone, so the
+//!   amortized rehash spike is 1/64th of a monolithic table's. The
+//!   pre-shard flat table
 //!   survives as a differential oracle: select per table via
 //!   [`FlowTable::with_kind`] / [`FlowTableKind`], or build flat-default
 //!   with `--features flat-flowtable`. Ids, classification results and
@@ -35,8 +39,14 @@
 //!   space stays dense at the peak concurrent flow count. Counters of
 //!   evicted flows accumulate into `forgotten_packets`/`forgotten_bytes`
 //!   so packet-conservation ledgers still balance.
+//! - **Burst classification.** [`FlowTable::classify_burst`] classifies a
+//!   whole NIC burst with one table operation per run of identical
+//!   tuples ([`FlowTable::classify_run`]); table state and counters equal
+//!   classifying frame by frame. A wildcard miss installs into the empty
+//!   slot its miss probe stopped at instead of probing again.
 
 use crate::ids::{ChainId, FlowId};
+use crate::nic::WireFrame;
 use crate::packet::FiveTuple;
 use crate::pattern::TuplePattern;
 
@@ -53,6 +63,17 @@ pub struct FlowEntry {
     pub packets: u64,
     /// Bytes classified for this flow (since install or recycle).
     pub bytes: u64,
+}
+
+/// One run of a classified burst ([`FlowTable::classify_burst`]):
+/// `frames` consecutive frames with the same tuple and their shared
+/// classification (`None` = unmatched, the RX thread drops them).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BurstRun {
+    /// Frames in the run (≥ 1).
+    pub frames: u32,
+    /// Flow and chain of every frame in the run.
+    pub class: Option<(FlowId, ChainId)>,
 }
 
 /// Exact-match index backend selector (mirrors `QueueKind` /
@@ -132,7 +153,9 @@ pub struct FlowTableStats {
     /// Classify calls answered by a wildcard rule (installing a cache
     /// entry).
     pub wildcard_hits: u64,
-    /// Cumulative probe steps across lookups and installs.
+    /// Cumulative index slots visited by lookups, plus the re-probe of an
+    /// install that grew its shard (an install without growth takes the
+    /// empty slot its miss probe already found).
     pub probe_steps: u64,
     /// Longest single probe sequence observed.
     pub max_probe: u64,
@@ -198,82 +221,97 @@ fn tuple_hash(t: &FiveTuple) -> u64 {
 const SHARD_BITS: u32 = 6;
 const SHARDS: usize = 1 << SHARD_BITS;
 
+/// One index slot. The tag answers almost every probe mismatch, and it
+/// holds the in-shard home position, so probes, rehash and deletion
+/// never load a random `keys[f]` cache line except on a tag match.
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    /// Low 32 bits of the tuple hash.
+    tag: u32,
+    /// Flow id + 1; `0` marks an empty slot.
+    flow: u32,
+}
+
 /// One open-addressing region: power-of-two slot array, linear probing,
-/// grown at 1/2 occupancy to keep probes short. `0` is empty, else
-/// `flow_index + 1`. In-shard position comes from the hash's low bits.
+/// grown at 1/2 occupancy to keep probes short. In-shard position comes
+/// from the hash's low bits (the slot tag).
 #[derive(Debug, Default)]
 struct Shard {
-    slots: Vec<u32>,
+    slots: Vec<Slot>,
     used: usize,
 }
 
 impl Shard {
-    /// Find the flow holding `tuple`. Returns `(flow, probe steps)`.
+    /// Probe for `tuple`: `Ok(slot)` holding it, or `Err(slot)` — the
+    /// empty slot the probe stopped at, where an insert (without growth)
+    /// would place it. Plus the probe length.
     #[inline]
-    fn get(&self, h: u64, tuple: &FiveTuple, keys: &[FiveTuple]) -> (Option<u32>, u64) {
-        let (slot, steps) = self.find_slot(h, tuple, keys);
-        (slot.map(|i| self.slots[i] - 1), steps)
-    }
-
-    /// Slot index holding `tuple`, or `None`, plus the probe length.
-    #[inline]
-    fn find_slot(&self, h: u64, tuple: &FiveTuple, keys: &[FiveTuple]) -> (Option<usize>, u64) {
+    fn find(&self, h: u64, tuple: &FiveTuple, keys: &[FiveTuple]) -> (Result<usize, usize>, u64) {
         if self.slots.is_empty() {
-            return (None, 0);
+            return (Err(0), 0);
         }
+        let tag = h as u32;
         let mask = self.slots.len() - 1;
-        let mut i = h as usize & mask;
+        let mut i = tag as usize & mask;
         let mut steps = 1u64;
         loop {
-            match self.slots[i] {
-                0 => return (None, steps),
-                f if keys[(f - 1) as usize] == *tuple => return (Some(i), steps),
-                _ => {
-                    i = (i + 1) & mask;
-                    steps += 1;
-                }
+            let s = self.slots[i];
+            if s.flow == 0 {
+                return (Err(i), steps);
             }
-        }
-    }
-
-    /// Insert a flow known to be absent. Returns `(rehashes, probe steps)`.
-    fn insert(&mut self, h: u64, flow: u32, keys: &[FiveTuple]) -> (u64, u64) {
-        let mut rehashes = 0;
-        // Keep occupancy at or below 1/2 so probe sequences stay short
-        // even under adversarial tuple mixes.
-        if self.slots.len() < 2 * (self.used + 1) {
-            self.grow(keys);
-            rehashes = 1;
-        }
-        let mask = self.slots.len() - 1;
-        let mut i = h as usize & mask;
-        let mut steps = 1u64;
-        while self.slots[i] != 0 {
+            if s.tag == tag && keys[(s.flow - 1) as usize] == *tuple {
+                return (Ok(i), steps);
+            }
             i = (i + 1) & mask;
             steps += 1;
         }
-        self.slots[i] = flow + 1;
-        self.used += 1;
-        (rehashes, steps)
     }
 
-    /// Grow to 4× the live count and rehash this shard only. Iterating the
-    /// old slot array keeps the layout a pure function of the table's
-    /// install/evict history.
-    fn grow(&mut self, keys: &[FiveTuple]) {
-        let cap = (4 * (self.used + 1)).next_power_of_two().max(8);
+    /// Insert a flow known to be absent; `vacant` is the empty slot its
+    /// miss probe ([`Shard::find`]) stopped at. Only a grow re-probes.
+    /// Returns `(rehashes, probe steps)`.
+    fn insert(&mut self, h: u64, flow: u32, vacant: usize) -> (u64, u64) {
+        let slot = Slot {
+            tag: h as u32,
+            flow: flow + 1,
+        };
+        self.used += 1;
+        // Keep occupancy at or below 1/2 so probe sequences stay short
+        // even under adversarial tuple mixes.
+        if self.slots.len() < 2 * self.used {
+            self.grow();
+            let steps = self.place(slot);
+            return (1, steps);
+        }
+        self.slots[vacant] = slot;
+        (0, 0)
+    }
+
+    /// Put `slot` into the first empty slot from its home position.
+    /// Returns the probe length.
+    fn place(&mut self, slot: Slot) -> u64 {
+        let mask = self.slots.len() - 1;
+        let mut i = slot.tag as usize & mask;
+        let mut steps = 1u64;
+        while self.slots[i].flow != 0 {
+            i = (i + 1) & mask;
+            steps += 1;
+        }
+        self.slots[i] = slot;
+        steps
+    }
+
+    /// Double the capacity (8 slots when empty) and rehash this shard
+    /// only, from the tags alone. Iterating the old slot array keeps the
+    /// layout a pure function of the table's install/evict history.
+    fn grow(&mut self) {
+        let cap = (2 * self.slots.len()).max(8);
         let old = std::mem::take(&mut self.slots);
-        self.slots.resize(cap, 0);
-        let mask = cap - 1;
-        for f in old {
-            if f == 0 {
-                continue;
+        self.slots.resize(cap, Slot::default());
+        for s in old {
+            if s.flow != 0 {
+                self.place(s);
             }
-            let mut i = tuple_hash(&keys[(f - 1) as usize]) as usize & mask;
-            while self.slots[i] != 0 {
-                i = (i + 1) & mask;
-            }
-            self.slots[i] = f;
         }
     }
 
@@ -281,25 +319,25 @@ impl Shard {
     /// entries of the probe cluster are pulled back so lookups stay
     /// correct and probe lengths do not rot as flows churn).
     fn remove(&mut self, h: u64, tuple: &FiveTuple, keys: &[FiveTuple]) {
-        let (Some(mut i), _) = self.find_slot(h, tuple, keys) else {
+        let (Ok(mut i), _) = self.find(h, tuple, keys) else {
             return;
         };
         let mask = self.slots.len() - 1;
-        self.slots[i] = 0;
+        self.slots[i] = Slot::default();
         self.used -= 1;
         let mut j = i;
         loop {
             j = (j + 1) & mask;
-            let f = self.slots[j];
-            if f == 0 {
+            let s = self.slots[j];
+            if s.flow == 0 {
                 return;
             }
-            let ideal = tuple_hash(&keys[(f - 1) as usize]) as usize & mask;
-            // `f` may move into the hole iff its ideal slot is at or
+            let home = s.tag as usize & mask;
+            // `s` may move into the hole iff its home slot is at or
             // before the hole in cyclic probe order.
-            if (j.wrapping_sub(ideal) & mask) >= (j.wrapping_sub(i) & mask) {
-                self.slots[i] = f;
-                self.slots[j] = 0;
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(i) & mask) {
+                self.slots[i] = s;
+                self.slots[j] = Slot::default();
                 i = j;
             }
         }
@@ -452,25 +490,30 @@ impl FlowTable {
     /// replacement) and keeps its id and counters. Explicit installs are
     /// pinned: they are never aged out.
     pub fn install(&mut self, tuple: FiveTuple, chain: ChainId) -> FlowId {
-        self.intern(tuple, chain, PINNED)
+        let h = tuple_hash(&tuple);
+        let (found, steps) = self.index.shard(h).find(h, &tuple, &self.keys);
+        self.note_probe(steps);
+        match found {
+            Ok(slot) => {
+                let f = self.index.shard(h).slots[slot].flow - 1;
+                let hs = &mut self.hot[f as usize];
+                hs.chain = chain;
+                hs.last_seen = PINNED;
+                FlowId(f)
+            }
+            Err(vacant) => FlowId(self.mint(h, tuple, chain, PINNED, vacant)),
+        }
     }
 
-    /// Exact-match install shared by [`FlowTable::install`] (pinned) and
-    /// the wildcard cache path (stamped with the current epoch).
-    fn intern(&mut self, tuple: FiveTuple, chain: ChainId, stamp: u32) -> FlowId {
-        let h = tuple_hash(&tuple);
-        let (found, steps) = self.index.shard(h).get(h, &tuple, &self.keys);
-        self.note_probe(steps);
-        if let Some(f) = found {
-            let hs = &mut self.hot[f as usize];
-            hs.chain = chain;
-            if stamp == PINNED {
-                hs.last_seen = PINNED;
-            } else if hs.last_seen != PINNED {
-                hs.last_seen = stamp;
-            }
-            return FlowId(f);
-        }
+    /// Mint an entry for `tuple`, known absent from the index: `vacant`
+    /// is the empty slot its miss probe stopped at. Shared by
+    /// [`FlowTable::install`] (pinned) and the wildcard cache path
+    /// (stamped with the current epoch).
+    fn mint(&mut self, h: u64, tuple: FiveTuple, chain: ChainId, stamp: u32, vacant: usize) -> u32 {
+        let hot = HotSlot {
+            chain,
+            last_seen: stamp,
+        };
         let id = match self.free.pop() {
             Some(id) => {
                 // Recycled slot: fresh key/counters, same dense id space.
@@ -480,30 +523,24 @@ impl FlowTable {
                 }
                 self.stats.recycled += 1;
                 self.keys[id as usize] = tuple;
-                self.hot[id as usize] = HotSlot {
-                    chain,
-                    last_seen: stamp,
-                };
+                self.hot[id as usize] = hot;
                 self.cold[id as usize] = ColdSlot::default();
                 id
             }
             None => {
                 let id = self.keys.len() as u32;
                 self.keys.push(tuple);
-                self.hot.push(HotSlot {
-                    chain,
-                    last_seen: stamp,
-                });
+                self.hot.push(hot);
                 self.cold.push(ColdSlot::default());
                 id
             }
         };
-        let (rehashes, steps) = self.index.shard_mut(h).insert(h, id, &self.keys);
+        let (rehashes, steps) = self.index.shard_mut(h).insert(h, id, vacant);
         self.stats.rehashes += rehashes;
         self.note_probe(steps);
         self.live += 1;
         self.stats.installs += 1;
-        FlowId(id)
+        id
     }
 
     /// Install a wildcard rule at `priority` (higher wins on overlap).
@@ -533,59 +570,101 @@ impl FlowTable {
     /// traffic (the RX thread drops it).
     #[inline]
     pub fn classify(&mut self, tuple: &FiveTuple, bytes: u32) -> Option<(FlowId, ChainId)> {
+        self.classify_run(tuple, 1, bytes as u64)
+    }
+
+    /// Classify a run of `packets` (≥ 1) back-to-back packets carrying
+    /// the same tuple and `bytes` in total with one table operation.
+    /// Table state and every counter — per-flow packets/bytes,
+    /// `classified_packets`, `exact_hits`, `memo_hits`, `probe_steps` and
+    /// the memo — end up exactly as after `packets` [`FlowTable::classify`]
+    /// calls: after the first packet the memo is armed, so the rest of a
+    /// classified run are memo hits, while an unclassified run repeats its
+    /// miss probe per packet.
+    #[inline]
+    pub fn classify_run(
+        &mut self,
+        tuple: &FiveTuple,
+        packets: u64,
+        bytes: u64,
+    ) -> Option<(FlowId, ChainId)> {
+        debug_assert!(packets > 0, "empty run");
         // Last-flow memo: a hit here is exactly the exact-match path below
         // minus the hash + probe. The key copy lives inline so a memo
         // miss touches no slab memory — with a million cold flows the two
         // slab loads a slot-indexed check would take are guaranteed cache
         // misses. Eviction and recycling disarm the memo, so an armed
         // memo always names a live slot holding `memo_key`.
-        let m = self.memo;
-        if m != NO_MEMO && self.memo_key == *tuple {
-            self.stats.exact_hits += 1;
-            self.stats.memo_hits += 1;
-            let hs = &mut self.hot[m as usize];
-            if hs.last_seen != PINNED {
-                hs.last_seen = self.epoch;
-            }
-            let chain = hs.chain;
-            let c = &mut self.cold[m as usize];
-            c.packets += 1;
-            c.bytes += bytes as u64;
-            self.classified_packets += 1;
-            return Some((FlowId(m), chain));
-        }
-        let h = tuple_hash(tuple);
-        let (found, steps) = self.index.shard(h).get(h, tuple, &self.keys);
-        self.note_probe(steps);
-        if let Some(f) = found {
+        let f = if self.memo != NO_MEMO && self.memo_key == *tuple {
+            self.stats.exact_hits += packets;
+            self.stats.memo_hits += packets;
+            self.memo
+        } else {
+            let h = tuple_hash(tuple);
+            let shard = self.index.shard(h);
+            let (found, steps) = shard.find(h, tuple, &self.keys);
+            let f = match found {
+                Ok(slot) => {
+                    let f = shard.slots[slot].flow - 1;
+                    self.note_probe(steps);
+                    self.stats.exact_hits += packets;
+                    self.stats.memo_hits += packets - 1;
+                    f
+                }
+                Err(vacant) => {
+                    let rule = self.wildcards.iter().find(|r| r.pattern.matches(tuple));
+                    let Some(chain) = rule.map(|r| r.chain) else {
+                        // Nothing is cached for unmatched traffic: every
+                        // packet of the run repeats the miss probe.
+                        self.stats.probe_steps += steps * packets;
+                        self.stats.max_probe = self.stats.max_probe.max(steps);
+                        return None;
+                    };
+                    self.note_probe(steps);
+                    self.stats.wildcard_hits += 1;
+                    self.stats.exact_hits += packets - 1;
+                    self.stats.memo_hits += packets - 1;
+                    self.mint(h, *tuple, chain, self.epoch, vacant)
+                }
+            };
             self.memo = f;
             self.memo_key = *tuple;
-            self.stats.exact_hits += 1;
-            let hs = &mut self.hot[f as usize];
-            if hs.last_seen != PINNED {
-                hs.last_seen = self.epoch;
-            }
-            let chain = hs.chain;
-            let c = &mut self.cold[f as usize];
-            c.packets += 1;
-            c.bytes += bytes as u64;
-            self.classified_packets += 1;
-            return Some((FlowId(f), chain));
+            f
+        };
+        let hs = &mut self.hot[f as usize];
+        if hs.last_seen != PINNED {
+            hs.last_seen = self.epoch;
         }
-        let chain = self
-            .wildcards
-            .iter()
-            .find(|r| r.pattern.matches(tuple))?
-            .chain;
-        self.stats.wildcard_hits += 1;
-        let flow = self.intern(*tuple, chain, self.epoch);
-        self.memo = flow.index() as u32;
-        self.memo_key = *tuple;
-        let c = &mut self.cold[flow.index()];
-        c.packets += 1;
-        c.bytes += bytes as u64;
-        self.classified_packets += 1;
-        Some((flow, chain))
+        let chain = hs.chain;
+        let c = &mut self.cold[f as usize];
+        c.packets += packets;
+        c.bytes += bytes;
+        self.classified_packets += packets;
+        Some((FlowId(f), chain))
+    }
+
+    /// Classify a NIC burst in one pass, one [`FlowTable::classify_run`]
+    /// per run of consecutive frames with identical tuples. `runs` is
+    /// cleared, then receives one [`BurstRun`] per run in frame order.
+    /// Equivalent to classifying every frame in order.
+    pub fn classify_burst(&mut self, frames: &[WireFrame], runs: &mut Vec<BurstRun>) {
+        runs.clear();
+        let mut i = 0;
+        while i < frames.len() {
+            let tuple = frames[i].tuple;
+            let mut bytes = frames[i].size as u64;
+            let mut j = i + 1;
+            while j < frames.len() && frames[j].tuple == tuple {
+                bytes += frames[j].size as u64;
+                j += 1;
+            }
+            let class = self.classify_run(&tuple, (j - i) as u64, bytes);
+            runs.push(BurstRun {
+                frames: (j - i) as u32,
+                class,
+            });
+            i = j;
+        }
     }
 
     /// Advance the aging epoch and evict wildcard-learned entries idle
@@ -654,8 +733,11 @@ impl FlowTable {
     #[inline]
     pub fn get(&self, tuple: &FiveTuple) -> Option<FlowEntry> {
         let h = tuple_hash(tuple);
-        let (found, _) = self.index.shard(h).get(h, tuple, &self.keys);
-        found.map(|f| self.entry_of(f))
+        let shard = self.index.shard(h);
+        let (found, _) = shard.find(h, tuple, &self.keys);
+        found
+            .ok()
+            .map(|slot| self.entry_of(shard.slots[slot].flow - 1))
     }
 
     fn entry_of(&self, f: u32) -> FlowEntry {
@@ -665,6 +747,12 @@ impl FlowTable {
             packets: self.cold[f as usize].packets,
             bytes: self.cold[f as usize].bytes,
         }
+    }
+
+    /// The chain a flow id is steered onto (for an evicted id awaiting
+    /// recycle: the chain it last carried).
+    pub fn chain_of(&self, flow: FlowId) -> ChainId {
+        self.hot[flow.index()].chain
     }
 
     /// The tuple for a given (live) flow id.
@@ -957,6 +1045,19 @@ mod tests {
         let memo_before = ft.stats().memo_hits;
         ft.classify(&other, 64).unwrap();
         assert_eq!(ft.stats().memo_hits, memo_before + 1);
+    }
+
+    #[test]
+    fn shards_double_at_half_occupancy() {
+        // Growth keeps live ≤ capacity/2 with the smallest power of two:
+        // capacity stays within 2×–4× live, never more.
+        let mut ft = FlowTable::with_kind(FlowTableKind::Flat);
+        for n in 1..=1000u32 {
+            ft.install(FiveTuple::synthetic(n, Proto::Udp), ChainId(0));
+            let want = (2 * n as u64).next_power_of_two().max(8);
+            assert_eq!(ft.stats().slots, want, "{n} flows");
+        }
+        assert_eq!(ft.stats().rehashes, 9, "8 → 2048 slots");
     }
 
     #[test]

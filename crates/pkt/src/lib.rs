@@ -19,7 +19,7 @@ pub mod packet;
 pub mod pattern;
 pub mod ring;
 
-pub use flowtable::{FlowAging, FlowEntry, FlowTable, FlowTableKind, FlowTableStats};
+pub use flowtable::{BurstRun, FlowAging, FlowEntry, FlowTable, FlowTableKind, FlowTableStats};
 pub use ids::{ChainId, CoreId, FlowId, NfId, PktId};
 pub use mempool::Mempool;
 pub use nic::{Nic, WireFrame};

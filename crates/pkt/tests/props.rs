@@ -1,7 +1,7 @@
 //! Property-based tests for rings, mempool and flow table.
 
 use nfv_des::SimTime;
-use nfv_pkt::{ChainId, FlowId, FlowTableKind, TuplePattern};
+use nfv_pkt::{ChainId, Ecn, FlowId, FlowTableKind, FlowTableStats, TuplePattern, WireFrame};
 use nfv_pkt::{Enqueue, FiveTuple, FlowTable, Mempool, Packet, PktId, Proto, Ring};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
@@ -18,6 +18,10 @@ struct ModelTable {
     wildcards: Vec<(i32, u32)>, // (priority, install seq) → chain by seq
     wildcard_chains: Vec<ChainId>,
     forgotten_packets: u64,
+    /// Tuple the last-flow memo names (cleared when it is evicted).
+    memo: Option<u16>,
+    /// Expected `FlowTableStats` counters (backend-independent ones).
+    stats: FlowTableStats,
 }
 
 struct ModelFlow {
@@ -30,11 +34,17 @@ struct ModelFlow {
 
 impl ModelTable {
     fn mint(&mut self, n: u16, chain: ChainId, pinned: bool) -> u32 {
-        let id = self.free.pop().unwrap_or_else(|| {
-            let id = self.next_id;
-            self.next_id += 1;
-            id
-        });
+        self.stats.installs += 1;
+        let id = match self.free.pop() {
+            Some(id) => {
+                self.stats.recycled += 1;
+                id
+            }
+            None => {
+                self.next_id += 1;
+                self.next_id - 1
+            }
+        };
         self.live.insert(
             n,
             ModelFlow {
@@ -74,14 +84,20 @@ impl ModelTable {
 
     fn classify(&mut self, n: u16) -> Option<(u32, ChainId)> {
         let epoch = self.epoch;
+        let memo_hit = self.memo == Some(n);
         if let Some(f) = self.live.get_mut(&n) {
             f.packets += 1;
             if !f.pinned {
                 f.last_seen = epoch;
             }
+            self.stats.exact_hits += 1;
+            self.stats.memo_hits += memo_hit as u64;
+            self.memo = Some(n);
             return Some((f.id, f.chain));
         }
         let chain = self.wildcard_winner()?;
+        self.stats.wildcard_hits += 1;
+        self.memo = Some(n);
         let id = self.mint(n, chain, false);
         self.live.get_mut(&n).unwrap().packets += 1;
         Some((id, chain))
@@ -98,6 +114,10 @@ impl ModelTable {
             .collect();
         let mut ids: Vec<u32> = Vec::new();
         for n in victims {
+            if self.memo == Some(n) {
+                self.memo = None;
+            }
+            self.stats.evicted += 1;
             let f = self.live.remove(&n).unwrap();
             self.forgotten_packets += f.packets;
             ids.push(f.id);
@@ -133,6 +153,52 @@ fn ft_op() -> impl Strategy<Value = FtOp> {
         (0u16..48).prop_map(|n| FtOp::Classify { n }),
         (1u32..3).prop_map(|idle_epochs| FtOp::Age { idle_epochs }),
     ]
+}
+
+/// One step of the burst-classification churn script.
+#[derive(Debug, Clone)]
+enum BurstOp {
+    Install {
+        n: u16,
+        chain: u8,
+    },
+    InstallWildcard {
+        chain: u8,
+        priority: i32,
+    },
+    /// A NIC burst: `(tuple, repeats)` runs, adjacent equal tuples merge.
+    Burst {
+        runs: Vec<(u16, u8)>,
+    },
+    Age {
+        idle_epochs: u32,
+    },
+}
+
+fn burst_op() -> impl Strategy<Value = BurstOp> {
+    // A small tuple space so bursts repeat flows across evictions and
+    // land on recycled ids.
+    prop_oneof![
+        (0u16..12, 0u8..4).prop_map(|(n, chain)| BurstOp::Install { n, chain }),
+        (0u8..4, 0u8..3).prop_map(|(chain, priority)| BurstOp::InstallWildcard {
+            chain,
+            priority: priority as i32,
+        }),
+        prop::collection::vec((0u16..12, 1u8..5), 1..12).prop_map(|runs| BurstOp::Burst { runs }),
+        prop::collection::vec((0u16..12, 1u8..5), 1..12).prop_map(|runs| BurstOp::Burst { runs }),
+        (1u32..3).prop_map(|idle_epochs| BurstOp::Age { idle_epochs }),
+    ]
+}
+
+fn frame(n: u16, size: u32) -> WireFrame {
+    WireFrame {
+        tuple: FiveTuple::synthetic(n as u32, Proto::Udp),
+        size,
+        seq: 0,
+        cost_class: 0,
+        ecn: Ecn::NotEct,
+        arrival: SimTime::ZERO,
+    }
 }
 
 proptest! {
@@ -293,6 +359,106 @@ proptest! {
         let live_sum: u64 = sharded.entries().map(|e| e.packets).sum();
         prop_assert_eq!(sharded.classified_packets(), live_sum + model.forgotten_packets);
         prop_assert_eq!(flat.classified_packets(), sharded.classified_packets());
+    }
+
+    /// Burst classification (`classify_burst`, one `classify_run` per run
+    /// of identical tuples) is indistinguishable from per-frame
+    /// `classify` — same per-frame results as the BTreeMap model, same
+    /// `entries()`, same `FlowTableStats` (hits, memo hits, probe steps,
+    /// installs, rehashes) and same memo state — under install / wildcard
+    /// / eviction churn, including runs of a flow evicted or recycled
+    /// since its last burst.
+    #[test]
+    fn burst_classification_matches_per_frame_and_model(
+        flat in prop::bool::ANY,
+        script in prop::collection::vec(burst_op(), 1..200),
+    ) {
+        let kind = if flat { FlowTableKind::Flat } else { FlowTableKind::Sharded };
+        let mut burst = FlowTable::with_kind(kind);
+        let mut per_frame = FlowTable::with_kind(kind);
+        let mut model = ModelTable::default();
+        let mut frames = Vec::new();
+        let mut ns = Vec::new(); // model tuple index per frame
+        let mut runs = Vec::new();
+        let (mut ev_b, mut ev_p) = (Vec::new(), Vec::new());
+        for op in script {
+            match op {
+                BurstOp::Install { n, chain } => {
+                    let t = FiveTuple::synthetic(n as u32, Proto::Udp);
+                    let c = ChainId(chain as u32);
+                    let fb = burst.install(t, c);
+                    prop_assert_eq!(fb, per_frame.install(t, c));
+                    prop_assert_eq!(fb, FlowId(model.install(n, c)));
+                }
+                BurstOp::InstallWildcard { chain, priority } => {
+                    let c = ChainId(chain as u32);
+                    burst.install_wildcard(TuplePattern::any(), c, priority);
+                    per_frame.install_wildcard(TuplePattern::any(), c, priority);
+                    model.install_wildcard(c, priority);
+                }
+                BurstOp::Burst { runs: spec } => {
+                    frames.clear();
+                    ns.clear();
+                    for (n, reps) in spec {
+                        for r in 0..reps as u32 {
+                            frames.push(frame(n, 64 + 8 * r + n as u32));
+                            ns.push(n);
+                        }
+                    }
+                    burst.classify_burst(&frames, &mut runs);
+                    let mut at = 0;
+                    for run in &runs {
+                        prop_assert!(run.frames > 0);
+                        for i in at..at + run.frames as usize {
+                            let f = &frames[i];
+                            prop_assert_eq!(f.tuple, frames[at].tuple, "run mixes tuples");
+                            let rp = per_frame.classify(&f.tuple, f.size);
+                            let rm = model.classify(ns[i]).map(|(id, c)| (FlowId(id), c));
+                            prop_assert_eq!(run.class, rp, "tuple {}", ns[i]);
+                            prop_assert_eq!(rp, rm);
+                        }
+                        at += run.frames as usize;
+                        // Runs are maximal: the next one starts a new tuple.
+                        if at < frames.len() {
+                            prop_assert!(frames[at].tuple != frames[at - 1].tuple);
+                        }
+                    }
+                    prop_assert_eq!(at, frames.len());
+                }
+                BurstOp::Age { idle_epochs } => {
+                    ev_b.clear();
+                    ev_p.clear();
+                    burst.age(idle_epochs, &mut ev_b);
+                    per_frame.age(idle_epochs, &mut ev_p);
+                    let em: Vec<FlowId> =
+                        model.age(idle_epochs).into_iter().map(FlowId).collect();
+                    prop_assert_eq!(&ev_b, &ev_p);
+                    prop_assert_eq!(&ev_b, &em);
+                }
+            }
+            let stats = burst.stats();
+            prop_assert_eq!(stats, per_frame.stats());
+            // Hit/install/churn counters against the model's memo logic.
+            let m = &model.stats;
+            prop_assert_eq!(
+                (stats.exact_hits, stats.memo_hits, stats.wildcard_hits),
+                (m.exact_hits, m.memo_hits, m.wildcard_hits)
+            );
+            prop_assert_eq!(
+                (stats.installs, stats.recycled, stats.evicted),
+                (m.installs, m.recycled, m.evicted)
+            );
+            prop_assert!(burst.entries().eq(per_frame.entries()), "entries diverged");
+            prop_assert_eq!(burst.classified_packets(), per_frame.classified_packets());
+            prop_assert_eq!(burst.len(), model.live.len());
+        }
+        // Memo state: the same probe classifies identically and moves the
+        // same counters (a memo hit on one side only would show here).
+        for n in 0u16..12 {
+            let t = FiveTuple::synthetic(n as u32, Proto::Udp);
+            prop_assert_eq!(burst.classify(&t, 64), per_frame.classify(&t, 64));
+            prop_assert_eq!(burst.stats(), per_frame.stats());
+        }
     }
 
     /// Watermark comparison is exact integer arithmetic at all fill levels.

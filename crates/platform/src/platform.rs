@@ -17,8 +17,8 @@ use nfv_des::{CpuFreq, Duration, SimTime};
 use nfv_io::{StorageDevice, WriteOutcome};
 use nfv_obs::{DropCause, SleepReason, TraceKind, TraceSink, NO_ID};
 use nfv_pkt::{
-    ChainId, Ecn, Enqueue, FlowAging, FlowId, FlowTable, FlowTableKind, Mempool, NfId, Nic, Packet,
-    Proto, TuplePattern, WireFrame,
+    BurstRun, ChainId, Ecn, Enqueue, FlowAging, FlowId, FlowTable, FlowTableKind, Mempool, NfId,
+    Nic, Packet, Proto, TuplePattern, WireFrame,
 };
 use nfv_sched::{CfsParams, CgroupCpu, OsScheduler, Policy, SchedBackend};
 use std::collections::BTreeSet;
@@ -156,6 +156,8 @@ pub struct Platform {
     trivial_handler: Vec<bool>,
     tcp_flows: BTreeSet<FlowId>,
     scratch_frames: Vec<WireFrame>,
+    /// Classified runs of the current burst (reused across polls).
+    scratch_runs: Vec<BurstRun>,
     /// Number of NFs currently `Down` — lets the per-frame dead-chain
     /// check in `rx_poll` short-circuit to nothing in fault-free runs.
     down_nfs: usize,
@@ -202,6 +204,7 @@ impl Platform {
             trivial_handler: Vec::new(),
             tcp_flows: BTreeSet::new(),
             scratch_frames: Vec::new(),
+            scratch_runs: Vec::new(),
             down_nfs: 0,
             replicas_of: std::collections::BTreeMap::new(),
             replica_floor: std::collections::BTreeMap::new(),
@@ -318,35 +321,35 @@ impl Platform {
     /// `tcp_out`.
     pub fn rx_poll(&mut self, now: SimTime, admit: &mut AdmitFn<'_>, tcp_out: &mut Vec<TcpEvent>) {
         let mut frames = std::mem::take(&mut self.scratch_frames);
+        let mut runs = std::mem::take(&mut self.scratch_runs);
         frames.clear();
         self.nic.take_rx(&mut frames);
-        // Per-poll decision cache: traffic sources emit per-flow bursts,
-        // so consecutive frames usually repeat a flow — and within one
-        // poll nothing a frame's admission depends on can change (NF
-        // health, backpressure marks and replica pins are only mutated by
-        // other events). Classification itself still runs per frame (it
-        // carries the per-packet counters); the chain-health check, entry
-        // resolution and admission callback run once per flow run.
+        // Classification pass: one flow-table operation per run of
+        // identical tuples, with the per-frame counter semantics intact
+        // (`FlowTable::classify_burst`). Nothing below touches the flow
+        // table, so classifying the whole burst up front is the same as
+        // classifying frame by frame.
+        self.flow_table.classify_burst(&frames, &mut runs);
+        // Per-poll decision cache: within one poll nothing a frame's
+        // admission depends on can change (NF health, backpressure marks
+        // and replica pins are only mutated by other events), so the
+        // chain-health check, entry resolution and admission callback run
+        // once per flow run; the cache survives unclassified runs.
         let mut cached_flow = FlowId(u32::MAX);
         let mut cached_entry = NfId(0);
         let mut cached_admit = false;
-        for frame in frames.drain(..) {
-            let Some((flow, chain)) = self.flow_table.classify(&frame.tuple, frame.size) else {
-                self.stats.unclassified += 1;
-                self.trace_drop(now, DropCause::Unclassified, NO_ID, NO_ID, NO_ID);
+        let mut next = 0;
+        for run in &runs {
+            let burst = &frames[next..next + run.frames as usize];
+            next += burst.len();
+            let Some((flow, chain)) = run.class else {
+                for _ in burst {
+                    self.stats.unclassified += 1;
+                    self.trace_drop(now, DropCause::Unclassified, NO_ID, NO_ID, NO_ID);
+                }
                 continue;
             };
-            let entry;
-            if flow == cached_flow {
-                entry = cached_entry;
-                self.nfs[entry.index()].note_arrival();
-                if !cached_admit {
-                    self.stats.dropped(flow, chain, DropLocation::EntryThrottle);
-                    self.trace_drop(now, DropCause::EntryThrottle, flow.0, chain.0, entry.0);
-                    self.note_tcp_drop(flow, frame.seq, tcp_out);
-                    continue;
-                }
-            } else {
+            if flow != cached_flow {
                 // Wildcard rules can mint new flows at runtime; keep
                 // per-flow stats sized accordingly.
                 self.grow_flow_stats(flow);
@@ -357,72 +360,77 @@ impl Platform {
                 // the (live) entry NF, and counting it would inflate its
                 // weight for the duration of the outage.
                 if let Some(dead) = self.chain_down_nf(chain) {
-                    self.stats.dropped(flow, chain, DropLocation::NfDown(dead));
-                    self.trace_drop(now, DropCause::NfDown, flow.0, chain.0, dead.0);
-                    self.note_tcp_drop(flow, frame.seq, tcp_out);
+                    for frame in burst {
+                        self.stats.dropped(flow, chain, DropLocation::NfDown(dead));
+                        self.trace_drop(now, DropCause::NfDown, flow.0, chain.0, dead.0);
+                        self.note_tcp_drop(flow, frame.seq, tcp_out);
+                    }
                     continue;
                 }
-                // The entry NF's offered load (λ) is measured
-                // pre-admission: the RX thread sees every classified
-                // frame, and rate-cost shares must reflect demand, not the
-                // post-throttle trickle. With replicas, the flow is first
-                // sharded to its instance so each instance's estimator
-                // sees only its own demand.
-                entry = {
+                // With replicas, the flow is first sharded to its
+                // instance so each instance's estimator sees only its own
+                // demand.
+                cached_flow = flow;
+                cached_entry = {
                     let e = self.chains.entry(chain);
                     self.resolve_instance(e, flow)
                 };
-                self.nfs[entry.index()].note_arrival();
-                let shed = {
+                cached_admit = {
                     let this = &mut *self;
                     let mut on_path = |t: NfId| {
                         let base = this.canonical_of(t);
                         this.resolve_instance(base, flow) == t
                     };
-                    !admit(chain, flow, &mut on_path)
+                    admit(chain, flow, &mut on_path)
                 };
-                cached_flow = flow;
-                cached_entry = entry;
-                cached_admit = !shed;
-                if shed {
+            }
+            let entry = cached_entry;
+            for frame in burst {
+                // The entry NF's offered load (λ) is measured
+                // pre-admission: the RX thread sees every classified
+                // frame, and rate-cost shares must reflect demand, not
+                // the post-throttle trickle.
+                self.nfs[entry.index()].note_arrival();
+                if !cached_admit {
                     self.stats.dropped(flow, chain, DropLocation::EntryThrottle);
                     self.trace_drop(now, DropCause::EntryThrottle, flow.0, chain.0, entry.0);
                     self.note_tcp_drop(flow, frame.seq, tcp_out);
                     continue;
                 }
-            }
-            let pkt = Packet {
-                tuple: frame.tuple,
-                flow,
-                chain,
-                size: frame.size,
-                arrival: frame.arrival,
-                enqueued_at: now,
-                hops_done: 0,
-                ecn: frame.ecn,
-                seq: frame.seq,
-                cost_class: frame.cost_class,
-            };
-            let Some(pid) = self.mempool.alloc(pkt) else {
-                self.stats.mempool_fail += 1;
-                self.stats
-                    .dropped(flow, chain, DropLocation::MempoolExhausted);
-                self.trace_drop(now, DropCause::MempoolExhausted, flow.0, chain.0, entry.0);
-                self.note_tcp_drop(flow, frame.seq, tcp_out);
-                continue;
-            };
-            let nf = &mut self.nfs[entry.index()];
-            match nf.rx.enqueue(pid) {
-                Enqueue::Ok { .. } => nf.note_pending(chain),
-                Enqueue::Full => {
-                    self.mempool.free(pid);
+                let pkt = Packet {
+                    tuple: frame.tuple,
+                    flow,
+                    chain,
+                    size: frame.size,
+                    arrival: frame.arrival,
+                    enqueued_at: now,
+                    hops_done: 0,
+                    ecn: frame.ecn,
+                    seq: frame.seq,
+                    cost_class: frame.cost_class,
+                };
+                let Some(pid) = self.mempool.alloc(pkt) else {
+                    self.stats.mempool_fail += 1;
                     self.stats
-                        .dropped(flow, chain, DropLocation::RingFull(entry));
-                    self.trace_drop(now, DropCause::RingFull, flow.0, chain.0, entry.0);
+                        .dropped(flow, chain, DropLocation::MempoolExhausted);
+                    self.trace_drop(now, DropCause::MempoolExhausted, flow.0, chain.0, entry.0);
                     self.note_tcp_drop(flow, frame.seq, tcp_out);
+                    continue;
+                };
+                let nf = &mut self.nfs[entry.index()];
+                match nf.rx.enqueue(pid) {
+                    Enqueue::Ok { .. } => nf.note_pending(chain),
+                    Enqueue::Full => {
+                        self.mempool.free(pid);
+                        self.stats
+                            .dropped(flow, chain, DropLocation::RingFull(entry));
+                        self.trace_drop(now, DropCause::RingFull, flow.0, chain.0, entry.0);
+                        self.note_tcp_drop(flow, frame.seq, tcp_out);
+                    }
                 }
             }
         }
+        self.scratch_runs = runs;
         self.scratch_frames = frames;
     }
 
@@ -1134,6 +1142,78 @@ mod tests {
         assert_eq!(p.stats.chains[chain.index()].entry_drops, 5);
         assert_eq!(p.stats.flows[flow.index()].entry_drops, 5);
         assert_eq!(p.mempool.in_use(), 0);
+    }
+
+    #[test]
+    fn burst_with_unclassified_and_shed_runs_keeps_per_frame_accounting() {
+        // One burst: admitted flow `a`, an unknown tuple, shed flow `b`,
+        // the unknown tuple again, then `a` again. Classification runs
+        // once per tuple run, but counters and the drop trace must read
+        // exactly as if every frame had been handled on its own.
+        let mut p = Platform::new(test_cfg());
+        let na = p.add_nf(NfSpec::new("a", 0, 100));
+        let nb = p.add_nf(NfSpec::new("b", 0, 100));
+        let (ca, cb) = (p.install_chain(&[na]), p.install_chain(&[nb]));
+        let ta = FiveTuple::synthetic(1, Proto::Udp);
+        let tb = FiveTuple::synthetic(2, Proto::Udp);
+        let unknown = FiveTuple::synthetic(3, Proto::Udp);
+        let fa = p.install_flow(ta, ca);
+        let fb = p.install_flow(tb, cb);
+        p.trace = TraceSink::recording();
+        let burst = [ta, ta, unknown, tb, tb, unknown, ta];
+        for (seq, tuple) in burst.into_iter().enumerate() {
+            p.nic.deliver(WireFrame {
+                tuple,
+                size: 100,
+                seq: seq as u64,
+                cost_class: 0,
+                ecn: Ecn::NotEct,
+                arrival: SimTime::ZERO,
+            });
+        }
+        let mut admit_calls = Vec::new();
+        let mut admit = |chain: ChainId, flow: FlowId, _: &mut dyn FnMut(NfId) -> bool| {
+            admit_calls.push(flow);
+            chain == ca
+        };
+        let mut tcp = Vec::new();
+        p.rx_poll(SimTime::ZERO, &mut admit, &mut tcp);
+        // Admission runs once per flow run; the unknown runs in between
+        // neither call it nor reset the per-poll cache.
+        assert_eq!(admit_calls, vec![fa, fb, fa]);
+        assert_eq!(p.stats.unclassified, 2);
+        assert_eq!(p.stats.entry_throttle_drops, 2);
+        assert_eq!(p.stats.flows[fb.index()].entry_drops, 2);
+        assert_eq!(p.nfs[na.index()].pending(), 3);
+        // λ counts shed frames too (pre-admission), never unknown ones.
+        assert_eq!(p.nfs[na.index()].arrivals, 3);
+        assert_eq!(p.nfs[nb.index()].arrivals, 2);
+        assert_eq!(p.flow_table.classified_packets(), 5);
+        assert_eq!(p.flow_table.get(&ta).unwrap().bytes, 300);
+        let st = p.flow_table.stats();
+        // Per-frame semantics: a probe per run start (a, b, a) and per
+        // unknown frame, memo hits for the repeats inside runs.
+        assert_eq!((st.exact_hits, st.memo_hits), (5, 2));
+        assert!(p.packets_accounted());
+        let drops: Vec<(DropCause, u32)> = p
+            .trace
+            .take()
+            .into_iter()
+            .filter_map(|e| match e.kind {
+                TraceKind::PacketDrop { cause, flow, .. } => Some((cause, flow)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(
+            drops,
+            vec![
+                (DropCause::Unclassified, NO_ID),
+                (DropCause::EntryThrottle, fb.0),
+                (DropCause::EntryThrottle, fb.0),
+                (DropCause::Unclassified, NO_ID),
+            ],
+            "drops traced in frame order"
+        );
     }
 
     #[test]

@@ -59,7 +59,9 @@ fn describe(title: &str, sim: &mut Simulation, r: &Report) {
     );
     // Per-second goodput from the report series shows the dip and the
     // recovery (crash lands in second 0).
-    let chain_mbps: Vec<String> = r.series.flow_mbps[0]
+    let chain_mbps: Vec<String> = r
+        .series
+        .flow_mbps(0)
         .iter()
         .map(|m| format!("{m:.0}"))
         .collect();

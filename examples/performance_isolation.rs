@@ -48,19 +48,20 @@ fn main() {
     println!(
         "sec   TCP Mbps (Default)  UDP Mbps (Default)  TCP Mbps (NFVnice)  UDP Mbps (NFVnice)"
     );
-    for sec in 0..d.series.flow_mbps[dtcp].len() {
+    let (d_tcp, n_tcp) = (d.series.flow_mbps(dtcp), n.series.flow_mbps(ntcp));
+    for sec in 0..d_tcp.len() {
         let sum = |r: &nfvnice::Report, flows: &[usize]| -> f64 {
             flows
                 .iter()
-                .map(|&f| r.series.flow_mbps[f].get(sec).copied().unwrap_or(0.0))
+                .map(|&f| r.series.flow_mbps(f).get(sec).copied().unwrap_or(0.0))
                 .sum()
         };
         println!(
             "{:>3}   {:>18.1}  {:>18.1}  {:>18.1}  {:>18.1}",
             (sec as u64 + 1) * SCALE,
-            d.series.flow_mbps[dtcp][sec],
+            d_tcp[sec],
             sum(&d, &dudp),
-            n.series.flow_mbps[ntcp][sec],
+            n_tcp[sec],
             sum(&n, &nudp),
         );
     }
