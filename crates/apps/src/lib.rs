@@ -20,7 +20,7 @@
 //! let chain = sim.add_chain(&[nf]);
 //! sim.add_udp(chain, 100_000.0, 64);
 //! let report = sim.run(Duration::from_millis(20));
-//! assert!(report.flows[0].delivered > 0);
+//! assert!(report.flow(0).delivered > 0);
 //! ```
 
 #![warn(missing_docs)]

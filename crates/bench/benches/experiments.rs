@@ -95,7 +95,7 @@ fn variable_and_orderings(c: &mut Criterion) {
 fn timelines(c: &mut Criterion) {
     bench_cell(c, "fig13_isolation_nfvnice", || {
         let run = fig13::run_cell(NfvniceConfig::full(), quick());
-        assert!(run.report.flows[run.tcp_flow].delivered > 0);
+        assert!(run.report.flow(run.tcp_flow).delivered > 0);
     });
     bench_cell(c, "fig14_async_io_64b", || {
         let r = fig14::run_cell(64, true, quick());

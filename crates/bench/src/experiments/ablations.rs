@@ -208,7 +208,7 @@ fn d5(len: RunLength) -> String {
                 "shared chain id"
             }
             .into(),
-            format!("{:.1}", r.flows[tcp.index()].mbps),
+            format!("{:.1}", r.flow(tcp.index()).mbps),
             format!("{:.1}", udp_mbps),
         ]);
     }

@@ -63,10 +63,10 @@ pub fn run(len: RunLength) -> String {
             format!("{frame}B"),
             format!("{:.3}", d.total_delivered_pps / 1e6),
             format!("{:.3}", n.total_delivered_pps / 1e6),
-            format!("{:.3}", d.flows[0].delivered_pps / 1e6),
-            format!("{:.3}", n.flows[0].delivered_pps / 1e6),
-            format!("{:.3}", d.flows[1].delivered_pps / 1e6),
-            format!("{:.3}", n.flows[1].delivered_pps / 1e6),
+            format!("{:.3}", d.flow(0).delivered_pps / 1e6),
+            format!("{:.3}", n.flow(0).delivered_pps / 1e6),
+            format!("{:.3}", d.flow(1).delivered_pps / 1e6),
+            format!("{:.3}", n.flow(1).delivered_pps / 1e6),
         ]);
     }
     out.push_str(&t.render());

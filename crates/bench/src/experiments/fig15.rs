@@ -119,9 +119,9 @@ pub fn run(len: RunLength) -> String {
         tc.row(vec![
             format!("NF{}", i + 1),
             format!("{:.1}", d.nfs[i].cpu_util * 100.0),
-            format!("{:.1}", d.flows[i].delivered_pps / 1e3),
+            format!("{:.1}", d.flow(i).delivered_pps / 1e3),
             format!("{:.1}", n.nfs[i].cpu_util * 100.0),
-            format!("{:.1}", n.flows[i].delivered_pps / 1e3),
+            format!("{:.1}", n.flow(i).delivered_pps / 1e3),
             format!("{}", n.nfs[i].final_shares),
         ]);
     }

@@ -128,7 +128,6 @@ pub struct Simulation {
     flows_evicted: u64,
     // per-second series bookkeeping (CPU snapshots live in the domains)
     series: Series,
-    flow_bytes_snapshot: Vec<u64>,
     scratch_evicted: Vec<FlowId>,
     scratch_tcp: Vec<TcpEvent>,
     scratch_woken: Vec<NfId>,
@@ -188,7 +187,6 @@ impl Simulation {
             traffic_rotor: 0,
             flows_evicted: 0,
             series: Series::default(),
-            flow_bytes_snapshot: Vec::new(),
             scratch_evicted: Vec::new(),
             scratch_tcp: Vec::new(),
             scratch_woken: Vec::new(),
@@ -329,6 +327,11 @@ impl Simulation {
     /// `run` consumes the simulation's timeline: call it once per
     /// `Simulation`. (A second call panics on the first event scheduled
     /// before the already-advanced clock.)
+    ///
+    /// The per-flow counters move into the report's
+    /// [`Report::flows`](crate::report::Report::flows): afterwards
+    /// `sim.platform.stats.flows` (and its detail side table) is empty.
+    /// Platform-wide totals, including the conservation ledger's, stay.
     pub fn run(&mut self, duration: Duration) -> Report {
         let end = SimTime::ZERO + duration;
         self.prime(end);

@@ -3,7 +3,7 @@
 //! platform, scheduler and policy-subsystem counters.
 
 use super::Simulation;
-use crate::report::{ChainReport, FlowReport, NfReport, Report};
+use crate::report::{ChainReport, FlowReports, NfReport, Report};
 use nfv_des::Duration;
 use nfv_pkt::{FlowId, NfId};
 
@@ -30,14 +30,9 @@ impl Simulation {
         // covers every flow known now, so a new flow's series starts at
         // the current interval.
         let flows = &self.platform.stats.flows;
-        self.flow_bytes_snapshot.resize(flows.len(), 0);
-        let mut col = Vec::with_capacity(flows.len());
-        for (fs, snap) in flows.iter().zip(&mut self.flow_bytes_snapshot) {
-            let delta = fs.delivered_bytes - *snap;
-            *snap = fs.delivered_bytes;
-            col.push(delta as f64 * 8.0 / span_secs / 1e6);
-        }
-        self.series.flow_cols.push(col);
+        let col = flows.iter().map(|fs| fs.delivered_bytes).collect();
+        self.series.flow_bytes.push(col);
+        self.series.spans.push(span_secs);
     }
 
     pub(super) fn build_report(&mut self, wall: Duration) -> Report {
@@ -64,22 +59,26 @@ impl Simulation {
                 }
             })
             .collect();
-        let flows: Vec<FlowReport> = (0..self.platform.stats.flows.len())
-            .map(|f| {
-                let fs = &self.platform.stats.flows[f];
-                FlowReport {
-                    flow: FlowId(f as u32),
-                    chain: self.platform.flow_table.chain_of(FlowId(f as u32)),
-                    delivered: fs.delivered,
-                    delivered_pps: fs.delivered as f64 / secs,
-                    mbps: fs.delivered_bytes as f64 * 8.0 / secs / 1e6,
-                    dropped: fs.dropped,
-                    entry_drops: fs.entry_drops,
-                    latency_p50: fs.latency_p50().unwrap_or(Duration::ZERO),
-                    latency_p99: fs.latency_p99().unwrap_or(Duration::ZERO),
-                }
-            })
-            .collect();
+        // The counters move into the report as they are; each flow's
+        // rates are derived when it is read.
+        let stats = &mut self.platform.stats;
+        let detail = std::mem::take(&mut stats.flow_detail);
+        let flows = FlowReports {
+            secs,
+            chains: (0..stats.flows.len())
+                .map(|f| self.platform.flow_table.chain_of(FlowId(f as u32)))
+                .collect(),
+            counters: std::mem::take(&mut stats.flows),
+            latency: detail
+                .iter()
+                .map(|d| {
+                    (
+                        d.latency.median().unwrap_or(Duration::ZERO),
+                        d.latency.percentile(99.0).unwrap_or(Duration::ZERO),
+                    )
+                })
+                .collect(),
+        };
         let chains: Vec<ChainReport> = self
             .platform
             .chains

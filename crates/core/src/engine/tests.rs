@@ -23,7 +23,7 @@ fn single_nf_underload_delivers_everything() {
     // 100 kpps against a ~10.4 Mpps capacity NF: zero loss expected.
     sim.add_udp(chain, 100_000.0, 64);
     let r = sim.run(Duration::from_millis(200));
-    let f = &r.flows[0];
+    let f = r.flow(0);
     let offered = 20_000; // 100 kpps * 0.2 s
     assert!(
         f.delivered as i64 >= offered - 300,
@@ -43,7 +43,7 @@ fn overloaded_nf_is_capacity_bound() {
     let chain = sim.add_chain(&[nf]);
     sim.add_udp(chain, 1_000_000.0, 64); // 10x overload
     let r = sim.run(Duration::from_millis(200));
-    let got = r.flows[0].delivered_pps;
+    let got = r.flow(0).delivered_pps;
     // ±22.5% of 90 kpps ≈ the sustainable floor … capacity ceiling
     // window (70–110 kpps).
     assert!(invariants::within_pct(got, 90_000.0, 22.5), "rate {got}");
@@ -108,8 +108,8 @@ fn queue_backends_produce_identical_runs() {
     let heap = run(nfv_des::QueueKind::Heap);
     for other in [&classic, &heap] {
         assert_eq!(wheel.trace_digest, other.trace_digest);
-        assert_eq!(wheel.flows[0].delivered, other.flows[0].delivered);
-        assert_eq!(wheel.flows[0].dropped, other.flows[0].dropped);
+        assert_eq!(wheel.flow(0).delivered, other.flow(0).delivered);
+        assert_eq!(wheel.flow(0).dropped, other.flow(0).dropped);
         assert_eq!(wheel.total_wasted_drops, other.total_wasted_drops);
         for (w, h) in wheel.nfs.iter().zip(other.nfs.iter()) {
             assert_eq!(w.processed, h.processed, "{}", w.name);
@@ -163,7 +163,7 @@ fn coalesce_and_skip_ahead_knobs_are_byte_identical() {
     let idle_base = run(false, false, 20_000.0);
     let idle_fast = run(true, true, 20_000.0);
     assert_eq!(idle_base.trace_digest, idle_fast.trace_digest);
-    assert_eq!(idle_base.flows[0].delivered, idle_fast.flows[0].delivered);
+    assert_eq!(idle_base.flow(0).delivered, idle_fast.flow(0).delivered);
     assert!(idle_fast.queue.skipped_ticks > 0, "skip-ahead never fired");
     assert!(idle_fast.queue.coalesced_pops > 0, "coalescing never fired");
     assert_eq!(idle_base.queue.skipped_ticks, 0);
@@ -202,13 +202,11 @@ fn sched_backends_produce_identical_runs() {
         let classic = run(nfv_sched::SchedBackend::Classic);
         assert_eq!(hooks.trace_digest, classic.trace_digest, "{policy:?}");
         assert_eq!(
-            hooks.flows[0].delivered, classic.flows[0].delivered,
+            hooks.flow(0).delivered,
+            classic.flow(0).delivered,
             "{policy:?}"
         );
-        assert_eq!(
-            hooks.flows[0].dropped, classic.flows[0].dropped,
-            "{policy:?}"
-        );
+        assert_eq!(hooks.flow(0).dropped, classic.flow(0).dropped, "{policy:?}");
         assert_eq!(
             hooks.total_wasted_drops, classic.total_wasted_drops,
             "{policy:?}"
@@ -305,7 +303,7 @@ fn wildcard_learned_flows_report_their_table_chain() {
     assert_eq!(r.flows.len(), 128);
     let table = &sim.platform.flow_table;
     let mut per_chain = [0; 2];
-    for f in &r.flows {
+    for f in r.flows.iter() {
         let entry = table.get(&table.tuple_of(f.flow)).unwrap();
         assert_eq!(entry.flow, f.flow);
         assert_eq!(f.chain, entry.chain, "flow {:?}", f.flow);
@@ -318,7 +316,9 @@ fn wildcard_learned_flows_report_their_table_chain() {
 fn flow_learned_mid_run_gets_a_series_from_its_first_interval() {
     // Series columns close every simulated second (plus the final partial
     // interval): a flow first classified during the second interval has
-    // no value for the first one, so its series is one shorter.
+    // no value for the first one, so its series is one shorter. Summed
+    // over its intervals, each flow's series gives back its delivered
+    // bytes.
     use nfv_pkt::TuplePattern;
     use nfv_traffic::SweepSource;
     let mut sim = Simulation::new(base_cfg(1, Policy::CfsNormal, NfvniceConfig::off()));
@@ -345,6 +345,113 @@ fn flow_learned_mid_run_gets_a_series_from_its_first_interval() {
         assert_eq!(s.len(), 2, "flow {learned} starts at interval 1: {s:?}");
         assert!(s[0] > 0.0 && s[1] == 0.0, "flow {learned}: {s:?}");
     }
+    assert_eq!(r.series.spans(), [1.0, 1.0, 0.5]);
+    for f in r.flows.iter() {
+        let series = r.series.flow_mbps(f.flow.index());
+        let late = r.series.intervals() - series.len();
+        let spans = &r.series.spans()[late..];
+        let bytes: f64 = series
+            .iter()
+            .zip(spans)
+            .map(|(m, s)| m * s * 1e6 / 8.0)
+            .sum();
+        // Every frame is 64 B.
+        assert_eq!(bytes.round() as u64, f.delivered * 64, "flow {:?}", f.flow);
+    }
+}
+
+#[test]
+fn flow_reports_match_the_per_flow_truth() {
+    // Pinned flows on two single-NF chains, plus two flash crowds learned
+    // through a wildcard onto chain 1, the second arriving after aging
+    // has evicted the first (so it recycles flow ids) — in both per-flow
+    // detail modes.
+    use nfv_pkt::{FlowAging, TuplePattern};
+    use nfv_traffic::SweepSource;
+    const CROWD: u32 = 512;
+    let mut counters = Vec::new();
+    for detail in [true, false] {
+        let mut cfg = base_cfg(1, Policy::CfsBatch, NfvniceConfig::full());
+        cfg.platform.flow_detail = detail;
+        cfg.platform.flow_aging = FlowAging {
+            idle_epochs: 2,
+            epoch_ticks: 4,
+        };
+        let mut sim = Simulation::new(cfg);
+        let a = sim.add_nf(NfSpec::new("a", 0, 1_000));
+        let b = sim.add_nf(NfSpec::new("b", 0, 400));
+        let (alone, shared) = (sim.add_chain(&[a]), sim.add_chain(&[b]));
+        let pinned = sim.add_udp_with(alone, 2_000_000.0, 64, |f| f.poisson());
+        sim.add_udp(shared, 50_000.0, 64);
+        sim.add_wildcard(TuplePattern::any(), shared, 0);
+        for (base, at) in [(1 << 20, 2), (2 << 20, 25)] {
+            sim.add_sweep(SweepSource::flash(
+                base,
+                CROWD,
+                64,
+                1_000_000.0,
+                SimTime::from_millis(at),
+                Duration::from_millis(1),
+            ));
+        }
+        let r = sim.run(Duration::from_millis(45));
+        assert!(sim.platform.stats.flows.is_empty(), "counters moved out");
+        assert!(r.flows_evicted >= CROWD as u64, "first crowd aged out");
+        let n = r.flows.len();
+        assert!(
+            n < 2 + 2 * CROWD as usize,
+            "{n} flow ids: the second crowd recycles"
+        );
+
+        let delivered: u64 = r.flows.iter().map(|f| f.delivered).sum();
+        assert_eq!(
+            delivered,
+            invariants::conservation_ledger(&sim.platform).delivered
+        );
+        let secs = r.wall.as_secs_f64();
+        let table = &sim.platform.flow_table;
+        for (i, f) in r.flows.iter().enumerate() {
+            assert_eq!(f.flow.index(), i);
+            // Every frame is 64 B.
+            assert_eq!(
+                f.delivered_pps.to_bits(),
+                (f.delivered as f64 / secs).to_bits()
+            );
+            let mbps = (f.delivered * 64) as f64 * 8.0 / secs / 1e6;
+            assert_eq!(f.mbps.to_bits(), mbps.to_bits(), "flow {i}");
+            assert_eq!(f.chain, table.chain_of(f.flow));
+            if f.flow != pinned {
+                assert_eq!(f.chain, shared, "flow {i}");
+            }
+        }
+        // The pinned flow is its chain's only traffic.
+        let (flow, chain) = (r.flow(pinned.index()), &r.chains[alone.index()]);
+        assert_eq!(flow.delivered, chain.delivered);
+        if detail {
+            assert!(
+                flow.latency_p99 > flow.latency_p50,
+                "a spread to tell apart: {:?} {:?}",
+                flow.latency_p50,
+                flow.latency_p99
+            );
+            assert_eq!(flow.latency_p50, chain.latency_p50);
+            assert_eq!(flow.latency_p99, chain.latency_p99);
+        } else {
+            assert_eq!(
+                (flow.latency_p50, flow.latency_p99),
+                (Duration::ZERO, Duration::ZERO)
+            );
+        }
+        let copy = r.clone();
+        assert!(copy.flows.iter().eq(r.flows.iter()));
+        counters.push(
+            r.flows
+                .iter()
+                .map(|f| (f.delivered, f.dropped, f.entry_drops))
+                .collect::<Vec<_>>(),
+        );
+    }
+    assert_eq!(counters[0], counters[1], "detail mode changes no counter");
 }
 
 #[test]
@@ -427,10 +534,10 @@ fn chain_delivery_traverses_all_nfs() {
     let chain = sim.add_chain(&[a, b, c]);
     sim.add_udp(chain, 50_000.0, 64);
     let r = sim.run(Duration::from_millis(100));
-    assert!(r.flows[0].delivered > 0);
+    assert!(r.flow(0).delivered > 0);
     // every NF saw every delivered packet
     for nf in &r.nfs {
-        assert!(nf.processed >= r.flows[0].delivered, "{}", nf.name);
+        assert!(nf.processed >= r.flow(0).delivered, "{}", nf.name);
     }
 }
 
@@ -479,10 +586,10 @@ fn cgroup_weights_give_rate_cost_fairness() {
     };
     let nice = run(NfvniceConfig::cgroups_only());
     // rate-cost fairness: equal output rates despite 3x cost gap
-    let ratio = nice.flows[0].delivered_pps / nice.flows[1].delivered_pps;
+    let ratio = nice.flow(0).delivered_pps / nice.flow(1).delivered_pps;
     assert!((0.8..1.4).contains(&ratio), "nfvnice output ratio {ratio}");
     let default = run(NfvniceConfig::off());
-    let dratio = default.flows[0].delivered_pps / default.flows[1].delivered_pps;
+    let dratio = default.flow(0).delivered_pps / default.flow(1).delivered_pps;
     assert!(dratio > 1.8, "CFS favors the cheap NF: {dratio}");
 }
 
@@ -495,7 +602,7 @@ fn deterministic_given_seed() {
         let chain = sim.add_chain(&[a, b]);
         sim.add_udp_with(chain, 3_000_000.0, 64, |f| f.poisson());
         let r = sim.run(Duration::from_millis(100));
-        (r.flows[0].delivered, r.total_wasted_drops, r.entry_drops)
+        (r.flow(0).delivered, r.total_wasted_drops, r.entry_drops)
     };
     assert_eq!(run(), run());
 }
@@ -514,7 +621,7 @@ fn mid_run_action_changes_cost() {
     );
     let r = sim.run(Duration::from_millis(100));
     // delivered ≈ 50ms*200k + 50ms*26k ≈ 10k + 1.3k
-    let d = r.flows[0].delivered;
+    let d = r.flow(0).delivered;
     assert!((9_000..13_500).contains(&d), "delivered {d}");
 }
 
@@ -534,15 +641,15 @@ fn shared_nf_keeps_serving_live_chain_under_throttle() {
     let r = sim.run(Duration::from_millis(300));
     assert!(r.throttle_events > 0, "bottleneck must throttle");
     assert!(
-        r.flows[0].delivered_pps > 950_000.0,
+        r.flow(0).delivered_pps > 950_000.0,
         "clean flow degraded: {}",
-        r.flows[0].delivered_pps
+        r.flow(0).delivered_pps
     );
     assert!(
         // ±33.4% of 105 kpps ≈ the old 70–140 kpps bottleneck window.
-        invariants::within_pct(r.flows[1].delivered_pps, 105_000.0, 33.4),
+        invariants::within_pct(r.flow(1).delivered_pps, 105_000.0, 33.4),
         "congested flow should ride the bottleneck: {}",
-        r.flows[1].delivered_pps
+        r.flow(1).delivered_pps
     );
 }
 
@@ -560,9 +667,9 @@ fn bottleneck_nf_itself_is_never_suppressed() {
     // sustained delivery at roughly the bottleneck rate (≈ 510 kpps
     // capacity for NF b minus scheduling overhead)
     assert!(
-        r.flows[0].delivered_pps > 300_000.0,
+        r.flow(0).delivered_pps > 300_000.0,
         "chain starved: {}",
-        r.flows[0].delivered_pps
+        r.flow(0).delivered_pps
     );
 }
 
@@ -600,7 +707,7 @@ fn ecn_marks_only_ect0_packets() {
     sim.add_udp(chain, 1_000_000.0, 64); // NotEct by construction
     let r = sim.run(Duration::from_millis(200));
     assert!(
-        r.flows[0].dropped + r.total_wasted_drops + r.nic_overflow > 0,
+        r.flow(0).dropped + r.total_wasted_drops + r.nic_overflow > 0,
         "scenario failed to congest the slow NF"
     );
     assert_eq!(r.ecn_marks, 0, "NotEct packets must not be CE-marked");
@@ -669,9 +776,9 @@ fn repeated_nf_chain_survives_downstream_throttle() {
     let r = sim.run(Duration::from_millis(300));
     assert!(r.throttle_events > 0, "scenario failed to throttle b");
     assert!(
-        r.flows[0].delivered_pps > 250_000.0,
+        r.flow(0).delivered_pps > 250_000.0,
         "repeated-NF chain wedged: {}",
-        r.flows[0].delivered_pps
+        r.flow(0).delivered_pps
     );
 }
 
@@ -708,7 +815,7 @@ fn elastic_off_is_byte_identical() {
     assert!(!hair_trigger.active(), "all switches must still be off");
     let (tuned, tuned_metrics) = run(hair_trigger);
     assert_eq!(base.trace_digest, tuned.trace_digest);
-    assert_eq!(base.flows[0].delivered, tuned.flows[0].delivered);
+    assert_eq!(base.flow(0).delivered, tuned.flow(0).delivered);
     assert_eq!(base.total_wasted_drops, tuned.total_wasted_drops);
     assert_eq!(base_metrics, tuned_metrics);
     assert_eq!(
@@ -843,6 +950,6 @@ fn tcp_flow_reaches_window_limited_rate() {
     });
     let r = sim.run(Duration::from_millis(500));
     // cap = 33 * 1500B * 8 / 100us = 3.96 Gbps
-    let mbps = r.flows[flow.index()].mbps;
+    let mbps = r.flow(flow.index()).mbps;
     assert!((3_000.0..4_200.0).contains(&mbps), "tcp rate {mbps} Mbps");
 }

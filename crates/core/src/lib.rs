@@ -33,7 +33,7 @@
 //! let chain = sim.add_chain(&[low, med, high]);
 //! sim.add_udp(chain, 1_000_000.0, 64);
 //! let report = sim.run(Duration::from_millis(50));
-//! assert!(report.flows[0].delivered > 0);
+//! assert!(report.flow(0).delivered > 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -57,7 +57,7 @@ pub use engine::{Action, Simulation};
 pub use faults::{FaultConfig, FaultEvent, FaultKind};
 pub use invariants::{conservation_ledger, packets_conserved, within_pct, ConservationLedger};
 pub use load::{compute_shares, LoadConfig, LoadMonitor};
-pub use report::{ChainReport, FlowReport, NfReport, Report, Series};
+pub use report::{ChainReport, FlowReport, FlowReports, NfReport, Report, Series};
 
 // Re-export the pieces users need to assemble experiments without naming
 // every substrate crate.

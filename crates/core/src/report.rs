@@ -2,6 +2,7 @@
 
 use nfv_des::{jain_index, Duration, QueueStats};
 use nfv_pkt::{ChainId, FlowId, FlowTableStats, NfId};
+use nfv_platform::FlowStats;
 
 /// Per-NF results (Tables 1–5 columns).
 #[derive(Debug, Clone)]
@@ -37,8 +38,8 @@ pub struct NfReport {
     pub output_rate_pps: f64,
 }
 
-/// Per-flow results.
-#[derive(Debug, Clone)]
+/// Per-flow results: one flow's row of [`FlowReports`], built on read.
+#[derive(Debug, Clone, PartialEq)]
 pub struct FlowReport {
     /// Flow id.
     pub flow: FlowId,
@@ -54,10 +55,66 @@ pub struct FlowReport {
     pub dropped: u64,
     /// Packets shed at chain entry by backpressure.
     pub entry_drops: u64,
-    /// Median end-to-end latency of delivered packets.
+    /// Median end-to-end latency of delivered packets (zero without
+    /// per-flow detail).
     pub latency_p50: Duration,
-    /// 99th-percentile end-to-end latency.
+    /// 99th-percentile end-to-end latency (zero without per-flow detail).
     pub latency_p99: Duration,
+}
+
+/// Per-flow results of a run, indexed by flow id, stored as the
+/// platform's own columns: the counters move in from the platform at the
+/// end of the run, and each [`FlowReport`] is computed when it is read
+/// ([`FlowReports::get`], [`Report::flow`]).
+#[derive(Debug, Clone, Default)]
+pub struct FlowReports {
+    /// The run's length in seconds (at least 1 ns): the rate divisor.
+    pub(crate) secs: f64,
+    /// Delivery counters, one per flow.
+    pub(crate) counters: Vec<FlowStats>,
+    /// The chain each flow rides.
+    pub(crate) chains: Vec<ChainId>,
+    /// `(p50, p99)` end-to-end latency per flow; empty when the platform
+    /// kept no per-flow detail.
+    pub(crate) latency: Vec<(Duration, Duration)>,
+}
+
+impl FlowReports {
+    /// Number of flows.
+    pub fn len(&self) -> usize {
+        self.counters.len()
+    }
+
+    /// No flow was ever classified.
+    pub fn is_empty(&self) -> bool {
+        self.counters.is_empty()
+    }
+
+    /// The report of flow `i`. Panics if `i >= self.len()`.
+    pub fn get(&self, i: usize) -> FlowReport {
+        let c = &self.counters[i];
+        let (latency_p50, latency_p99) = self
+            .latency
+            .get(i)
+            .copied()
+            .unwrap_or((Duration::ZERO, Duration::ZERO));
+        FlowReport {
+            flow: FlowId(i as u32),
+            chain: self.chains[i],
+            delivered: c.delivered,
+            delivered_pps: c.delivered as f64 / self.secs,
+            mbps: c.delivered_bytes as f64 * 8.0 / self.secs / 1e6,
+            dropped: c.dropped,
+            entry_drops: c.entry_drops,
+            latency_p50,
+            latency_p99,
+        }
+    }
+
+    /// Every flow's report, in flow-id order.
+    pub fn iter(&self) -> impl Iterator<Item = FlowReport> + '_ {
+        (0..self.len()).map(|i| self.get(i))
+    }
 }
 
 /// Per-chain results (Fig 9 / Table 6).
@@ -84,26 +141,40 @@ pub struct ChainReport {
 pub struct Series {
     /// `cpu_pct[nf][second]`: CPU share of its core, percent.
     pub cpu_pct: Vec<Vec<f64>>,
-    /// Delivered Mbit/s, one column per stats interval: `flow_cols[i][f]`
-    /// for every flow `f` known when interval `i` closed. Flows only
-    /// appear, so column lengths never shrink; read through
-    /// [`Series::flow_mbps`].
-    pub(crate) flow_cols: Vec<Vec<f64>>,
+    /// Cumulative delivered bytes at the close of each stats interval:
+    /// `flow_bytes[i][f]` for every flow `f` known when interval `i`
+    /// closed. Flows only appear, so column lengths never shrink; read
+    /// through [`Series::flow_mbps`].
+    pub(crate) flow_bytes: Vec<Vec<u64>>,
+    /// Length of each interval in seconds, parallel to `flow_bytes`.
+    pub(crate) spans: Vec<f64>,
 }
 
 impl Series {
     /// Closed stats intervals (seconds, plus a final partial one).
     pub fn intervals(&self) -> usize {
-        self.flow_cols.len()
+        self.flow_bytes.len()
+    }
+
+    /// Length of each closed interval in seconds.
+    pub fn spans(&self) -> &[f64] {
+        &self.spans
     }
 
     /// `flow`'s delivered Mbit/s per interval, starting at the first
     /// interval the flow existed in (flows learned mid-run start late);
     /// empty for a flow no interval saw.
     pub fn flow_mbps(&self, flow: usize) -> Vec<f64> {
-        self.flow_cols
+        let mut prev = 0;
+        self.flow_bytes
             .iter()
-            .filter_map(|col| col.get(flow).copied())
+            .zip(&self.spans)
+            .filter_map(|(col, &span)| {
+                let cur = *col.get(flow)?;
+                let mbps = (cur - prev) as f64 * 8.0 / span / 1e6;
+                prev = cur;
+                Some(mbps)
+            })
             .collect()
     }
 }
@@ -119,8 +190,9 @@ pub struct Report {
     pub variant: String,
     /// Per-NF reports (indexed by NF id).
     pub nfs: Vec<NfReport>,
-    /// Per-flow reports (indexed by flow id).
-    pub flows: Vec<FlowReport>,
+    /// Per-flow results (indexed by flow id); read one flow with
+    /// [`Report::flow`].
+    pub flows: FlowReports,
     /// Per-chain reports (indexed by chain id).
     pub chains: Vec<ChainReport>,
     /// Aggregate delivered rate across all flows (pps).
@@ -170,7 +242,8 @@ pub struct Report {
     pub queue: QueueStats,
     /// Flows installed in the flow table when the run ended. Part of the
     /// deterministic sim state (identical across index backends), so it
-    /// may appear in metrics output — unlike [`Report::flow`].
+    /// may appear in metrics output — unlike the flow-table counters in
+    /// the `flow` field.
     pub flows_active: u64,
     /// Flows evicted by aging over the whole run (cumulative). Also
     /// backend-identical by construction.
@@ -187,6 +260,12 @@ impl Report {
     /// Aggregate throughput in Mpps.
     pub fn throughput_mpps(&self) -> f64 {
         self.total_delivered_pps / 1e6
+    }
+
+    /// The report of flow `i` (a by-value view of [`Report::flows`]).
+    /// Panics if `i` is not a flow id of this run.
+    pub fn flow(&self, i: usize) -> FlowReport {
+        self.flows.get(i)
     }
 
     /// Jain's fairness index over per-flow delivered rates (Fig 15b).
@@ -231,7 +310,7 @@ impl Report {
                 nf.final_shares,
             );
         }
-        for f in &self.flows {
+        for f in self.flows.iter() {
             let _ = writeln!(
                 s,
                 "  flow{:<3} chain{:<2} delivered={:>10} ({:>10.0}pps, {:>8.1}Mbps) dropped={} entry={}",
@@ -252,30 +331,20 @@ mod tests {
             policy: "BATCH".into(),
             variant: "NFVnice".into(),
             nfs: vec![],
-            flows: vec![
-                FlowReport {
-                    flow: FlowId(0),
-                    chain: ChainId(0),
-                    delivered: 100,
-                    delivered_pps: 100.0,
-                    mbps: 0.064,
-                    dropped: 0,
-                    entry_drops: 0,
-                    latency_p50: Duration::ZERO,
-                    latency_p99: Duration::ZERO,
-                },
-                FlowReport {
-                    flow: FlowId(1),
-                    chain: ChainId(0),
-                    delivered: 100,
-                    delivered_pps: 100.0,
-                    mbps: 0.064,
-                    dropped: 0,
-                    entry_drops: 0,
-                    latency_p50: Duration::ZERO,
-                    latency_p99: Duration::ZERO,
-                },
-            ],
+            flows: FlowReports {
+                secs: 1.0,
+                counters: vec![
+                    FlowStats {
+                        delivered: 100,
+                        delivered_bytes: 8_000,
+                        dropped: 0,
+                        entry_drops: 0,
+                    };
+                    2
+                ],
+                chains: vec![ChainId(0); 2],
+                latency: Vec::new(),
+            },
             chains: vec![],
             total_delivered_pps: 200.0,
             nic_overflow: 0,
@@ -317,5 +386,17 @@ mod tests {
         let s = dummy().summary();
         assert!(s.contains("NFVnice"));
         assert!(s.contains("flow0"));
+    }
+
+    #[test]
+    fn flow_view_derives_rates_from_counters() {
+        let r = dummy();
+        assert_eq!(r.flows.len(), 2);
+        let f = r.flow(1);
+        assert_eq!(f.flow, FlowId(1));
+        assert_eq!(f.delivered_pps, 100.0);
+        assert_eq!(f.mbps, 0.064);
+        assert_eq!(f.latency_p99, Duration::ZERO);
+        assert_eq!(r.flows.iter().collect::<Vec<_>>(), [r.flow(0), f]);
     }
 }

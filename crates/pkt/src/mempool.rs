@@ -13,11 +13,17 @@ use crate::packet::Packet;
 ///
 /// Slots hold `Packet` directly (a parallel `live` bitmap catches stale
 /// ids and double-frees): the per-packet alloc/free hot path writes the
-/// payload exactly once and frees without moving it back out.
+/// payload exactly once and frees without moving it back out. Slots are
+/// handed out lowest id first and written on first use, so building a
+/// pool touches none of its buffer memory; freed slots are reused last
+/// in, first out.
 #[derive(Debug)]
 pub struct Mempool {
+    /// Every slot handed out so far (reserved up to the capacity).
     slots: Vec<Packet>,
+    /// One flag per slot of the capacity.
     live: Vec<bool>,
+    /// Freed slots awaiting reuse.
     free: Vec<PktId>,
     /// Allocation failures observed (pool exhausted).
     pub alloc_failures: u64,
@@ -30,33 +36,35 @@ impl Mempool {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "mempool capacity must be positive");
         Mempool {
-            slots: vec![Packet::default(); capacity],
+            slots: Vec::with_capacity(capacity),
             live: vec![false; capacity],
-            free: (0..capacity).rev().map(|i| PktId(i as u32)).collect(),
+            free: Vec::new(),
             alloc_failures: 0,
             in_use: 0,
             high_watermark: 0,
         }
     }
 
-    /// Allocate a slot for `pkt`. Returns `None` (and counts a failure) if
+    /// Allocate a slot for `pkt`: the most recently freed one, else the
+    /// lowest never-used one. Returns `None` (and counts a failure) if
     /// the pool is exhausted.
     #[inline]
     pub fn alloc(&mut self, pkt: Packet) -> Option<PktId> {
-        match self.free.pop() {
-            Some(id) => {
-                debug_assert!(!self.live[id.index()]);
-                self.slots[id.index()] = pkt;
-                self.live[id.index()] = true;
-                self.in_use += 1;
-                self.high_watermark = self.high_watermark.max(self.in_use);
-                Some(id)
-            }
-            None => {
-                self.alloc_failures += 1;
-                None
-            }
-        }
+        let id = if let Some(id) = self.free.pop() {
+            debug_assert!(!self.live[id.index()]);
+            self.slots[id.index()] = pkt;
+            id
+        } else if self.slots.len() < self.live.len() {
+            self.slots.push(pkt);
+            PktId(self.slots.len() as u32 - 1)
+        } else {
+            self.alloc_failures += 1;
+            return None;
+        };
+        self.live[id.index()] = true;
+        self.in_use += 1;
+        self.high_watermark = self.high_watermark.max(self.in_use);
+        Some(id)
     }
 
     /// Release a slot. Callers needing the packet's contents must read
@@ -97,7 +105,7 @@ impl Mempool {
 
     /// Total slot count.
     pub fn capacity(&self) -> usize {
-        self.slots.len()
+        self.live.len()
     }
 
     /// Peak simultaneous occupancy over the run.
@@ -156,5 +164,18 @@ mod tests {
         assert_eq!(p.in_use(), 0);
         assert_eq!(p.high_watermark(), 3);
         assert_eq!(p.capacity(), 4);
+    }
+
+    #[test]
+    fn slots_go_out_lowest_fresh_id_first_and_freed_ids_lifo() {
+        // The order a pre-filled free stack `[cap-1, .., 1, 0]` yields.
+        let mut p = Mempool::new(5);
+        let ids: Vec<_> = (0..3).map(|_| p.alloc(pkt()).unwrap().0).collect();
+        assert_eq!(ids, [0, 1, 2]);
+        p.free(PktId(0));
+        p.free(PktId(2));
+        let next: Vec<_> = (0..4).map(|_| p.alloc(pkt()).map(|id| id.0)).collect();
+        assert_eq!(next, [Some(2), Some(0), Some(3), Some(4)]);
+        assert!(p.alloc(pkt()).is_none());
     }
 }

@@ -26,4 +26,6 @@ pub use nf::{
     PacketHandler,
 };
 pub use platform::{AdmitFn, BatchEffects, BatchPlan, IoCompleteOutcome, Platform, PlatformConfig};
-pub use stats::{ChainStats, DropLocation, FlowStats, PlatformStats, TcpEvent, TcpEventKind};
+pub use stats::{
+    ChainStats, DropLocation, FlowDetail, FlowStats, PlatformStats, TcpEvent, TcpEventKind,
+};

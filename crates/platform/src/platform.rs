@@ -12,7 +12,7 @@ use crate::chain::ChainRegistry;
 use crate::nf::{
     BlockReason, ForwardAll, IoMode, NfAction, NfHealth, NfRuntime, NfSpec, PacketHandler,
 };
-use crate::stats::{DropLocation, FlowStats, PlatformStats, TcpEvent, TcpEventKind};
+use crate::stats::{DropLocation, FlowDetail, FlowStats, PlatformStats, TcpEvent, TcpEventKind};
 use nfv_des::{CpuFreq, Duration, SimTime};
 use nfv_io::{StorageDevice, WriteOutcome};
 use nfv_obs::{DropCause, SleepReason, TraceKind, TraceSink, NO_ID};
@@ -275,12 +275,12 @@ impl Platform {
 
     /// Size per-flow stats up to `flow`, honoring the detail knob.
     fn grow_flow_stats(&mut self, flow: FlowId) {
-        while self.stats.flows.len() <= flow.index() {
-            self.stats.flows.push(if self.cfg.flow_detail {
-                FlowStats::detailed()
-            } else {
-                FlowStats::compact()
-            });
+        let n = flow.index() + 1;
+        if self.stats.flows.len() < n {
+            self.stats.flows.resize(n, FlowStats::default());
+            if self.cfg.flow_detail {
+                self.stats.flow_detail.resize_with(n, FlowDetail::default);
+            }
         }
     }
 
@@ -1129,6 +1129,34 @@ mod tests {
         assert_eq!(p.nfs[0].arrivals, 10);
         assert!(tcp.is_empty());
         assert!(p.packets_accounted());
+    }
+
+    #[test]
+    fn only_detailed_platforms_fill_the_flow_detail_side_table() {
+        for detail in [true, false] {
+            let mut p = Platform::new(PlatformConfig {
+                flow_detail: detail,
+                ..test_cfg()
+            });
+            let nf = p.add_nf(NfSpec::new("a", 0, 100));
+            let chain = p.install_chain(&[nf]);
+            p.install_flow(FiveTuple::synthetic(0, Proto::Udp), chain);
+            p.install_wildcard(TuplePattern::any(), chain, 0);
+            for i in 1..4 {
+                p.nic.deliver(WireFrame {
+                    tuple: FiveTuple::synthetic(i, Proto::Udp),
+                    size: 64,
+                    seq: 0,
+                    cost_class: 0,
+                    ecn: Ecn::NotEct,
+                    arrival: SimTime::ZERO,
+                });
+            }
+            p.rx_poll(SimTime::ZERO, &mut |_, _, _| true, &mut Vec::new());
+            assert_eq!(p.stats.flows.len(), 4, "pinned + three learned flows");
+            let want = if detail { 4 } else { 0 };
+            assert_eq!(p.stats.flow_detail.len(), want, "detail = {detail}");
+        }
     }
 
     #[test]

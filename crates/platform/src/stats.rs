@@ -49,10 +49,10 @@ pub enum TcpEventKind {
 }
 
 /// Heavyweight per-flow measurement state: rate meters plus the latency
-/// histogram (~4 KB of buckets). Boxed and optional so million-flow runs
-/// can keep per-flow accounting at a few dozen bytes per flow
-/// (`PlatformConfig::flow_detail = false`); the plain counters in
-/// [`FlowStats`] are always maintained.
+/// histogram (~4 KB of buckets). Kept in a side table,
+/// [`PlatformStats::flow_detail`], that only detailed platforms fill
+/// (`PlatformConfig::flow_detail`), so million-flow runs keep per-flow
+/// accounting at the 32-byte [`FlowStats`] counters.
 #[derive(Debug, Default)]
 pub struct FlowDetail {
     /// Per-second delivered packet rate.
@@ -63,8 +63,9 @@ pub struct FlowDetail {
     pub latency: DurationHistogram,
 }
 
-/// Per-flow delivery accounting.
-#[derive(Debug)]
+/// Per-flow delivery counters: a plain 32-byte record, maintained for
+/// every flow whatever the detail setting.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowStats {
     /// Packets that exited the chain.
     pub delivered: u64,
@@ -74,51 +75,6 @@ pub struct FlowStats {
     pub dropped: u64,
     /// Packets discarded by admission control at chain entry.
     pub entry_drops: u64,
-    /// Meters and latency histogram; `None` in compact (million-flow) mode.
-    pub detail: Option<Box<FlowDetail>>,
-}
-
-impl Default for FlowStats {
-    fn default() -> Self {
-        Self::detailed()
-    }
-}
-
-impl FlowStats {
-    /// Full accounting: counters plus meters and latency histogram (the
-    /// pre-split behavior, and still the default).
-    pub fn detailed() -> Self {
-        FlowStats {
-            delivered: 0,
-            delivered_bytes: 0,
-            dropped: 0,
-            entry_drops: 0,
-            detail: Some(Box::default()),
-        }
-    }
-
-    /// Counters only — what million-flow scale runs use.
-    pub fn compact() -> Self {
-        FlowStats {
-            delivered: 0,
-            delivered_bytes: 0,
-            dropped: 0,
-            entry_drops: 0,
-            detail: None,
-        }
-    }
-
-    /// Median end-to-end latency, when detail is tracked.
-    pub fn latency_p50(&self) -> Option<Duration> {
-        self.detail.as_ref().and_then(|d| d.latency.median())
-    }
-
-    /// 99th-percentile end-to-end latency, when detail is tracked.
-    pub fn latency_p99(&self) -> Option<Duration> {
-        self.detail
-            .as_ref()
-            .and_then(|d| d.latency.percentile(99.0))
-    }
 }
 
 /// Per-chain delivery accounting.
@@ -158,8 +114,12 @@ pub struct PlatformStats {
     pub delivered_total: u64,
     /// See [`PlatformStats::delivered_total`].
     pub dropped_total: u64,
-    /// Per-flow stats, indexed by `FlowId`.
+    /// Per-flow counters, indexed by `FlowId`.
     pub flows: Vec<FlowStats>,
+    /// Per-flow meters and latency histograms, indexed by `FlowId`: as
+    /// long as [`PlatformStats::flows`] on a detailed platform, empty on
+    /// a compact one.
+    pub flow_detail: Vec<FlowDetail>,
     /// Per-chain stats, indexed by `ChainId`.
     pub chains: Vec<ChainStats>,
 }
@@ -171,7 +131,7 @@ impl PlatformStats {
         let f = &mut self.flows[flow.index()];
         f.delivered += 1;
         f.delivered_bytes += bytes as u64;
-        if let Some(d) = f.detail.as_deref_mut() {
+        if let Some(d) = self.flow_detail.get_mut(flow.index()) {
             d.pps_meter.add(1);
             d.bytes_meter.add(bytes as u64);
             d.latency.record(latency);
@@ -199,11 +159,9 @@ impl PlatformStats {
 
     /// Close the per-second measurement interval on every meter.
     pub fn roll(&mut self, now: nfv_des::SimTime) {
-        for f in &mut self.flows {
-            if let Some(d) = f.detail.as_deref_mut() {
-                d.pps_meter.roll(now);
-                d.bytes_meter.roll(now);
-            }
+        for d in &mut self.flow_detail {
+            d.pps_meter.roll(now);
+            d.bytes_meter.roll(now);
         }
         for c in &mut self.chains {
             c.pps_meter.roll(now);
@@ -216,24 +174,31 @@ mod tests {
     use super::*;
     use nfv_des::SimTime;
 
-    #[test]
-    fn delivery_updates_flow_and_chain() {
+    /// Stats for one flow on one chain, with or without the detail side table.
+    fn one_flow(detail: bool) -> PlatformStats {
         let mut s = PlatformStats::default();
         s.flows.push(FlowStats::default());
+        if detail {
+            s.flow_detail.push(FlowDetail::default());
+        }
         s.chains.push(ChainStats::default());
+        s
+    }
+
+    #[test]
+    fn delivery_updates_flow_and_chain() {
+        let mut s = one_flow(true);
         s.delivered(FlowId(0), ChainId(0), 64, Duration::from_micros(5));
         s.delivered(FlowId(0), ChainId(0), 64, Duration::from_micros(7));
         assert_eq!(s.flows[0].delivered, 2);
         assert_eq!(s.flows[0].delivered_bytes, 128);
         assert_eq!(s.chains[0].delivered, 2);
-        assert!(s.flows[0].latency_p50().unwrap() >= Duration::from_micros(4));
+        assert!(s.flow_detail[0].latency.median().unwrap() >= Duration::from_micros(4));
     }
 
     #[test]
     fn entry_drop_counts_at_all_levels() {
-        let mut s = PlatformStats::default();
-        s.flows.push(FlowStats::default());
-        s.chains.push(ChainStats::default());
+        let mut s = one_flow(true);
         s.dropped(FlowId(0), ChainId(0), DropLocation::EntryThrottle);
         s.dropped(FlowId(0), ChainId(0), DropLocation::RingFull(NfId(1)));
         assert_eq!(s.flows[0].dropped, 2);
@@ -244,26 +209,27 @@ mod tests {
 
     #[test]
     fn rolling_produces_rates() {
-        let mut s = PlatformStats::default();
-        s.flows.push(FlowStats::default());
-        s.chains.push(ChainStats::default());
+        let mut s = one_flow(true);
         s.delivered(FlowId(0), ChainId(0), 64, Duration::from_micros(1));
         s.roll(SimTime::from_secs(1));
-        let (_, mean, _) = s.flows[0].detail.as_ref().unwrap().pps_meter.summary();
+        let (_, mean, _) = s.flow_detail[0].pps_meter.summary();
         assert_eq!(mean, 1.0);
     }
 
     #[test]
     fn compact_flows_keep_counters_without_detail() {
-        let mut s = PlatformStats::default();
-        s.flows.push(FlowStats::compact());
-        s.chains.push(ChainStats::default());
+        let mut s = one_flow(false);
         s.delivered(FlowId(0), ChainId(0), 64, Duration::from_micros(5));
         s.roll(SimTime::from_secs(1));
         assert_eq!(s.flows[0].delivered, 1);
         assert_eq!(s.flows[0].delivered_bytes, 64);
-        assert!(s.flows[0].latency_p50().is_none());
+        assert!(s.flow_detail.is_empty());
         // Chain-level accounting is unaffected by compact flows.
         assert!(s.chains[0].latency.median().is_some());
+    }
+
+    #[test]
+    fn flow_counters_are_32_bytes() {
+        assert_eq!(std::mem::size_of::<FlowStats>(), 32);
     }
 }

@@ -52,7 +52,7 @@ fn main() {
         "offered 300 kpps, policer admits ~200 kpps: delivered {:.0} kpps total",
         report.total_delivered_pps / 1e3
     );
-    for f in &report.flows {
+    for f in report.flows.iter() {
         println!(
             "  flow{}: {:.0} kpps delivered, p50 latency {}, p99 {}",
             f.flow.0,

@@ -41,14 +41,14 @@ fn main() {
     for (name, r) in [("sync ", &sync), ("async", &async_)] {
         println!(
             "{name}  {:>16.1}  {:>16.1}  {:>14.3}",
-            r.flows[0].delivered_pps / 1e3,
-            r.flows[1].delivered_pps / 1e3,
+            r.flow(0).delivered_pps / 1e3,
+            r.flow(1).delivered_pps / 1e3,
             r.total_delivered_pps / 1e6
         );
     }
     println!(
         "\nAsync double buffering keeps the logger off the blocking path:\n\
          the device absorbs {:.0} MB/s in the background while packets flow.",
-        async_.flows[0].delivered_pps * 256.0 / 1e6
+        async_.flow(0).delivered_pps * 256.0 / 1e6
     );
 }

@@ -52,8 +52,8 @@ fn main() {
         println!(
             "  {:<24} {:>8.0} kpps  (p99 {:?})",
             label,
-            r.flows[flow].delivered_pps / 1e3,
-            r.flows[flow].latency_p99
+            r.flow(flow).delivered_pps / 1e3,
+            r.flow(flow).latency_p99
         );
     }
     println!("\nthrottle events: {}", r.throttle_events);
@@ -61,11 +61,11 @@ fn main() {
     // though it shares its entry NF with the bottlenecked deep chain,
     // which stays pinned near dpi's ~325 kpps service rate.
     assert!(
-        r.flows[0].delivered_pps > 0.95 * 2_000_000.0,
+        r.flow(0).delivered_pps > 0.95 * 2_000_000.0,
         "clean chain must not be dragged down by the deep chain's bottleneck"
     );
     assert!(
-        r.flows[1].delivered_pps < 0.5 * 2_000_000.0,
+        r.flow(1).delivered_pps < 0.5 * 2_000_000.0,
         "deep chain should be limited by its dpi bottleneck"
     );
 }

@@ -46,11 +46,11 @@ fn unrelated_chain_unaffected_by_throttle() {
     let r = sim.run(Duration::from_millis(500));
     // clean flow loses nothing; congested flow is capped at the bottleneck
     assert!(
-        r.flows[0].delivered_pps > 1_900_000.0,
+        r.flow(0).delivered_pps > 1_900_000.0,
         "clean flow {}",
-        r.flows[0].delivered_pps
+        r.flow(0).delivered_pps
     );
-    assert!((100_000.0..180_000.0).contains(&r.flows[1].delivered_pps));
+    assert!((100_000.0..180_000.0).contains(&r.flow(1).delivered_pps));
     assert!(r.chains[1].entry_drops > 0);
     assert_eq!(r.chains[0].entry_drops, 0);
 }
@@ -87,9 +87,9 @@ fn tx_ring_local_backpressure_is_lossless() {
     // Throughput flows despite the 64-slot TX ring, and no packet that NF a
     // processed is ever dropped between a's outbox and b's (large) ring.
     assert!(
-        r.flows[0].delivered_pps > 800_000.0,
+        r.flow(0).delivered_pps > 800_000.0,
         "{}",
-        r.flows[0].delivered_pps
+        r.flow(0).delivered_pps
     );
     assert_eq!(r.nfs[0].wasted_drops, 0);
 }

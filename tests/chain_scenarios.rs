@@ -24,8 +24,8 @@ fn packet_conservation_across_the_stack() {
     let r = sim.run(Duration::from_millis(300));
     let p = &sim.platform;
     let classified = p.flow_table.entries().map(|e| e.packets).sum::<u64>();
-    let delivered = r.flows[0].delivered;
-    let dropped = r.flows[0].dropped;
+    let delivered = r.flow(0).delivered;
+    let dropped = r.flow(0).dropped;
     let in_flight = p.mempool.in_use() as u64 + p.nic.rx_pending() as u64;
     assert!(p.packets_accounted(), "mempool accounting broken");
     assert_eq!(
@@ -47,9 +47,9 @@ fn underloaded_multicore_chain_is_lossless() {
     // bottleneck c: 1.3 Mpps capacity; offer 0.5 Mpps
     sim.add_udp(chain, 500_000.0, 64);
     let r = sim.run(Duration::from_millis(300));
-    assert_eq!(r.flows[0].dropped, 0);
+    assert_eq!(r.flow(0).dropped, 0);
     assert_eq!(r.total_wasted_drops, 0);
-    assert!(r.flows[0].delivered_pps > 450_000.0);
+    assert!(r.flow(0).delivered_pps > 450_000.0);
 }
 
 /// Packets follow their own chain: two flows with reversed NF orders both
@@ -81,7 +81,7 @@ fn chain_revisiting_an_nf() {
     let chain = sim.add_chain(&[a, b, a]);
     sim.add_udp(chain, 50_000.0, 64);
     let r = sim.run(Duration::from_millis(200));
-    let delivered = r.flows[0].delivered;
+    let delivered = r.flow(0).delivered;
     assert!(delivered > 5_000);
     // NF a processed every delivered packet twice
     assert!(r.nfs[0].processed >= delivered * 2);
@@ -99,9 +99,9 @@ fn long_chain_on_one_core_progresses() {
     sim.add_udp(chain, 14_880_000.0, 64);
     let r = sim.run(Duration::from_millis(300));
     assert!(
-        r.flows[0].delivered_pps > 200_000.0,
+        r.flow(0).delivered_pps > 200_000.0,
         "rate {}",
-        r.flows[0].delivered_pps
+        r.flow(0).delivered_pps
     );
 }
 
@@ -140,7 +140,7 @@ fn report_invariants() {
     }
     let total: f64 = r.flows.iter().map(|f| f.delivered_pps).sum();
     assert!((total - r.total_delivered_pps).abs() < 1.0);
-    assert_eq!(r.chains[0].delivered, r.flows[0].delivered);
+    assert_eq!(r.chains[0].delivered, r.flow(0).delivered);
     assert_eq!(r.policy, "BATCH");
     assert_eq!(r.variant, "NFVnice");
 }

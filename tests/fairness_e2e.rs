@@ -36,7 +36,7 @@ fn equal_cost_output_proportional_to_rate() {
         &[2_000_000.0, 1_000_000.0],
         800,
     );
-    let ratio = r.flows[0].delivered_pps / r.flows[1].delivered_pps;
+    let ratio = r.flow(0).delivered_pps / r.flow(1).delivered_pps;
     assert!((1.6..2.4).contains(&ratio), "ratio {ratio}");
 }
 
@@ -51,7 +51,7 @@ fn equal_rate_output_equal_despite_cost_gap() {
         &[1_500_000.0, 1_500_000.0],
         800,
     );
-    let ratio = r.flows[0].delivered_pps / r.flows[1].delivered_pps;
+    let ratio = r.flow(0).delivered_pps / r.flow(1).delivered_pps;
     assert!((0.8..1.25).contains(&ratio), "ratio {ratio}");
     let cpu_ratio = r.nfs[1].cpu_util / r.nfs[0].cpu_util;
     assert!((1.6..2.4).contains(&cpu_ratio), "cpu ratio {cpu_ratio}");
@@ -72,7 +72,7 @@ fn priority_provides_differentiated_service() {
     sim.add_udp(cg, 2_000_000.0, 64);
     sim.add_udp(cb, 2_000_000.0, 64);
     let r = sim.run(Duration::from_millis(800));
-    let ratio = r.flows[0].delivered_pps / r.flows[1].delivered_pps;
+    let ratio = r.flow(0).delivered_pps / r.flow(1).delivered_pps;
     assert!((1.6..2.4).contains(&ratio), "priority ratio {ratio}");
 }
 
@@ -88,8 +88,8 @@ fn no_starvation_under_extreme_diversity() {
         &[1_000_000.0, 1_000_000.0],
         800,
     );
-    let light = r.flows[0].delivered_pps;
-    let heavy = r.flows[1].delivered_pps;
+    let light = r.flow(0).delivered_pps;
+    let heavy = r.flow(1).delivered_pps;
     assert!(light > 20_000.0, "light starved: {light}");
     assert!(heavy > 20_000.0, "heavy starved: {heavy}");
     let ratio = light / heavy;
@@ -106,7 +106,7 @@ fn no_starvation_under_extreme_diversity() {
         &[1_000_000.0, 1_000_000.0],
         800,
     );
-    assert!(d.flows[0].delivered_pps / d.flows[1].delivered_pps > 10.0);
+    assert!(d.flow(0).delivered_pps / d.flow(1).delivered_pps > 10.0);
 }
 
 proptest! {
@@ -174,6 +174,6 @@ proptest! {
         prop_assert!(nfvnice::packets_conserved(&sim.platform));
         let ledger = nfvnice::conservation_ledger(&sim.platform);
         prop_assert_eq!(ledger.delivered + ledger.dropped,
-            r.flows[0].delivered + r.flows[0].dropped);
+            r.flow(0).delivered + r.flow(0).dropped);
     }
 }

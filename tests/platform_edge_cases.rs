@@ -23,7 +23,7 @@ fn mempool_exhaustion_degrades_gracefully() {
     sim.add_udp(chain, 5_000_000.0, 64);
     let r = sim.run(Duration::from_millis(200));
     assert!(sim.platform.stats.mempool_fail > 0, "pool should exhaust");
-    assert!(r.flows[0].delivered > 0, "still makes progress");
+    assert!(r.flow(0).delivered > 0, "still makes progress");
     assert!(sim.platform.packets_accounted());
     assert!(sim.platform.mempool.high_watermark() <= 256);
 }
@@ -49,7 +49,7 @@ fn unclassified_traffic_is_counted_not_crashed() {
     }
     let r = sim.run(Duration::from_millis(100));
     assert_eq!(sim.platform.stats.unclassified, 50);
-    assert!(r.flows[0].delivered > 0, "installed flow unaffected");
+    assert!(r.flow(0).delivered > 0, "installed flow unaffected");
 }
 
 /// Wildcard rules steer unknown flows end-to-end: a /8 rule admits traffic
@@ -76,10 +76,10 @@ fn wildcard_rules_steer_unknown_flows_end_to_end() {
             arrival: nfvnice::SimTime::ZERO,
         });
     }
-    sim.run(Duration::from_millis(50));
+    let r = sim.run(Duration::from_millis(50));
     // the wildcard minted one exact flow entry and delivered its packets
     assert_eq!(sim.platform.flow_table.len(), 1);
-    let delivered: u64 = sim.platform.stats.flows.iter().map(|f| f.delivered).sum();
+    let delivered: u64 = r.flows.iter().map(|f| f.delivered).sum();
     assert_eq!(delivered, 100);
     assert!(sim.platform.packets_accounted());
 }
@@ -108,11 +108,11 @@ fn apps_chain_functional_under_nfvnice() {
     sim.add_udp(chain, 200_000.0, 128);
     let r = sim.run(Duration::from_millis(500));
     // the policer caps 200 kpps offered at ~100 kpps
-    let rate = r.flows[0].delivered_pps;
+    let rate = r.flow(0).delivered_pps;
     assert!((90_000.0..115_000.0).contains(&rate), "rate {rate}");
     // latency accounting captured the chain transit
-    assert!(r.flows[0].latency_p50 > Duration::ZERO);
-    assert!(r.flows[0].latency_p99 >= r.flows[0].latency_p50);
+    assert!(r.flow(0).latency_p50 > Duration::ZERO);
+    assert!(r.flow(0).latency_p99 >= r.flow(0).latency_p50);
     assert_eq!(r.total_wasted_drops, 0);
 }
 
