@@ -16,8 +16,10 @@ use nfv_traffic::Feedback;
 
 impl Simulation {
     pub(super) fn do_traffic(&mut self, now: SimTime) {
-        let mut frames = std::mem::take(&mut self.scratch_frames);
-        frames.clear();
+        // Sources emit frame runs (one per constant-rate source and poll)
+        // and the NIC queues them as runs; `rx_poll` accounts them.
+        let mut runs = std::mem::take(&mut self.scratch_runs);
+        runs.clear();
         // Rotate the source order each poll: with a fixed order, the first
         // flow's burst would systematically win the last ring slots when a
         // shared NF's queue hovers near full, starving later flows.
@@ -26,7 +28,7 @@ impl Simulation {
             self.traffic_rotor = (self.traffic_rotor + 1) % n;
             for i in 0..n {
                 let idx = (self.traffic_rotor + i) % n;
-                self.udp[idx].emit(now, self.cfg.traffic_poll, &mut self.rng, &mut frames);
+                self.udp[idx].emit_runs(now, self.cfg.traffic_poll, &mut self.rng, &mut runs);
             }
         }
         // Sweep sources (scenario traffic over wildcard rules) emit after
@@ -34,16 +36,16 @@ impl Simulation {
         // lose the NIC-tail lottery first under overload, keeping the
         // pinned flows' behavior comparable with sweep-free runs.
         for s in &mut self.sweeps {
-            s.emit(now, self.cfg.traffic_poll, &mut self.rng, &mut frames);
+            s.emit_runs(now, self.cfg.traffic_poll, &mut self.rng, &mut runs);
         }
         // UDP is non-responsive: NIC overflow is silent loss. Overflow
-        // always hits the burst's tail, so the bulk path traces the same
+        // always hits the poll's tail, so the bulk path traces the same
         // drops in the same order as a per-frame loop would.
-        let dropped = self.platform.nic.deliver_burst(&mut frames);
+        let dropped = self.platform.nic.deliver_runs(&mut runs);
         for _ in 0..dropped {
             self.trace_nic_overflow(now);
         }
-        self.scratch_frames = frames;
+        self.scratch_runs = runs;
     }
 
     fn trace_nic_overflow(&self, now: SimTime) {

@@ -132,6 +132,7 @@ pub struct Simulation {
     scratch_tcp: Vec<TcpEvent>,
     scratch_woken: Vec<NfId>,
     scratch_frames: Vec<nfv_pkt::WireFrame>,
+    scratch_runs: Vec<nfv_pkt::FrameRun>,
 }
 
 impl Simulation {
@@ -191,6 +192,7 @@ impl Simulation {
             scratch_tcp: Vec::new(),
             scratch_woken: Vec::new(),
             scratch_frames: Vec::new(),
+            scratch_runs: Vec::new(),
             cfg,
         }
     }

@@ -39,14 +39,13 @@
 //!   space stays dense at the peak concurrent flow count. Counters of
 //!   evicted flows accumulate into `forgotten_packets`/`forgotten_bytes`
 //!   so packet-conservation ledgers still balance.
-//! - **Burst classification.** [`FlowTable::classify_burst`] classifies a
-//!   whole NIC burst with one table operation per run of identical
-//!   tuples ([`FlowTable::classify_run`]); table state and counters equal
-//!   classifying frame by frame. A wildcard miss installs into the empty
-//!   slot its miss probe stopped at instead of probing again.
+//! - **Run classification.** [`FlowTable::classify_run`] classifies a
+//!   run of frames with one table operation ([`crate::FrameRun`]: one
+//!   tuple, `count` frames). Table state and counters equal classifying
+//!   frame by frame. A wildcard miss installs into the empty slot its
+//!   miss probe stopped at instead of probing again.
 
 use crate::ids::{ChainId, FlowId};
-use crate::nic::WireFrame;
 use crate::packet::FiveTuple;
 use crate::pattern::TuplePattern;
 
@@ -63,17 +62,6 @@ pub struct FlowEntry {
     pub packets: u64,
     /// Bytes classified for this flow (since install or recycle).
     pub bytes: u64,
-}
-
-/// One run of a classified burst ([`FlowTable::classify_burst`]):
-/// `frames` consecutive frames with the same tuple and their shared
-/// classification (`None` = unmatched, the RX thread drops them).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BurstRun {
-    /// Frames in the run (≥ 1).
-    pub frames: u32,
-    /// Flow and chain of every frame in the run.
-    pub class: Option<(FlowId, ChainId)>,
 }
 
 /// Exact-match index backend selector (mirrors `QueueKind` /
@@ -641,30 +629,6 @@ impl FlowTable {
         c.bytes += bytes;
         self.classified_packets += packets;
         Some((FlowId(f), chain))
-    }
-
-    /// Classify a NIC burst in one pass, one [`FlowTable::classify_run`]
-    /// per run of consecutive frames with identical tuples. `runs` is
-    /// cleared, then receives one [`BurstRun`] per run in frame order.
-    /// Equivalent to classifying every frame in order.
-    pub fn classify_burst(&mut self, frames: &[WireFrame], runs: &mut Vec<BurstRun>) {
-        runs.clear();
-        let mut i = 0;
-        while i < frames.len() {
-            let tuple = frames[i].tuple;
-            let mut bytes = frames[i].size as u64;
-            let mut j = i + 1;
-            while j < frames.len() && frames[j].tuple == tuple {
-                bytes += frames[j].size as u64;
-                j += 1;
-            }
-            let class = self.classify_run(&tuple, (j - i) as u64, bytes);
-            runs.push(BurstRun {
-                frames: (j - i) as u32,
-                class,
-            });
-            i = j;
-        }
     }
 
     /// Advance the aging epoch and evict wildcard-learned entries idle

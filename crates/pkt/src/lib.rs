@@ -19,10 +19,10 @@ pub mod packet;
 pub mod pattern;
 pub mod ring;
 
-pub use flowtable::{BurstRun, FlowAging, FlowEntry, FlowTable, FlowTableKind, FlowTableStats};
+pub use flowtable::{FlowAging, FlowEntry, FlowTable, FlowTableKind, FlowTableStats};
 pub use ids::{ChainId, CoreId, FlowId, NfId, PktId};
 pub use mempool::Mempool;
-pub use nic::{Nic, WireFrame};
+pub use nic::{FrameRun, Nic, WireFrame};
 pub use packet::{line_rate_pps, Ecn, FiveTuple, Packet, Proto};
 pub use pattern::{IpPrefix, TuplePattern};
 pub use ring::{Enqueue, Ring};

@@ -1,7 +1,8 @@
 //! Property-based tests for rings, mempool and flow table.
 
 use nfv_des::SimTime;
-use nfv_pkt::{ChainId, Ecn, FlowId, FlowTableKind, FlowTableStats, TuplePattern, WireFrame};
+use nfv_pkt::WireFrame;
+use nfv_pkt::{ChainId, Ecn, FlowId, FlowTableKind, FlowTableStats, FrameRun, Nic, TuplePattern};
 use nfv_pkt::{Enqueue, FiveTuple, FlowTable, Mempool, Packet, PktId, Proto, Ring};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
@@ -166,7 +167,8 @@ enum BurstOp {
         chain: u8,
         priority: i32,
     },
-    /// A NIC burst: `(tuple, repeats)` runs, adjacent equal tuples merge.
+    /// A NIC queue of `(tuple, frames)` runs; adjacent runs may share a
+    /// tuple.
     Burst {
         runs: Vec<(u16, u8)>,
     },
@@ -361,13 +363,13 @@ proptest! {
         prop_assert_eq!(flat.classified_packets(), sharded.classified_packets());
     }
 
-    /// Burst classification (`classify_burst`, one `classify_run` per run
-    /// of identical tuples) is indistinguishable from per-frame
-    /// `classify` — same per-frame results as the BTreeMap model, same
-    /// `entries()`, same `FlowTableStats` (hits, memo hits, probe steps,
-    /// installs, rehashes) and same memo state — under install / wildcard
-    /// / eviction churn, including runs of a flow evicted or recycled
-    /// since its last burst.
+    /// Run classification (one `classify_run` per `FrameRun` of the NIC
+    /// queue) is indistinguishable from per-frame `classify` — same
+    /// per-frame results as the BTreeMap model, same `entries()`, same
+    /// `FlowTableStats` (hits, memo hits, probe steps, installs, rehashes)
+    /// and same memo state — under install / wildcard / eviction churn,
+    /// including runs of a flow evicted or recycled since its last burst
+    /// and adjacent runs of one tuple.
     #[test]
     fn burst_classification_matches_per_frame_and_model(
         flat in prop::bool::ANY,
@@ -377,9 +379,6 @@ proptest! {
         let mut burst = FlowTable::with_kind(kind);
         let mut per_frame = FlowTable::with_kind(kind);
         let mut model = ModelTable::default();
-        let mut frames = Vec::new();
-        let mut ns = Vec::new(); // model tuple index per frame
-        let mut runs = Vec::new();
         let (mut ev_b, mut ev_p) = (Vec::new(), Vec::new());
         for op in script {
             match op {
@@ -396,34 +395,22 @@ proptest! {
                     per_frame.install_wildcard(TuplePattern::any(), c, priority);
                     model.install_wildcard(c, priority);
                 }
-                BurstOp::Burst { runs: spec } => {
-                    frames.clear();
-                    ns.clear();
-                    for (n, reps) in spec {
-                        for r in 0..reps as u32 {
-                            frames.push(frame(n, 64 + 8 * r + n as u32));
-                            ns.push(n);
-                        }
-                    }
-                    burst.classify_burst(&frames, &mut runs);
-                    let mut at = 0;
-                    for run in &runs {
-                        prop_assert!(run.frames > 0);
-                        for i in at..at + run.frames as usize {
-                            let f = &frames[i];
-                            prop_assert_eq!(f.tuple, frames[at].tuple, "run mixes tuples");
+                BurstOp::Burst { runs } => {
+                    for (k, &(n, count)) in runs.iter().enumerate() {
+                        // Sizes vary run to run, so byte totals are checked.
+                        let run = FrameRun {
+                            head: frame(n, 64 + 8 * k as u32 + n as u32),
+                            count: count as u32,
+                        };
+                        let class =
+                            burst.classify_run(&run.head.tuple, count as u64, run.bytes());
+                        for f in run.frames() {
                             let rp = per_frame.classify(&f.tuple, f.size);
-                            let rm = model.classify(ns[i]).map(|(id, c)| (FlowId(id), c));
-                            prop_assert_eq!(run.class, rp, "tuple {}", ns[i]);
+                            let rm = model.classify(n).map(|(id, c)| (FlowId(id), c));
+                            prop_assert_eq!(class, rp, "tuple {}", n);
                             prop_assert_eq!(rp, rm);
                         }
-                        at += run.frames as usize;
-                        // Runs are maximal: the next one starts a new tuple.
-                        if at < frames.len() {
-                            prop_assert!(frames[at].tuple != frames[at - 1].tuple);
-                        }
                     }
-                    prop_assert_eq!(at, frames.len());
                 }
                 BurstOp::Age { idle_epochs } => {
                     ev_b.clear();
@@ -459,6 +446,75 @@ proptest! {
             prop_assert_eq!(burst.classify(&t, 64), per_frame.classify(&t, 64));
             prop_assert_eq!(burst.stats(), per_frame.stats());
         }
+    }
+
+    /// The three NIC delivery paths — per-frame `deliver`, `deliver_burst`
+    /// and `deliver_runs` — queue the same frames in the same order and
+    /// count the same receptions and overflow drops, drained by `take_rx`
+    /// or by `poll` in small bursts. Capacity falls mid-run, and seq gaps
+    /// and tuple changes must not merge.
+    #[test]
+    fn nic_delivery_paths_agree(
+        capacity in 1usize..40,
+        script in prop::collection::vec(((0u8..3, 1u8..8), (prop::bool::ANY, prop::bool::ANY)), 1..40),
+    ) {
+        let mut nics = [Nic::new(capacity), Nic::new(capacity), Nic::new(capacity)];
+        let mut out: [Vec<WireFrame>; 3] = Default::default();
+        let mut dropped = [0usize; 3];
+        let (mut burst, mut runs) = (Vec::new(), Vec::new());
+        let mut seq = 0u64;
+        // Drains alternate between `take_rx` and `poll` in bursts of 5
+        // (which splits runs at the limit); either way the queue must hold
+        // exactly `rx_pending` frames and be empty afterwards.
+        let mut polls = 0;
+        let mut drain = |nics: &mut [Nic; 3], out: &mut [Vec<WireFrame>; 3]| {
+            polls += 1;
+            for (nic, out) in nics.iter_mut().zip(out.iter_mut()) {
+                let pending = nic.rx_pending();
+                let mut polled = 0;
+                if polls % 2 == 0 {
+                    while let n @ 1.. = nic.poll(5, out) {
+                        polled += n;
+                    }
+                }
+                let mut q = Vec::new();
+                nic.take_rx(&mut q);
+                let n: usize = q.iter().map(|r: &FrameRun| r.count as usize).sum();
+                assert_eq!(polled + n, pending);
+                out.extend(q.iter().flat_map(|r| r.frames()));
+                assert_eq!(nic.rx_pending(), 0);
+            }
+        };
+        for ((t, count), (gap, poll_first)) in script {
+            if poll_first {
+                dropped[1] += nics[1].deliver_burst(&mut burst);
+                dropped[2] += nics[2].deliver_runs(&mut runs);
+                drain(&mut nics, &mut out);
+            }
+            seq += gap as u64;
+            let head = WireFrame { seq, ..frame(t as u16, 64) };
+            let run = FrameRun { head, count: count as u32 };
+            for f in run.frames() {
+                if !nics[0].deliver(f) {
+                    dropped[0] += 1;
+                }
+                burst.push(f);
+            }
+            runs.push(run);
+            seq += count as u64;
+        }
+        dropped[1] += nics[1].deliver_burst(&mut burst);
+        dropped[2] += nics[2].deliver_runs(&mut runs);
+        prop_assert!(burst.is_empty() && runs.is_empty());
+        drain(&mut nics, &mut out);
+        prop_assert_eq!(&out[0], &out[1]);
+        prop_assert_eq!(&out[0], &out[2]);
+        for (nic, d) in nics.iter().zip(dropped) {
+            prop_assert_eq!(nic.rx_frames, nics[0].rx_frames);
+            prop_assert_eq!(nic.rx_overflow_drops, nics[0].rx_overflow_drops);
+            prop_assert_eq!(d as u64, nic.rx_overflow_drops);
+        }
+        prop_assert_eq!(nics[0].rx_frames, out[0].len() as u64);
     }
 
     /// Watermark comparison is exact integer arithmetic at all fill levels.

@@ -353,7 +353,12 @@ impl NfRuntime {
     /// an overloaded NF's measured load deflate to its service rate and
     /// skew the rate-cost share computation.
     pub fn note_arrival(&mut self) {
-        self.arrivals += 1;
+        self.note_arrivals(1);
+    }
+
+    /// [`NfRuntime::note_arrival`] for `n` enqueue attempts at once.
+    pub fn note_arrivals(&mut self, n: u64) {
+        self.arrivals += n;
     }
 
     /// Record a packet of `chain` leaving the RX ring. Returns `false`

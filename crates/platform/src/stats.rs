@@ -145,15 +145,21 @@ impl PlatformStats {
     /// Record an in-box drop for `flow` (and entry bookkeeping when the
     /// location is the chain entry).
     pub fn dropped(&mut self, flow: FlowId, chain: ChainId, loc: DropLocation) {
-        self.dropped_total += 1;
-        self.flows[flow.index()].dropped += 1;
+        self.dropped_n(flow, chain, loc, 1);
+    }
+
+    /// Record `n` drops of `flow` at `loc`: the same counters as `n`
+    /// [`PlatformStats::dropped`] calls.
+    pub fn dropped_n(&mut self, flow: FlowId, chain: ChainId, loc: DropLocation, n: u64) {
+        self.dropped_total += n;
+        self.flows[flow.index()].dropped += n;
         if loc == DropLocation::EntryThrottle {
-            self.flows[flow.index()].entry_drops += 1;
-            self.chains[chain.index()].entry_drops += 1;
-            self.entry_throttle_drops += 1;
+            self.flows[flow.index()].entry_drops += n;
+            self.chains[chain.index()].entry_drops += n;
+            self.entry_throttle_drops += n;
         }
         if matches!(loc, DropLocation::NfDown(_)) {
-            self.nf_down_drops += 1;
+            self.nf_down_drops += n;
         }
     }
 
@@ -205,6 +211,22 @@ mod tests {
         assert_eq!(s.flows[0].entry_drops, 1);
         assert_eq!(s.chains[0].entry_drops, 1);
         assert_eq!(s.entry_throttle_drops, 1);
+    }
+
+    #[test]
+    fn bulk_drops_equal_repeated_single_drops() {
+        for loc in [
+            DropLocation::EntryThrottle,
+            DropLocation::NfDown(NfId(1)),
+            DropLocation::RingFull(NfId(1)),
+        ] {
+            let (mut bulk, mut single) = (one_flow(false), one_flow(false));
+            bulk.dropped_n(FlowId(0), ChainId(0), loc, 3);
+            for _ in 0..3 {
+                single.dropped(FlowId(0), ChainId(0), loc);
+            }
+            assert_eq!(format!("{bulk:?}"), format!("{single:?}"), "{loc:?}");
+        }
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! exponential arrival process instead.
 
 use nfv_des::{Duration, SimRng, SimTime};
-use nfv_pkt::{Ecn, FiveTuple, WireFrame};
+use nfv_pkt::{Ecn, FiveTuple, FrameRun, WireFrame};
 
 /// How a source assigns per-packet cost classes (Fig 10's variable
 /// per-packet processing cost needs random classes; everything else uses a
@@ -100,12 +100,54 @@ impl CbrFlow {
     /// Emit the frames due in the poll window ending at `now` of width
     /// `dt`, appending to `out`.
     pub fn emit(&mut self, now: SimTime, dt: Duration, rng: &mut SimRng, out: &mut Vec<WireFrame>) {
+        self.emit_each(now, dt, rng, |f| out.push(f));
+    }
+
+    /// [`CbrFlow::emit`] as frame runs: the frames, RNG draws and state
+    /// changes are exactly `emit`'s. A fixed cost class gives one run per
+    /// poll; a random one gives runs of one frame.
+    pub fn emit_runs(
+        &mut self,
+        now: SimTime,
+        dt: Duration,
+        rng: &mut SimRng,
+        out: &mut Vec<FrameRun>,
+    ) {
+        let CostClassGen::Fixed(class) = self.cost_class else {
+            self.emit_each(now, dt, rng, |f| out.push(FrameRun::single(f)));
+            return;
+        };
+        let due = self.due(now, dt, rng);
+        if due > 0 {
+            let count = u32::try_from(due).expect("over 2^32 frames in one poll");
+            let head = self.take_frames(now, due, class);
+            out.push(FrameRun { head, count });
+        }
+    }
+
+    /// Hand the due frames to `push` one at a time, drawing each frame's
+    /// cost class in frame order.
+    pub(crate) fn emit_each(
+        &mut self,
+        now: SimTime,
+        dt: Duration,
+        rng: &mut SimRng,
+        mut push: impl FnMut(WireFrame),
+    ) {
+        for _ in 0..self.due(now, dt, rng) {
+            let class = self.cost_class.draw(rng);
+            push(self.take_frames(now, 1, class));
+        }
+    }
+
+    /// Frames due in the poll window ending at `now` of width `dt`.
+    fn due(&mut self, now: SimTime, dt: Duration, rng: &mut SimRng) -> u64 {
         if now < self.start || now >= self.stop {
             // Source idle: discard fractional credit so restart is clean.
             self.acc = 0.0;
-            return;
+            return 0;
         }
-        let due = match self.process {
+        match self.process {
             ArrivalProcess::Constant => {
                 self.acc += self.rate_pps * dt.as_secs_f64();
                 let n = self.acc as u64;
@@ -127,19 +169,22 @@ impl CbrFlow {
                 self.acc = t - window;
                 n
             }
-        };
-        for _ in 0..due {
-            out.push(WireFrame {
-                tuple: self.tuple,
-                size: self.frame_size,
-                seq: self.seq,
-                cost_class: self.cost_class.draw(rng),
-                ecn: Ecn::NotEct,
-                arrival: now,
-            });
-            self.seq += 1;
-            self.emitted += 1;
         }
+    }
+
+    /// Consume the next `n` sequence numbers; returns the first frame.
+    fn take_frames(&mut self, now: SimTime, n: u64, cost_class: u8) -> WireFrame {
+        let head = WireFrame {
+            tuple: self.tuple,
+            size: self.frame_size,
+            seq: self.seq,
+            cost_class,
+            ecn: Ecn::NotEct,
+            arrival: now,
+        };
+        self.seq += n;
+        self.emitted += n;
+        head
     }
 }
 
@@ -157,6 +202,63 @@ mod tests {
             flow.emit(now, poll, &mut rng, &mut out);
         }
         out.len() as u64
+    }
+
+    /// Drive two copies of a flow, one through `emit` and one through
+    /// `emit_runs`, on identically seeded RNGs over 30 polls of 20 µs.
+    /// The runs must expand to exactly the frames, and leave the flow
+    /// and the RNG in the same state. Returns (frames, runs).
+    fn emit_both(make: impl Fn() -> CbrFlow, seed: u64) -> (usize, usize) {
+        let (mut a, mut b) = (make(), make());
+        let (mut ra, mut rb) = (SimRng::seed_from_u64(seed), SimRng::seed_from_u64(seed));
+        let (mut frames, mut runs) = (Vec::new(), Vec::new());
+        let poll = Duration::from_micros(20);
+        for k in 1..=30 {
+            let now = SimTime::ZERO + poll.times(k);
+            a.emit(now, poll, &mut ra, &mut frames);
+            b.emit_runs(now, poll, &mut rb, &mut runs);
+        }
+        assert!(runs.iter().all(|r: &FrameRun| r.count > 0));
+        let expanded: Vec<WireFrame> = runs.iter().flat_map(|r| r.frames()).collect();
+        assert_eq!(expanded, frames);
+        assert_eq!((a.emitted, a.seq, a.acc), (b.emitted, b.seq, b.acc));
+        assert_eq!(ra.next_u64(), rb.next_u64(), "RNG streams diverged");
+        (frames.len(), runs.len())
+    }
+
+    #[test]
+    fn runs_expand_to_the_per_frame_emission() {
+        let tuple = FiveTuple::synthetic(3, Proto::Udp);
+        // Constant rate with a fixed class: one run per poll.
+        let (frames, runs) = emit_both(|| CbrFlow::new(tuple, 64, 800_000.0), 1);
+        assert_eq!((frames, runs), (480, 30));
+        // Fractional per-poll counts leave some polls empty (no run).
+        let (frames, runs) = emit_both(|| CbrFlow::new(tuple, 64, 30_000.0), 1);
+        assert_eq!(frames, runs);
+        // Poisson draws the same gaps in the same order.
+        let (frames, runs) = emit_both(|| CbrFlow::new(tuple, 64, 500_000.0).poisson(), 7);
+        assert!(runs <= 30 && frames > runs, "frames={frames} runs={runs}");
+        // On/off window edges on poll instants: `start` emits, `stop`
+        // does not, and the idle polls reset the credit.
+        let windowed = || {
+            CbrFlow::new(tuple, 64, 1_000_000.0)
+                .window(SimTime::from_micros(100), SimTime::from_micros(300))
+        };
+        assert_eq!(emit_both(windowed, 1), (200, 10));
+        // Random classes: runs of one frame, class draws in frame order,
+        // interleaved with the Poisson gap draws.
+        let uniform = || {
+            CbrFlow::new(tuple, 64, 800_000.0)
+                .with_cost_class(CostClassGen::Uniform(3))
+                .poisson()
+        };
+        let (frames, runs) = emit_both(uniform, 5);
+        assert_eq!(frames, runs);
+        let (frames, runs) = emit_both(
+            || CbrFlow::new(tuple, 64, 800_000.0).with_cost_class(CostClassGen::Uniform(4)),
+            5,
+        );
+        assert_eq!((frames, runs), (480, 480));
     }
 
     #[test]

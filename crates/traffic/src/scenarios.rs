@@ -23,7 +23,7 @@
 
 use crate::cbr::CbrFlow;
 use nfv_des::{Duration, SimRng, SimTime};
-use nfv_pkt::{FiveTuple, IpPrefix, Proto, TuplePattern, WireFrame};
+use nfv_pkt::{FiveTuple, FrameRun, IpPrefix, Proto, TuplePattern, WireFrame};
 
 /// Knuth's multiplicative constant; prime, so it is coprime to every
 /// flow-space size below it and the sweep visits each tuple exactly once
@@ -101,12 +101,33 @@ impl SweepSource {
     /// Emit the frames due in the poll window ending at `now` of width
     /// `dt`, appending to `out` with swept tuples.
     pub fn emit(&mut self, now: SimTime, dt: Duration, rng: &mut SimRng, out: &mut Vec<WireFrame>) {
-        let start = out.len();
-        self.pacer.emit(now, dt, rng, out);
-        for w in &mut out[start..] {
-            let idx = sweep_index(w.seq, self.space);
-            w.tuple = FiveTuple::synthetic(self.base + idx, self.proto);
-        }
+        self.emit_each(now, dt, rng, |f| out.push(f));
+    }
+
+    /// [`SweepSource::emit`] as frame runs: every swept frame has its own
+    /// tuple, so each is a run of one.
+    pub fn emit_runs(
+        &mut self,
+        now: SimTime,
+        dt: Duration,
+        rng: &mut SimRng,
+        out: &mut Vec<FrameRun>,
+    ) {
+        self.emit_each(now, dt, rng, |f| out.push(FrameRun::single(f)));
+    }
+
+    fn emit_each(
+        &mut self,
+        now: SimTime,
+        dt: Duration,
+        rng: &mut SimRng,
+        mut push: impl FnMut(WireFrame),
+    ) {
+        let (space, base, proto) = (self.space, self.base, self.proto);
+        self.pacer.emit_each(now, dt, rng, |mut f| {
+            f.tuple = FiveTuple::synthetic(base + sweep_index(f.seq, space), proto);
+            push(f);
+        });
     }
 }
 
@@ -264,6 +285,26 @@ mod tests {
             seen[idx as usize] = true;
         }
         assert!(seen.iter().all(|&s| s));
+    }
+
+    #[test]
+    fn sweep_runs_expand_to_the_per_frame_emission() {
+        let make = || SweepSource::new(0, 1000, 64, 1_000_000.0).poisson();
+        let (mut a, mut b) = (make(), make());
+        let (mut ra, mut rb) = (SimRng::seed_from_u64(3), SimRng::seed_from_u64(3));
+        let (mut frames, mut runs) = (Vec::new(), Vec::new());
+        let mut now = SimTime::ZERO;
+        for _ in 0..50 {
+            now += Duration::from_micros(20);
+            a.emit(now, Duration::from_micros(20), &mut ra, &mut frames);
+            b.emit_runs(now, Duration::from_micros(20), &mut rb, &mut runs);
+        }
+        // Every swept frame has its own tuple: runs of one.
+        assert!(runs.iter().all(|r| r.count == 1));
+        let expanded: Vec<WireFrame> = runs.iter().map(|r| r.head).collect();
+        assert_eq!(expanded, frames);
+        assert_eq!(a.emitted(), b.emitted());
+        assert_eq!(ra.next_u64(), rb.next_u64());
     }
 
     #[test]
