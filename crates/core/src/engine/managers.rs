@@ -61,25 +61,41 @@ impl Simulation {
         );
     }
 
-    pub(super) fn pump_tcp(&mut self, src: usize, now: SimTime) {
+    pub(super) fn pump_tcp(&mut self, src: u32, now: SimTime) {
         let mut frames = std::mem::take(&mut self.scratch_frames);
         frames.clear();
-        self.tcp[src].pump(now, &mut frames);
-        let rtt = self.tcp[src].rtt;
+        self.tcp[src as usize].pump(now, &mut frames);
+        let mut dropped = 0;
         for f in frames.drain(..) {
             if !self.platform.nic.deliver(f) {
                 self.trace_nic_overflow(now);
                 // Hardware drop: the sender finds out a round trip later.
-                self.queue.push(
-                    now + rtt,
-                    Ev::TcpFeedback {
-                        src,
-                        fb: Feedback::Dropped { seq: f.seq },
-                    },
-                );
+                self.queue_feedback(src, Feedback::Dropped { seq: f.seq }, now);
+                dropped += 1;
             }
         }
+        self.schedule_feedback_run(src, dropped, now);
         self.scratch_frames = frames;
+    }
+
+    /// Queue one feedback on source `src`'s FIFO, due a round trip after
+    /// `now`; [`Simulation::schedule_feedback_run`] schedules its event.
+    fn queue_feedback(&mut self, src: u32, fb: Feedback, now: SimTime) {
+        let due = now + self.tcp[src as usize].rtt;
+        let fifo = &mut self.feedback[src as usize];
+        // The FIFO is popped in event order, which is due-time order: a
+        // source's RTT must stay constant.
+        debug_assert!(fifo.back().is_none_or(|&(last, _)| last <= due));
+        fifo.push_back((due, fb));
+    }
+
+    /// Schedule the event for the last `n` feedbacks queued on `src`'s
+    /// FIFO at `now`.
+    fn schedule_feedback_run(&mut self, src: u32, n: u32, now: SimTime) {
+        if n > 0 {
+            let due = now + self.tcp[src as usize].rtt;
+            self.queue.push(due, Ev::TcpFeedback { src, n });
+        }
     }
 
     pub(super) fn do_rx(&mut self, now: SimTime) {
@@ -138,21 +154,31 @@ impl Simulation {
         self.dispatch_tcp_events(now);
     }
 
+    /// Turn the platform's TCP events into feedback, one queue event per
+    /// run of consecutive same-source events. Runs never merge across
+    /// another source's event, so the feedback pops in the order of
+    /// `scratch_tcp`.
     pub(super) fn dispatch_tcp_events(&mut self, now: SimTime) {
         let events = std::mem::take(&mut self.scratch_tcp);
+        let mut run = (u32::MAX, 0);
         for ev in &events {
-            let Some(&src) = self.tcp_by_flow.get(&ev.flow) else {
+            let Some(src) = self.tcp_of_flow.get(ev.flow.index()).copied().flatten() else {
                 continue;
             };
-            let rtt = self.tcp[src].rtt;
             let fb = match ev.kind {
                 nfv_platform::TcpEventKind::Delivered { ce } => {
                     Feedback::Delivered { seq: ev.seq, ce }
                 }
                 nfv_platform::TcpEventKind::Dropped => Feedback::Dropped { seq: ev.seq },
             };
-            self.queue.push(now + rtt, Ev::TcpFeedback { src, fb });
+            if src != run.0 {
+                self.schedule_feedback_run(run.0, run.1, now);
+                run = (src, 0);
+            }
+            self.queue_feedback(src, fb, now);
+            run.1 += 1;
         }
+        self.schedule_feedback_run(run.0, run.1, now);
         self.scratch_tcp = events;
     }
 

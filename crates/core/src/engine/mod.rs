@@ -34,7 +34,7 @@ mod tests;
 pub use events::Action;
 
 use domain::CoreDomain;
-use events::{ev_tag, Ev};
+use events::{ev_tag, feedback_tag, Ev};
 
 use crate::backpressure::Backpressure;
 use crate::config::SimConfig;
@@ -48,8 +48,8 @@ use nfv_obs::{MetricsRecorder, TraceEvent, TraceSink};
 use nfv_pkt::{ChainId, FiveTuple, FlowId, NfId, Proto, TuplePattern};
 use nfv_platform::{NfSpec, PacketHandler, Platform, TcpEvent};
 use nfv_sched::Policy;
-use nfv_traffic::{CbrFlow, SweepSource, TcpSource};
-use std::collections::BTreeMap;
+use nfv_traffic::{CbrFlow, Feedback, SweepSource, TcpSource};
+use std::collections::{BTreeMap, VecDeque};
 
 /// A configured simulation: build it, attach NFs/chains/traffic, `run`.
 pub struct Simulation {
@@ -64,7 +64,14 @@ pub struct Simulation {
     udp: Vec<CbrFlow>,
     sweeps: Vec<SweepSource>,
     tcp: Vec<TcpSource>,
-    tcp_by_flow: BTreeMap<FlowId, usize>,
+    /// Per flow id: the index of its TCP source. TCP flows are pinned
+    /// installs, so a flow id never changes hands.
+    tcp_of_flow: Vec<Option<u32>>,
+    /// Per TCP source: feedback not yet handled, with its due time. An
+    /// `Ev::TcpFeedback { src, n }` pops the first `n`. The FIFO is exact
+    /// because a source's RTT is constant: its feedback falls due in the
+    /// order it is scheduled.
+    feedback: Vec<VecDeque<(SimTime, Feedback)>>,
     bp: Backpressure,
     load: LoadMonitor,
     ecn: EcnMarker,
@@ -148,7 +155,8 @@ impl Simulation {
             udp: Vec::new(),
             sweeps: Vec::new(),
             tcp: Vec::new(),
-            tcp_by_flow: BTreeMap::new(),
+            tcp_of_flow: Vec::new(),
+            feedback: Vec::new(),
             bp: Backpressure::new(cfg.nfvnice.bp, 0, 0),
             load: LoadMonitor::new(cfg.nfvnice.load, 0),
             ecn: EcnMarker::new(cfg.nfvnice.ecn_cfg, Vec::new()),
@@ -271,8 +279,12 @@ impl Simulation {
         let tuple = self.fresh_tuple(Proto::Tcp);
         let flow = self.platform.install_flow(tuple, chain);
         let src = customize(TcpSource::new(tuple, frame_size, rtt));
-        self.tcp_by_flow.insert(flow, self.tcp.len());
+        if self.tcp_of_flow.len() <= flow.index() {
+            self.tcp_of_flow.resize(flow.index() + 1, None);
+        }
+        self.tcp_of_flow[flow.index()] = Some(self.tcp.len() as u32);
         self.tcp.push(src);
+        self.feedback.push(VecDeque::new());
         flow
     }
 
@@ -305,7 +317,8 @@ impl Simulation {
 
     /// Read access to a TCP source (for assertions on cwnd etc.).
     pub fn tcp_source(&self, flow: FlowId) -> &TcpSource {
-        &self.tcp[self.tcp_by_flow[&flow]]
+        let src = self.tcp_of_flow[flow.index()].expect("not a TCP flow");
+        &self.tcp[src as usize]
     }
 
     /// Drain the structured trace recorded so far (empty unless
@@ -430,8 +443,8 @@ impl Simulation {
             }
         }
         // Initial TCP window.
-        for i in 0..self.tcp.len() {
-            self.pump_tcp(i, SimTime::ZERO);
+        for src in 0..self.tcp.len() as u32 {
+            self.pump_tcp(src, SimTime::ZERO);
         }
     }
 
@@ -469,6 +482,21 @@ impl Simulation {
     }
 
     fn handle(&mut self, now: SimTime, ev: Ev, end: SimTime) {
+        if let Ev::TcpFeedback { src, n } = ev {
+            // One digest entry, handler run and audit per feedback, exactly
+            // as if each were its own event.
+            for _ in 0..n {
+                let (due, fb) = self.feedback[src as usize]
+                    .pop_front()
+                    .expect("feedback run outlived its FIFO");
+                debug_assert_eq!(due, now, "per-source feedback FIFO out of order");
+                self.sanitizer.on_event(now, feedback_tag(src, fb));
+                self.tcp[src as usize].on_feedback(fb, now);
+                self.pump_tcp(src, now);
+                self.audit(now);
+            }
+            return;
+        }
         self.sanitizer.on_event(now, ev_tag(&ev));
         match ev {
             Ev::Traffic => {
@@ -532,10 +560,7 @@ impl Simulation {
             Ev::CoreRun { core } => self.do_core_run(core, now),
             Ev::BatchDone { core } => self.do_batch_done(core, now),
             Ev::IoComplete { nf } => self.do_io_complete(nf, now),
-            Ev::TcpFeedback { src, fb } => {
-                self.tcp[src].on_feedback(fb, now);
-                self.pump_tcp(src, now);
-            }
+            Ev::TcpFeedback { .. } => unreachable!("handled per feedback above"),
             Ev::Action { idx } => {
                 let action = self.actions[idx].1.clone();
                 match action {
@@ -558,6 +583,12 @@ impl Simulation {
                 self.platform.nfs[nf.index()].cost_factor = 1;
             }
         }
+        self.audit(now);
+    }
+
+    /// The per-event audit tail: surface pending-count desyncs and, when
+    /// the sanitizer asks, check packet conservation.
+    fn audit(&mut self, now: SimTime) {
         // Invariant surfacing for the platform's non-panicking accounting:
         // a dequeue from a ring whose chain had no pending count is a real
         // bug, reported here instead of a mid-sim panic.

@@ -953,3 +953,60 @@ fn tcp_flow_reaches_window_limited_rate() {
     let mbps = r.flow(flow.index()).mbps;
     assert!((3_000.0..4_200.0).contains(&mbps), "tcp rate {mbps} Mbps");
 }
+
+#[test]
+fn tcp_feedback_runs_replay_the_per_feedback_stream() {
+    // Two TCP senders with one RTT: A enters the heavy NF through the
+    // light one (beside a UDP flow), B enters it directly, so the heavy
+    // NF's TX drain interleaves their segments (A, B, A, ...) and their
+    // same-instant feedback must pop in that order. The tiny NIC queue
+    // overflows under their bursts. The digest folds one `(time, tag)`
+    // per logical feedback; it and the senders' state are pinned to the
+    // values of the one-event-per-feedback engine, with and without
+    // coalescing.
+    let run = |coalesce: bool| {
+        let mut cfg = base_cfg(1, Policy::CfsNormal, NfvniceConfig::full());
+        cfg.coalesce = coalesce;
+        cfg.platform.nic_rx_capacity = 48;
+        cfg.sanitizer = crate::SanitizerConfig::audit();
+        let mut sim = Simulation::new(cfg);
+        let a = sim.add_nf(NfSpec::new("light", 0, 300));
+        let b = sim.add_nf(NfSpec::new("heavy", 0, 2_000));
+        let chain = sim.add_chain(&[a, b]);
+        let short = sim.add_chain(&[b]);
+        let fa = sim.add_tcp_with(chain, 1500, Duration::from_micros(100), |s| s.with_ecn());
+        let fb = sim.add_tcp(short, 1500, Duration::from_micros(100));
+        sim.add_udp(chain, 1_400_000.0, 64);
+        let r = sim.run(Duration::from_millis(40));
+        sim.sanitizer.assert_clean();
+        let senders: Vec<_> = [fa, fb]
+            .into_iter()
+            .map(|f| {
+                let s = sim.tcp_source(f);
+                (
+                    s.acked,
+                    s.losses,
+                    s.ecn_cuts,
+                    s.cwnd().to_bits(),
+                    s.in_flight(),
+                    s.pending_retransmits(),
+                )
+            })
+            .collect();
+        // The scenario must exercise NIC-overflow drops and ECN echoes.
+        assert!(r.nic_overflow > 0 && r.ecn_marks > 0);
+        (r.trace_digest, senders)
+    };
+    // (acked, losses, ecn_cuts, cwnd bits, in flight, pending retransmits)
+    let want = vec![
+        (882, 1, 1, 4631367675458772533, 43, 0),
+        (682, 1, 0, 4632676169672216609, 53, 0),
+    ];
+    for coalesce in [false, true] {
+        assert_eq!(
+            run(coalesce),
+            (0xa094_f730_2fff_c075, want.clone()),
+            "{coalesce}"
+        );
+    }
+}

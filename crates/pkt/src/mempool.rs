@@ -67,6 +67,37 @@ impl Mempool {
         Some(id)
     }
 
+    /// Allocate one slot per packet of `pkts`, appending the ids to `out`
+    /// in the order single [`Mempool::alloc`] calls would hand them out
+    /// (DPDK's `rte_mempool_get_bulk`). All or nothing: with fewer than
+    /// `pkts.len()` slots free it allocates nothing and returns `false`,
+    /// counting no failure — size the burst with [`Mempool::available`].
+    pub fn alloc_bulk(
+        &mut self,
+        pkts: impl ExactSizeIterator<Item = Packet>,
+        out: &mut Vec<PktId>,
+    ) -> bool {
+        let n = pkts.len();
+        if n > self.available() {
+            return false;
+        }
+        for pkt in pkts {
+            let id = if let Some(id) = self.free.pop() {
+                self.slots[id.index()] = pkt;
+                id
+            } else {
+                self.slots.push(pkt);
+                PktId(self.slots.len() as u32 - 1)
+            };
+            debug_assert!(!self.live[id.index()]);
+            self.live[id.index()] = true;
+            out.push(id);
+        }
+        self.in_use += n;
+        self.high_watermark = self.high_watermark.max(self.in_use);
+        true
+    }
+
     /// Release a slot. Callers needing the packet's contents must read
     /// them via [`Mempool::get`] *before* freeing — the payload is not
     /// moved out.
@@ -101,6 +132,12 @@ impl Mempool {
     #[inline]
     pub fn in_use(&self) -> usize {
         self.in_use
+    }
+
+    /// Slots free for allocation.
+    #[inline]
+    pub fn available(&self) -> usize {
+        self.live.len() - self.in_use
     }
 
     /// Total slot count.
@@ -164,6 +201,30 @@ mod tests {
         assert_eq!(p.in_use(), 0);
         assert_eq!(p.high_watermark(), 3);
         assert_eq!(p.capacity(), 4);
+    }
+
+    #[test]
+    fn bulk_alloc_hands_out_the_single_alloc_ids() {
+        let (mut bulk, mut single) = (Mempool::new(6), Mempool::new(6));
+        for p in [&mut bulk, &mut single] {
+            let ids: Vec<_> = (0..4).map(|_| p.alloc(pkt()).unwrap()).collect();
+            p.free(ids[1]);
+            p.free(ids[3]);
+        }
+        let mut out = Vec::new();
+        assert!(
+            !bulk.alloc_bulk((0..5).map(|_| pkt()), &mut out),
+            "only 4 free"
+        );
+        assert!(out.is_empty() && bulk.alloc_failures == 0);
+        assert!(bulk.alloc_bulk((0..3).map(|_| pkt()), &mut out));
+        let want: Vec<_> = (0..3).map(|_| single.alloc(pkt()).unwrap()).collect();
+        assert_eq!(out, want);
+        assert_eq!(
+            (bulk.in_use(), bulk.high_watermark(), bulk.available()),
+            (single.in_use(), single.high_watermark(), single.available())
+        );
+        assert_eq!(bulk.alloc(pkt()), single.alloc(pkt()));
     }
 
     #[test]

@@ -68,6 +68,18 @@ impl Ring {
         }
     }
 
+    /// Enqueue the prefix of `ids` that fits, in order, and count every
+    /// descriptor that did not as a full drop (DPDK's
+    /// `rte_ring_enqueue_burst`). Returns how many were stored; the ring
+    /// ends exactly as after one [`Ring::enqueue`] per descriptor.
+    pub fn enqueue_burst(&mut self, ids: &[PktId]) -> usize {
+        let fit = ids.len().min(self.room());
+        self.buf.extend(ids[..fit].iter().copied());
+        self.enqueued += fit as u64;
+        self.full_drops += (ids.len() - fit) as u64;
+        fit
+    }
+
     /// Dequeue the oldest descriptor.
     #[inline]
     pub fn dequeue(&mut self) -> Option<PktId> {
@@ -116,6 +128,12 @@ impl Ring {
     #[inline]
     pub fn capacity(&self) -> usize {
         self.capacity
+    }
+
+    /// Free entries: how many more descriptors an enqueue would store.
+    #[inline]
+    pub fn room(&self) -> usize {
+        self.capacity - self.buf.len()
     }
 
     /// Occupancy as a fraction of capacity in `[0, 1]`.
@@ -183,6 +201,29 @@ mod tests {
         assert_eq!(r.dequeue_burst(4, &mut out), 2);
         assert_eq!(r.len(), 0);
         assert_eq!(r.dequeued, 6);
+    }
+
+    #[test]
+    fn burst_enqueue_equals_single_enqueues() {
+        for (cap, pre, n) in [(4, 0, 3), (4, 1, 3), (4, 2, 5), (3, 3, 2), (5, 0, 0)] {
+            let (mut burst, mut single) = (Ring::new(cap), Ring::new(cap));
+            for i in 0..pre {
+                burst.enqueue(PktId(100 + i));
+                single.enqueue(PktId(100 + i));
+            }
+            let ids: Vec<PktId> = (0..n).map(PktId).collect();
+            let stored = burst.enqueue_burst(&ids);
+            let ok = ids.iter().filter(|&&id| single.enqueue(id).is_ok()).count();
+            assert_eq!(stored, ok);
+            assert_eq!(
+                burst.iter().collect::<Vec<_>>(),
+                single.iter().collect::<Vec<_>>()
+            );
+            assert_eq!(
+                (burst.enqueued, burst.full_drops, burst.room()),
+                (single.enqueued, single.full_drops, single.room())
+            );
+        }
     }
 
     #[test]

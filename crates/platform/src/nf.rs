@@ -21,13 +21,14 @@ use std::collections::VecDeque;
 
 /// Per-chain pending-packet counts, kept as a `ChainId`-sorted vec.
 ///
-/// This sits on the per-packet hot path (`note_pending`/`note_dequeued`
-/// run once per RX enqueue/dequeue), and an NF sees at most a handful of
-/// distinct chains, so a binary-searched vec beats a `BTreeMap`'s node
-/// allocations — while iteration order stays identical (ascending
-/// `ChainId`), which the backpressure evaluation and suppression checks
-/// rely on for determinism. The backing vec's capacity is retained across
-/// drain/refill cycles, so steady state allocates nothing.
+/// This sits on the datapath (`add_n`/`sub_n` run once per run of
+/// same-chain packets entering or leaving an RX ring), and an NF sees at
+/// most a handful of distinct chains, so a binary-searched vec beats a
+/// `BTreeMap`'s node allocations — while iteration order stays identical
+/// (ascending `ChainId`), which the backpressure evaluation and
+/// suppression checks rely on for determinism. The backing vec's capacity
+/// is retained across drain/refill cycles, so steady state allocates
+/// nothing.
 #[derive(Debug, Default)]
 pub struct ChainCounts {
     counts: Vec<(ChainId, u32)>,
@@ -42,8 +43,23 @@ impl ChainCounts {
         }
     }
 
+    /// Increment the count for `chain` by `n` (one [`ChainCounts::add`]
+    /// per packet of a run, in one search).
+    pub fn add_n(&mut self, chain: ChainId, n: u32) {
+        if n == 0 {
+            return;
+        }
+        match self.counts.binary_search_by_key(&chain, |&(c, _)| c) {
+            Ok(i) => self.counts[i].1 += n,
+            Err(i) => self.counts.insert(i, (chain, n)),
+        }
+    }
+
     /// Decrement the count for `chain`, dropping the entry at zero.
-    /// Returns `false` when the chain has no pending count.
+    /// Returns `false` when the chain has no pending count — an
+    /// accounting desync the caller surfaces as a diagnosable invariant
+    /// violation (the counts are left untouched rather than underflowing
+    /// or aborting the sim).
     #[must_use]
     pub fn sub(&mut self, chain: ChainId) -> bool {
         let Ok(i) = self.counts.binary_search_by_key(&chain, |&(c, _)| c) else {
@@ -54,6 +70,23 @@ impl ChainCounts {
             self.counts.remove(i);
         }
         true
+    }
+
+    /// Decrement the count for `chain` by up to `n`, dropping the entry
+    /// at zero. Returns the desync count: how many of `n` single
+    /// [`ChainCounts::sub`] calls would have found no pending count.
+    #[must_use]
+    pub fn sub_n(&mut self, chain: ChainId, n: u32) -> u32 {
+        let Ok(i) = self.counts.binary_search_by_key(&chain, |&(c, _)| c) else {
+            return n;
+        };
+        let have = self.counts[i].1;
+        if have > n {
+            self.counts[i].1 = have - n;
+            return 0;
+        }
+        self.counts.remove(i);
+        n - have
     }
 
     /// Pending count for `chain`, if any.
@@ -361,16 +394,6 @@ impl NfRuntime {
         self.arrivals += n;
     }
 
-    /// Record a packet of `chain` leaving the RX ring. Returns `false`
-    /// when no pending count exists for the chain — an accounting desync
-    /// the caller surfaces as a diagnosable invariant violation (the
-    /// counters are left untouched rather than underflowing or aborting
-    /// the sim).
-    #[must_use]
-    pub fn note_dequeued(&mut self, chain: ChainId) -> bool {
-        self.pending_by_chain.sub(chain)
-    }
-
     /// True when the NF process is alive (up or wedged — a stalled NF
     /// still occupies its task; only a dead one is gone).
     pub fn is_up(&self) -> bool {
@@ -446,10 +469,10 @@ mod tests {
         rt.note_pending(ChainId(2));
         assert_eq!(rt.arrivals, 3);
         assert!(!rt.fully_throttled(|c| c == ChainId(1)));
-        assert!(rt.note_dequeued(ChainId(2)));
+        assert!(rt.pending_by_chain.sub(ChainId(2)));
         assert!(rt.fully_throttled(|c| c == ChainId(1)));
-        assert!(rt.note_dequeued(ChainId(1)));
-        assert!(rt.note_dequeued(ChainId(1)));
+        assert!(rt.pending_by_chain.sub(ChainId(1)));
+        assert!(rt.pending_by_chain.sub(ChainId(1)));
         assert!(rt.pending_by_chain.is_empty());
         // idle NF is not fully throttled
         assert!(!rt.fully_throttled(|_| true));
@@ -459,13 +482,38 @@ mod tests {
     fn dequeue_without_pending_reports_instead_of_panicking() {
         let mut rt = NfRuntime::new(NfSpec::new("a", 0, 100), TaskId(0));
         assert!(
-            !rt.note_dequeued(ChainId(7)),
+            !rt.pending_by_chain.sub(ChainId(7)),
             "desync must surface, not abort"
         );
         rt.note_pending(ChainId(1));
-        assert!(!rt.note_dequeued(ChainId(2)), "wrong chain is a desync too");
+        assert!(
+            !rt.pending_by_chain.sub(ChainId(2)),
+            "wrong chain is a desync too"
+        );
         // the existing count is untouched
         assert_eq!(rt.pending_by_chain.get(ChainId(1)), Some(1));
+    }
+
+    #[test]
+    fn bulk_counts_equal_single_calls() {
+        let (c1, c2, c3) = (ChainId(1), ChainId(2), ChainId(3));
+        let (mut bulk, mut single) = (ChainCounts::default(), ChainCounts::default());
+        for (chain, n) in [(c2, 3), (c1, 0), (c1, 2), (c2, 1), (c3, 5)] {
+            bulk.add_n(chain, n);
+            (0..n).for_each(|_| single.add(chain));
+        }
+        let snapshot = |c: &ChainCounts| c.keys().map(|&k| (k, c.get(k))).collect::<Vec<_>>();
+        assert_eq!(snapshot(&bulk), snapshot(&single));
+        // Partial, exact, over-draining and unknown-chain decrements: the
+        // desync count is the number of single `sub`s that would fail.
+        for (chain, n, desync) in [(c2, 1, 0), (c3, 5, 0), (c1, 4, 2), (c2, 3, 0), (c3, 2, 2)] {
+            assert_eq!(bulk.sub_n(chain, n), desync, "{chain:?} by {n}");
+            let failed = (0..n).filter(|_| !single.sub(chain)).count() as u32;
+            assert_eq!(failed, desync);
+            assert_eq!(snapshot(&bulk), snapshot(&single));
+        }
+        assert!(bulk.is_empty());
+        assert_eq!(bulk.sub_n(c1, 0), 0);
     }
 
     #[test]

@@ -18,7 +18,7 @@ use nfv_io::{StorageDevice, WriteOutcome};
 use nfv_obs::{DropCause, SleepReason, TraceKind, TraceSink, NO_ID};
 use nfv_pkt::{
     ChainId, Ecn, Enqueue, FlowAging, FlowId, FlowTable, FlowTableKind, FrameRun, Mempool, NfId,
-    Nic, Packet, Proto, TuplePattern,
+    Nic, Packet, PktId, Proto, TuplePattern, WireFrame,
 };
 use nfv_sched::{CfsParams, CgroupCpu, OsScheduler, Policy, SchedBackend};
 use std::collections::BTreeSet;
@@ -33,6 +33,23 @@ use std::collections::BTreeSet;
 /// instance is on every path and the hook degenerates to the classic
 /// per-chain check.
 pub type AdmitFn<'a> = dyn FnMut(ChainId, FlowId, &mut dyn FnMut(NfId) -> bool) -> bool + 'a;
+
+/// The packet an admitted frame of `flow` becomes at its entry NF.
+#[inline]
+fn admitted(frame: WireFrame, flow: FlowId, chain: ChainId, now: SimTime) -> Packet {
+    Packet {
+        tuple: frame.tuple,
+        flow,
+        chain,
+        size: frame.size,
+        arrival: frame.arrival,
+        enqueued_at: now,
+        hops_done: 0,
+        ecn: frame.ecn,
+        seq: frame.seq,
+        cost_class: frame.cost_class,
+    }
+}
 
 /// Static platform configuration.
 #[derive(Debug, Clone)]
@@ -162,6 +179,10 @@ pub struct Platform {
     /// of each run (both reused across polls).
     scratch_runs: Vec<FrameRun>,
     scratch_classes: Vec<Option<(FlowId, ChainId)>>,
+    /// Packet ids of an entry burst, and of the burst bound for one next
+    /// NF in `tx_drain` (both reused across calls).
+    scratch_pids: Vec<PktId>,
+    scratch_burst: Vec<PktId>,
     /// Number of NFs currently `Down` — lets the per-frame dead-chain
     /// check in `rx_poll` short-circuit to nothing in fault-free runs.
     down_nfs: usize,
@@ -209,6 +230,8 @@ impl Platform {
             tcp_flow: Vec::new(),
             scratch_runs: Vec::new(),
             scratch_classes: Vec::new(),
+            scratch_pids: Vec::new(),
+            scratch_burst: Vec::new(),
             down_nfs: 0,
             replicas_of: std::collections::BTreeMap::new(),
             replica_floor: std::collections::BTreeMap::new(),
@@ -410,21 +433,28 @@ impl Platform {
                 self.shed_run(now, run, (flow, chain), cause, entry, tcp_out);
                 continue;
             }
-            for i in 0..run.count {
+            // Bulk entry: the prefix that fits both the entry ring and the
+            // mempool takes its slots and ring entries in one burst each;
+            // only the overflow tail walks its frames, so drop ids, traces
+            // and `TcpEvent`s stay per frame.
+            let bulk = (run.count as usize)
+                .min(self.nfs[entry.index()].rx.room())
+                .min(self.mempool.available());
+            if bulk > 0 {
+                let mut ids = std::mem::take(&mut self.scratch_pids);
+                ids.clear();
+                let pkts = (0..bulk as u32).map(|i| admitted(run.frame(i), flow, chain, now));
+                let allocated = self.mempool.alloc_bulk(pkts, &mut ids);
+                debug_assert!(allocated);
+                let nf = &mut self.nfs[entry.index()];
+                let stored = nf.rx.enqueue_burst(&ids);
+                debug_assert_eq!(stored, bulk);
+                nf.pending_by_chain.add_n(chain, bulk as u32);
+                self.scratch_pids = ids;
+            }
+            for i in bulk as u32..run.count {
                 let frame = run.frame(i);
-                let pkt = Packet {
-                    tuple: frame.tuple,
-                    flow,
-                    chain,
-                    size: frame.size,
-                    arrival: frame.arrival,
-                    enqueued_at: now,
-                    hops_done: 0,
-                    ecn: frame.ecn,
-                    seq: frame.seq,
-                    cost_class: frame.cost_class,
-                };
-                let Some(pid) = self.mempool.alloc(pkt) else {
+                let Some(pid) = self.mempool.alloc(admitted(frame, flow, chain, now)) else {
                     self.stats.mempool_fail += 1;
                     self.stats
                         .dropped(flow, chain, DropLocation::MempoolExhausted);
@@ -519,6 +549,14 @@ impl Platform {
     /// chain (marking ECN via `mark_ce` when the policy says so) or out the
     /// NIC at chain end. Returns, via `woken_tx`, NFs whose full TX ring
     /// gained room (local backpressure release).
+    ///
+    /// Each ring is walked in runs of packets that share (flow, chain,
+    /// hops): the next hop is resolved once per run, and packets bound
+    /// for the same next NF are enqueued to its RX ring in one burst,
+    /// with their pending counts added once per chain.
+    /// The ECN decision, drops, traces and `TcpEvent`s stay per packet, in
+    /// ring order, so every counter ends as if each packet had been
+    /// forwarded on its own.
     pub fn tx_drain(
         &mut self,
         now: SimTime,
@@ -526,88 +564,157 @@ impl Platform {
         tcp_out: &mut Vec<TcpEvent>,
         woken_tx: &mut Vec<NfId>,
     ) {
+        let mut burst = std::mem::take(&mut self.scratch_burst);
         for i in 0..self.nfs.len() {
-            while let Some(pid) = self.nfs[i].tx.dequeue() {
-                let (flow, chain, hops, seq, size, arrival, ecn) = {
-                    let p = self.mempool.get(pid);
-                    (
-                        p.flow,
-                        p.chain,
-                        p.hops_done,
-                        p.seq,
-                        p.size,
-                        p.arrival,
-                        p.ecn,
-                    )
-                };
-                match self.chains.nf_at(chain, hops as usize) {
-                    None => {
-                        // Chain complete: out the wire.
-                        self.mempool.free(pid);
-                        self.nic.transmit(size);
-                        self.stats.delivered(flow, chain, size, now.since(arrival));
-                        if self.is_tcp(flow) {
-                            tcp_out.push(TcpEvent {
-                                flow,
-                                seq,
-                                kind: TcpEventKind::Delivered { ce: ecn == Ecn::Ce },
-                            });
-                        }
-                    }
-                    Some(next) => {
-                        // Chains name base NFs; shard the flow across the
-                        // hop's replica group (no-op without replicas).
-                        let next = self.resolve_instance(next, flow);
-                        // A dead next hop cannot accept the packet; the
-                        // upstream NF's processing is wasted, same as a
-                        // full-ring drop. (Transient: entry shedding stops
-                        // new traffic for the chain the moment the NF dies.)
-                        if self.nfs[next.index()].health == NfHealth::Down {
-                            self.mempool.free(pid);
-                            self.stats.dropped(flow, chain, DropLocation::NfDown(next));
-                            self.trace_drop(now, DropCause::NfDown, flow.0, chain.0, next.0);
-                            self.nfs[i].wasted_drops += 1;
-                            self.nfs[i].wasted_meter.add(1);
-                            self.note_tcp_drop(flow, seq, tcp_out);
-                            continue;
-                        }
-                        {
-                            let p = self.mempool.get_mut(pid);
-                            p.enqueued_at = now;
-                            if p.ecn == Ecn::Ect0 && mark_ce(next) {
-                                p.ecn = Ecn::Ce;
-                                self.trace.record(now, TraceKind::EcnMark { nf: next.0 });
-                            }
-                        }
-                        let nf = &mut self.nfs[next.index()];
-                        nf.note_arrival();
-                        match nf.rx.enqueue(pid) {
-                            Enqueue::Ok { .. } => nf.note_pending(chain),
-                            Enqueue::Full => {
-                                self.mempool.free(pid);
-                                self.stats
-                                    .dropped(flow, chain, DropLocation::RingFull(next));
-                                self.trace_drop(now, DropCause::RingFull, flow.0, chain.0, next.0);
-                                // The previous NF's work is wasted.
-                                self.nfs[i].wasted_drops += 1;
-                                self.nfs[i].wasted_meter.add(1);
-                                self.note_tcp_drop(flow, seq, tcp_out);
-                            }
-                        }
-                    }
-                }
+            if !self.nfs[i].tx.is_empty() {
+                self.forward(NfId(i as u32), &mut burst, now, mark_ce, tcp_out);
             }
         }
+        self.scratch_burst = burst;
         // Local backpressure release: wake NFs that were stalled on a full
         // TX ring and now have room for their whole outbox.
         for i in 0..self.nfs.len() {
             let nf = &self.nfs[i];
-            if nf.blocked == Some(BlockReason::TxFull)
-                && nf.tx.capacity() - nf.tx.len() >= nf.outbox.len().max(1)
-            {
+            if nf.blocked == Some(BlockReason::TxFull) && nf.tx.room() >= nf.outbox.len().max(1) {
                 woken_tx.push(NfId(i as u32));
             }
         }
+    }
+
+    /// Drain `from`'s TX ring, forwarding its packets in order (see
+    /// [`Platform::tx_drain`]). `burst` collects the packets bound for one
+    /// next NF until the next hop changes.
+    fn forward(
+        &mut self,
+        from: NfId,
+        burst: &mut Vec<PktId>,
+        now: SimTime,
+        mark_ce: &mut dyn FnMut(NfId) -> bool,
+        tcp_out: &mut Vec<TcpEvent>,
+    ) {
+        // The current run's key and resolved hop: `None` at chain end.
+        let mut key = (FlowId(u32::MAX), ChainId(u32::MAX), u8::MAX);
+        let mut hop: Option<NfId> = None;
+        let mut hop_down = false;
+        let mut tcp = false;
+        // The open burst: its next NF, the room left in that NF's RX
+        // ring, and the pending count of the chain run at its tail.
+        let mut to = NfId(u32::MAX);
+        let mut room = 0usize;
+        let mut pend = (ChainId(u32::MAX), 0u32);
+        burst.clear();
+        while let Some(pid) = self.nfs[from.index()].tx.dequeue() {
+            let p = self.mempool.get(pid);
+            let (flow, chain, hops) = (p.flow, p.chain, p.hops_done);
+            let (seq, size, arrival, ecn) = (p.seq, p.size, p.arrival, p.ecn);
+            if (flow, chain, hops) != key {
+                key = (flow, chain, hops);
+                // Chains name base NFs; shard the flow across the hop's
+                // replica group (no-op without replicas). Nothing in a
+                // drain changes health or pins, so once per run is exact.
+                hop = self
+                    .chains
+                    .nf_at(chain, hops as usize)
+                    .map(|next| self.resolve_instance(next, flow));
+                hop_down = hop.is_some_and(|n| self.nfs[n.index()].health == NfHealth::Down);
+                tcp = self.is_tcp(flow);
+            }
+            let Some(next) = hop else {
+                // Chain complete: out the wire.
+                self.mempool.free(pid);
+                self.nic.transmit(size);
+                self.stats.delivered(flow, chain, size, now.since(arrival));
+                if tcp {
+                    tcp_out.push(TcpEvent {
+                        flow,
+                        seq,
+                        kind: TcpEventKind::Delivered { ce: ecn == Ecn::Ce },
+                    });
+                }
+                continue;
+            };
+            if hop_down {
+                // A dead next hop cannot accept the packet; the upstream
+                // NF's processing is wasted, same as a full-ring drop.
+                // (Transient: entry shedding stops new traffic for the
+                // chain the moment the NF dies.)
+                self.drop_forwarded(pid, from, next, DropCause::NfDown, now, tcp_out);
+                continue;
+            }
+            if next != to {
+                self.flush_burst(to, burst, &mut pend);
+                to = next;
+                room = self.nfs[next.index()].rx.room();
+            }
+            {
+                let p = self.mempool.get_mut(pid);
+                p.enqueued_at = now;
+                if p.ecn == Ecn::Ect0 && mark_ce(next) {
+                    p.ecn = Ecn::Ce;
+                    self.trace.record(now, TraceKind::EcnMark { nf: next.0 });
+                }
+            }
+            self.nfs[next.index()].note_arrival();
+            if room == 0 {
+                // Flush the burst so the full ring itself rejects (and
+                // counts) the packet. The previous NF's work is wasted.
+                self.flush_burst(to, burst, &mut pend);
+                let rejected = self.nfs[next.index()].rx.enqueue(pid);
+                debug_assert_eq!(rejected, Enqueue::Full);
+                self.drop_forwarded(pid, from, next, DropCause::RingFull, now, tcp_out);
+                continue;
+            }
+            room -= 1;
+            burst.push(pid);
+            if pend.0 != chain {
+                self.nfs[to.index()].pending_by_chain.add_n(pend.0, pend.1);
+                pend = (chain, 0);
+            }
+            pend.1 += 1;
+        }
+        self.flush_burst(to, burst, &mut pend);
+    }
+
+    /// Enqueue the open burst to `to`'s RX ring (sized to fit) and add
+    /// the pending count of its last chain run.
+    fn flush_burst(&mut self, to: NfId, burst: &mut Vec<PktId>, pend: &mut (ChainId, u32)) {
+        if burst.is_empty() {
+            return;
+        }
+        let nf = &mut self.nfs[to.index()];
+        let stored = nf.rx.enqueue_burst(burst);
+        debug_assert_eq!(stored, burst.len(), "burst sized to the ring's room");
+        nf.pending_by_chain.add_n(pend.0, pend.1);
+        *pend = (ChainId(u32::MAX), 0);
+        burst.clear();
+    }
+
+    /// Drop a forwarded packet at next hop `next` (`RingFull` or
+    /// `NfDown`), charging the wasted work to `from`.
+    fn drop_forwarded(
+        &mut self,
+        pid: PktId,
+        from: NfId,
+        next: NfId,
+        cause: DropCause,
+        now: SimTime,
+        tcp_out: &mut Vec<TcpEvent>,
+    ) {
+        let (flow, chain, seq) = {
+            let p = self.mempool.get(pid);
+            (p.flow, p.chain, p.seq)
+        };
+        let loc = match cause {
+            DropCause::NfDown => DropLocation::NfDown(next),
+            _ => DropLocation::RingFull(next),
+        };
+        self.mempool.free(pid);
+        self.stats.dropped(flow, chain, loc);
+        self.trace_drop(now, cause, flow.0, chain.0, next.0);
+        let nf = &mut self.nfs[from.index()];
+        nf.wasted_drops += 1;
+        nf.wasted_meter.add(1);
+        self.note_tcp_drop(flow, seq, tcp_out);
     }
 
     // ------------------------------------------------------------------
@@ -654,20 +761,25 @@ impl Platform {
         if nf.rx.is_empty() {
             return BatchPlan::Block(BlockReason::EmptyRx);
         }
+        debug_assert!(nf.in_progress.is_empty(), "batch already in progress");
+        let n = nf.rx.dequeue_burst(batch, &mut nf.in_progress);
+        // Pending counts move once per run of same-chain packets;
+        // `sub_n` reports exactly the desyncs single `sub`s would.
         let mut cycles = 0u64;
-        let mut n = 0usize;
-        while n < batch {
-            let Some(pid) = nf.rx.dequeue() else { break };
+        let mut run = (ChainId(u32::MAX), 0u32);
+        let mut desync = 0u64;
+        for &pid in &nf.in_progress {
             let pkt = self.mempool.get(pid);
             // `cost_factor` is the transient slowdown fault (1 = nominal).
             cycles += nf.spec.cost.cycles(pkt.cost_class) * nf.cost_factor;
-            let chain = pkt.chain;
-            if !nf.note_dequeued(chain) {
-                self.stats.pending_desync += 1;
+            if pkt.chain != run.0 {
+                desync += u64::from(nf.pending_by_chain.sub_n(run.0, run.1));
+                run = (pkt.chain, 0);
             }
-            nf.in_progress.push(pid);
-            n += 1;
+            run.1 += 1;
         }
+        desync += u64::from(nf.pending_by_chain.sub_n(run.0, run.1));
+        self.stats.pending_desync += desync;
         let duration = self
             .cfg
             .freq
@@ -680,7 +792,8 @@ impl Platform {
 
     /// Complete the batch started by [`Platform::plan_batch`]: run the
     /// handler on each packet, perform storage writes, and push survivors
-    /// toward the TX ring (overflow goes to the outbox).
+    /// toward the TX ring in one burst (overflow goes to the outbox, in
+    /// order).
     pub fn finish_batch(&mut self, nf_id: NfId, now: SimTime) -> BatchEffects {
         let mut fx = BatchEffects::default();
         let idx = nf_id.index();
@@ -697,7 +810,10 @@ impl Platform {
         let io_spec = self.nfs[idx].spec.io;
         let io_on = io_spec.is_some() && !self.io_flows.is_empty();
         let mut sync_bytes = 0u64;
-        for &pid in &pids {
+        // Forwarded packets are compacted to the front of `pids`, in order.
+        let mut forwarded = 0;
+        for j in 0..pids.len() {
+            let pid = pids[j];
             // One slab access covers the handler call, the post-handler
             // field reads, and the forward hop bump. The stock
             // [`ForwardAll`] handler is a stateless no-op: skip its
@@ -742,17 +858,16 @@ impl Platform {
                     self.trace_drop(now, DropCause::Handler, flow.0, chain.0, nf_id.0);
                 }
                 NfAction::Forward => {
-                    let nf = &mut self.nfs[idx];
-                    match nf.tx.enqueue(pid) {
-                        Enqueue::Ok { .. } => {}
-                        Enqueue::Full => nf.outbox.push_back(pid),
-                    }
+                    pids[forwarded] = pid;
+                    forwarded += 1;
                 }
             }
         }
         let nf = &mut self.nfs[idx];
-        nf.processed += pids.len() as u64;
-        nf.processed_meter.add(pids.len() as u64);
+        nf.processed += n as u64;
+        nf.processed_meter.add(n as u64);
+        let stored = nf.tx.enqueue_burst(&pids[..forwarded]);
+        nf.outbox.extend(&pids[stored..forwarded]);
         self.handlers[idx] = Some(handler);
         pids.clear();
         self.nfs[idx].in_progress = pids;
@@ -1959,3 +2074,7 @@ mod tests {
         assert!(out.next_completion.is_some(), "queued buffer flushes next");
     }
 }
+
+#[cfg(test)]
+#[path = "datapath_props.rs"]
+mod datapath_props;

@@ -114,6 +114,11 @@ impl TcpSource {
         self.in_flight
     }
 
+    /// Segments detected lost and queued for retransmission.
+    pub fn pending_retransmits(&self) -> usize {
+        self.retransmit.len()
+    }
+
     /// Emit as many segments as the window allows, retransmissions first.
     pub fn pump(&mut self, now: SimTime, out: &mut Vec<WireFrame>) {
         while (self.in_flight as f64) < self.cwnd.floor() {
