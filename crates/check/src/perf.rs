@@ -35,6 +35,60 @@ pub struct CellTiming {
     pub key: String,
     /// Wall-clock milliseconds for the cell.
     pub wall_ms: f64,
+    /// The cell's event-queue counters, when the document carries them
+    /// (`BENCH_timings.json` does; a folded baseline does not).
+    pub queue: Option<QueueCounts>,
+}
+
+/// The event-queue counters of one cell that tell which layer a wall
+/// clock change sits in: how many events popped, how many wheel cascades
+/// each cost, and how many rode in a same-instant batch. Deterministic
+/// for a given build, so any run's copy will do.
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
+pub struct QueueCounts {
+    /// Events delivered.
+    pub pops: u64,
+    /// Timer-wheel slot cascades.
+    pub cascades: u64,
+    /// Events delivered as non-first members of a same-instant batch.
+    pub coalesced_pops: u64,
+}
+
+impl QueueCounts {
+    /// Parse a cell's `"queue"` object; `None` unless all three counters
+    /// are present.
+    fn parse(q: &Json) -> Option<QueueCounts> {
+        let count = |name: &str| q.get(name).and_then(Json::as_num).map(|x| x as u64);
+        Some(QueueCounts {
+            pops: count("pops")?,
+            cascades: count("cascades")?,
+            coalesced_pops: count("coalesced_pops")?,
+        })
+    }
+
+    /// Cascades per pop (0 when nothing popped).
+    pub fn cascades_per_pop(&self) -> f64 {
+        ratio(self.cascades, self.pops)
+    }
+
+    /// Share of pops delivered inside a batch (0 when nothing popped).
+    pub fn coalesced_share(&self) -> f64 {
+        ratio(self.coalesced_pops, self.pops)
+    }
+
+    fn add(&mut self, other: QueueCounts) {
+        self.pops += other.pops;
+        self.cascades += other.cascades;
+        self.coalesced_pops += other.coalesced_pops;
+    }
+}
+
+fn ratio(num: u64, den: u64) -> f64 {
+    if den == 0 {
+        0.0
+    } else {
+        num as f64 / den as f64
+    }
 }
 
 /// Extract per-cell timings from a `BENCH_timings.json` /
@@ -43,8 +97,8 @@ pub struct CellTiming {
 /// A suite may legitimately run the same `experiment/cell` more than
 /// once (the tuning experiment revisits `high80/low60` in both of its
 /// sweeps), so duplicate keys are folded into one entry by *summing*
-/// wall clocks, in first-occurrence order — the gate tracks the total
-/// time a cell name costs per suite run.
+/// wall clocks (and queue counters), in first-occurrence order — the
+/// gate tracks the total time a cell name costs per suite run.
 pub fn parse_timings(doc: &str) -> Result<Vec<CellTiming>, String> {
     let v = json::parse(doc).map_err(|e| format!("invalid JSON: {e}"))?;
     let cells = v
@@ -66,12 +120,24 @@ pub fn parse_timings(doc: &str) -> Result<Vec<CellTiming>, String> {
             .get("wall_ms")
             .and_then(Json::as_num)
             .ok_or_else(|| format!("cell {i}: missing \"wall_ms\""))?;
+        let queue = c.get("queue").and_then(QueueCounts::parse);
         let key = format!("{exp}/{cell}");
         match seen.get(&key) {
-            Some(&at) => out[at].wall_ms += wall,
+            Some(&at) => {
+                let prev = &mut out[at];
+                prev.wall_ms += wall;
+                prev.queue = prev.queue.zip(queue).map(|(mut a, b)| {
+                    a.add(b);
+                    a
+                });
+            }
             None => {
                 seen.insert(key.clone(), out.len());
-                out.push(CellTiming { key, wall_ms: wall });
+                out.push(CellTiming {
+                    key,
+                    wall_ms: wall,
+                    queue,
+                });
             }
         }
     }
@@ -120,6 +186,8 @@ pub struct Row {
     pub base_ms: f64,
     /// Current wall-clock ms.
     pub cur_ms: f64,
+    /// The current run's queue counters, if its document had them.
+    pub queue: Option<QueueCounts>,
     /// Gate verdict for this cell.
     pub verdict: Verdict,
 }
@@ -205,6 +273,7 @@ pub fn compare(
             key: c.key.clone(),
             base_ms: b,
             cur_ms: c.wall_ms,
+            queue: c.queue,
             verdict,
         });
     }
@@ -267,6 +336,7 @@ pub fn fold_min(runs: &[Vec<CellTiming>]) -> Result<Vec<CellTiming>, String> {
         .map(|c| CellTiming {
             key: c.key.clone(),
             wall_ms: by_key[c.key.as_str()].0,
+            queue: c.queue,
         })
         .collect())
 }
@@ -356,6 +426,34 @@ pub fn render_report(diff: &Diff) -> String {
             v
         );
     }
+    let flagged: Vec<&Row> = diff
+        .rows
+        .iter()
+        .filter(|r| r.verdict != Verdict::Ok)
+        .collect();
+    if !flagged.is_empty() {
+        s.push_str(
+            "\nEvent queue of each flagged cell (current run): a pop count or \
+             cascade rate that moved with the wall clock points at the \
+             event-queue layer.\n\n",
+        );
+        s.push_str("| cell | current (ms) | pops | cascades/pop | coalesced share |\n");
+        s.push_str("|---|---:|---:|---:|---:|\n");
+        for r in flagged {
+            let _ = match r.queue {
+                Some(q) => writeln!(
+                    s,
+                    "| {} | {:.1} | {} | {:.4} | {:.4} |",
+                    r.key,
+                    r.cur_ms,
+                    q.pops,
+                    q.cascades_per_pop(),
+                    q.coalesced_share()
+                ),
+                None => writeln!(s, "| {} | {:.1} | n/a | n/a | n/a |", r.key, r.cur_ms),
+            };
+        }
+    }
     if !diff.added.is_empty() {
         let _ = writeln!(
             s,
@@ -382,6 +480,7 @@ mod tests {
             .map(|(k, ms)| CellTiming {
                 key: k.to_string(),
                 wall_ms: *ms,
+                queue: None,
             })
             .collect()
     }
@@ -522,6 +621,46 @@ mod tests {
     fn baseline_rejects_mismatched_runs() {
         let runs = vec![cells(&[("fig1/a", 1.0)]), cells(&[("fig1/b", 1.0)])];
         assert!(baseline_json(&runs).is_err());
+    }
+
+    #[test]
+    fn report_lists_queue_counters_of_flagged_cells() {
+        let doc = |a_ms: f64, b_ms: f64| {
+            format!(
+                r#"{{"cells":[
+                {{"experiment":"fig13","cell":"NFVnice","wall_ms":{a_ms},
+                 "queue":{{"pushes":2000,"pops":2000,"cascades":100,"coalesced_pops":500}}}},
+                {{"experiment":"fig7","cell":"Default","wall_ms":{b_ms},
+                 "queue":{{"pushes":10,"pops":10,"cascades":0,"coalesced_pops":0}}}}]}}"#
+            )
+        };
+        let base = parse_timings(&doc(100.0, 100.0)).unwrap();
+        let cur = parse_timings(&doc(300.0, 101.0)).unwrap();
+        assert_eq!(
+            cur[0].queue,
+            Some(QueueCounts {
+                pops: 2000,
+                cascades: 100,
+                coalesced_pops: 500
+            })
+        );
+        let d = compare(&base, &cur, &BTreeSet::new(), Gate::default());
+        assert!(d.failed());
+        let md = render_report(&d);
+        assert!(
+            md.contains("| fig13/NFVnice | 300.0 | 2000 | 0.0500 | 0.2500 |"),
+            "{md}"
+        );
+        // Only flagged cells are listed.
+        assert!(!md.contains("| fig7/Default | 101.0 | 10 |"), "{md}");
+        // A document without counters still renders the flagged cell.
+        let d = compare(
+            &base,
+            &cells(&[("fig13/NFVnice", 300.0)]),
+            &BTreeSet::new(),
+            Gate::default(),
+        );
+        assert!(render_report(&d).contains("| fig13/NFVnice | 300.0 | n/a | n/a | n/a |"));
     }
 
     #[test]

@@ -23,12 +23,22 @@ impl Simulation {
         // Rotate the source order each poll: with a fixed order, the first
         // flow's burst would systematically win the last ring slots when a
         // shared NF's queue hovers near full, starving later flows.
+        // Indices wrap by a compare instead of `%`: the rotor is always
+        // below `n`, which never shrinks.
         let n = self.udp.len();
         if n > 0 {
-            self.traffic_rotor = (self.traffic_rotor + 1) % n;
-            for i in 0..n {
-                let idx = (self.traffic_rotor + i) % n;
+            debug_assert!(self.traffic_rotor < n);
+            self.traffic_rotor += 1;
+            if self.traffic_rotor == n {
+                self.traffic_rotor = 0;
+            }
+            let mut idx = self.traffic_rotor;
+            for _ in 0..n {
                 self.udp[idx].emit_runs(now, self.cfg.traffic_poll, &mut self.rng, &mut runs);
+                idx += 1;
+                if idx == n {
+                    idx = 0;
+                }
             }
         }
         // Sweep sources (scenario traffic over wildcard rules) emit after

@@ -420,16 +420,18 @@ impl Simulation {
         }
         self.series.cpu_pct = vec![Vec::new(); n_nfs];
 
+        // The six self-rescheduling manager ticks wait in the queue's
+        // periodic lanes, beside the timer wheel (DESIGN.md §15).
         let q = &mut self.queue;
-        q.push(SimTime::ZERO + self.cfg.traffic_poll, Ev::Traffic);
-        q.push(SimTime::ZERO + self.cfg.rx_poll, Ev::RxPoll);
-        q.push(SimTime::ZERO + self.cfg.tx_poll, Ev::TxPoll);
-        q.push(SimTime::ZERO + self.cfg.wakeup_period, Ev::Wakeup);
-        q.push(
+        q.push_periodic(SimTime::ZERO + self.cfg.traffic_poll, Ev::Traffic);
+        q.push_periodic(SimTime::ZERO + self.cfg.rx_poll, Ev::RxPoll);
+        q.push_periodic(SimTime::ZERO + self.cfg.tx_poll, Ev::TxPoll);
+        q.push_periodic(SimTime::ZERO + self.cfg.wakeup_period, Ev::Wakeup);
+        q.push_periodic(
             SimTime::ZERO + self.cfg.nfvnice.load.sample_period,
             Ev::Monitor,
         );
-        q.push(SimTime::ZERO + Duration::from_secs(1), Ev::StatsRoll);
+        q.push_periodic(SimTime::ZERO + Duration::from_secs(1), Ev::StatsRoll);
         let actions = std::mem::take(&mut self.actions);
         for (idx, (t, _)) in actions.iter().enumerate() {
             if *t <= end {
@@ -624,10 +626,11 @@ impl Simulation {
         }
     }
 
+    /// Re-arm a periodic manager tick one `period` after `now`.
     fn reschedule(&mut self, now: SimTime, period: Duration, end: SimTime, ev: Ev) {
         let next = now + period;
         if next <= end {
-            self.queue.push(next, ev);
+            self.queue.push_periodic(next, ev);
         }
     }
 }

@@ -30,6 +30,12 @@
 //! property tests in `tests/props.rs` and the unit tests below drive them
 //! in lockstep over adversarial schedules. Wheel placement, cascade and
 //! determinism arguments are in DESIGN.md §10.
+//!
+//! Beside the backend sit the **periodic lanes**: self-rescheduling
+//! fixed-period ticks ([`EventQueue::push_periodic`]) wait in a short
+//! list sorted by `(time, seq)` instead of in the backend, and every pop
+//! merges the two by `(time, seq)` — the same stream, minus the ticks'
+//! wheel insertions and cascades (DESIGN.md §15).
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
@@ -248,23 +254,32 @@ impl<E> ClassicWheel<E> {
         }
     }
 
-    /// Pop the earliest entry if its timestamp is `<= limit`.
+    /// Pop the earliest entry if its timestamp is `<= limit` and its
+    /// `(time, seq)` key sorts before `bound` (the periodic lanes' head;
+    /// `(u64::MAX, u64::MAX)` when the lanes are empty).
     ///
     /// Returns `None` **without mutating the wheel** when the earliest
-    /// entry (if any) is past `limit`: a cascade is only performed once
-    /// the slot is known to contain an entry `<= limit`, which guarantees
-    /// the call then pops. The cursor therefore never outruns the last
-    /// delivered timestamp across calls, keeping later `push`es at any
-    /// `at >= now` valid.
-    fn pop_before(&mut self, limit: u64) -> Option<(u64, u64, E)> {
+    /// entry (if any) is past `limit` or `bound.0`: a cascade is only
+    /// performed once the slot is known to contain an entry `<=
+    /// min(limit, bound.0)`. The call then pops, or refuses on a seq tie
+    /// at exactly `bound.0 <= limit` — in which case the caller pops the
+    /// lane head at that instant. Either way the cursor never outruns the
+    /// delivered timestamp, keeping later `push`es at any `at >= now`
+    /// valid.
+    fn pop_before(&mut self, limit: u64, bound: (u64, u64)) -> Option<(u64, E)> {
+        let due = limit.min(bound.0);
         loop {
             let (lvl, slot) = self.first()?;
             if lvl == 0 {
                 let t = self.slot_start(0, slot);
-                if t > limit {
+                if t > due {
                     return None;
                 }
                 let q = &mut self.levels[0][slot];
+                let head_seq = q.front().expect("occupied slot is empty").seq;
+                if (t, head_seq) > bound {
+                    return None;
+                }
                 let e = q.pop_front().expect("occupied slot is empty");
                 if q.is_empty() {
                     self.occupied[0] &= !(1u64 << slot);
@@ -272,14 +287,14 @@ impl<E> ClassicWheel<E> {
                 self.len -= 1;
                 debug_assert_eq!(e.at, t);
                 self.cur = t;
-                return Some((e.at, e.seq, e.event));
+                return Some((e.at, e.event));
             }
             let min_at = self.levels[lvl][slot]
                 .iter()
                 .map(|e| e.at)
                 .min()
                 .expect("occupied slot is empty");
-            if min_at > limit {
+            if min_at > due {
                 return None;
             }
             // Fast path: a lone entry in a high-level slot is the global
@@ -289,11 +304,14 @@ impl<E> ClassicWheel<E> {
             // This is the common shape for sparse timelines (timers far
             // apart), where cascades would otherwise dominate.
             if self.levels[lvl][slot].len() == 1 {
+                if (min_at, self.levels[lvl][slot][0].seq) > bound {
+                    return None;
+                }
                 let e = self.levels[lvl][slot].pop_front().expect("len checked");
                 self.occupied[lvl] &= !(1u64 << slot);
                 self.len -= 1;
                 self.cur = e.at;
-                return Some((e.at, e.seq, e.event));
+                return Some((e.at, e.event));
             }
             // Cascade: advance the cursor to the slot's start (so re-homed
             // entries land at strictly lower levels) and re-insert in
@@ -483,16 +501,15 @@ impl<E> ArenaWheel<E> {
     }
 
     /// Detach a lone node (slot's head == tail) and return its payload.
-    fn take_lone(&mut self, lvl: usize, slot: usize, id: u32) -> (u64, u64, E) {
+    fn take_lone(&mut self, lvl: usize, slot: usize, id: u32) -> (u64, E) {
         let n = &mut self.nodes[id as usize];
         let at = n.at;
-        let seq = n.seq;
         let event = n.event.take().expect("linked node has no event");
         self.slots[Self::slot_index(lvl, slot)] = (NIL, NIL);
         self.occupied[lvl] &= !(1u64 << slot);
         self.free_node(id);
         self.len -= 1;
-        (at, seq, event)
+        (at, event)
     }
 
     /// Cascade a multi-entry high-level slot toward level 0 (same scheme
@@ -523,21 +540,25 @@ impl<E> ArenaWheel<E> {
         self.scratch = batch;
     }
 
-    /// Pop the earliest entry if its timestamp is `<= limit`; same
-    /// no-mutation-on-refusal contract as [`ClassicWheel::pop_before`].
-    fn pop_before(&mut self, limit: u64) -> Option<(u64, u64, E)> {
+    /// Pop the earliest entry if its timestamp is `<= limit` and its
+    /// `(time, seq)` key sorts before `bound`; same refusal contract as
+    /// [`ClassicWheel::pop_before`].
+    fn pop_before(&mut self, limit: u64, bound: (u64, u64)) -> Option<(u64, E)> {
+        let due = limit.min(bound.0);
         loop {
             let (lvl, slot) = self.first()?;
             let si = Self::slot_index(lvl, slot);
             if lvl == 0 {
                 let t = self.slot_start(0, slot);
-                if t > limit {
+                if t > due {
                     return None;
                 }
                 let (head, tail) = self.slots[si];
                 let n = &mut self.nodes[head as usize];
+                if (t, n.seq) > bound {
+                    return None;
+                }
                 let at = n.at;
-                let seq = n.seq;
                 let event = n.event.take().expect("linked node has no event");
                 let next = n.next;
                 if head == tail {
@@ -550,18 +571,21 @@ impl<E> ArenaWheel<E> {
                 self.len -= 1;
                 debug_assert_eq!(at, t);
                 self.cur = t;
-                return Some((at, seq, event));
+                return Some((at, event));
             }
             let (head, tail) = self.slots[si];
             let min_at = self.slot_min_at(head);
-            if min_at > limit {
+            if min_at > due {
                 return None;
             }
             // Lone-entry fast path, as in the classic wheel.
             if head == tail {
-                let (at, seq, event) = self.take_lone(lvl, slot, head);
+                if (min_at, self.nodes[head as usize].seq) > bound {
+                    return None;
+                }
+                let (at, event) = self.take_lone(lvl, slot, head);
                 self.cur = at;
-                return Some((at, seq, event));
+                return Some((at, event));
             }
             let start = self.slot_start(lvl, slot);
             debug_assert!(start >= self.cur && start <= min_at);
@@ -574,8 +598,16 @@ impl<E> ArenaWheel<E> {
     /// One bitmap probe per batch: a level-0 slot holds exactly one
     /// timestamp and its list is already in seq order, so the whole slot
     /// is the batch — and a single-entry batch (the common case) never
-    /// touches `out` at all.
-    fn pop_batch_before(&mut self, limit: u64, out: &mut Vec<(SimTime, E)>) -> Option<(u64, E)> {
+    /// touches `out` at all. When the batch instant is `tie_at` (the
+    /// periodic lanes' head instant) every member's seq, first included,
+    /// is appended to `seqs` so the caller can merge the lanes in.
+    fn pop_batch_before(
+        &mut self,
+        limit: u64,
+        tie_at: u64,
+        out: &mut Vec<(SimTime, E)>,
+        seqs: &mut Vec<u64>,
+    ) -> Option<(u64, E)> {
         loop {
             let (lvl, slot) = self.first()?;
             let si = Self::slot_index(lvl, slot);
@@ -584,11 +616,15 @@ impl<E> ArenaWheel<E> {
                 if t > limit {
                     return None;
                 }
+                let tie = t == tie_at;
                 let (head, _) = self.slots[si];
                 self.slots[si] = (NIL, NIL);
                 self.occupied[0] &= !(1u64 << slot);
                 let n = &mut self.nodes[head as usize];
                 debug_assert_eq!(n.at, t);
+                if tie {
+                    seqs.push(n.seq);
+                }
                 let first_ev = n.event.take().expect("linked node has no event");
                 let mut id = n.next;
                 self.free_node(head);
@@ -597,6 +633,9 @@ impl<E> ArenaWheel<E> {
                 while id != NIL {
                     let n = &mut self.nodes[id as usize];
                     debug_assert_eq!(n.at, t);
+                    if tie {
+                        seqs.push(n.seq);
+                    }
                     let event = n.event.take().expect("linked node has no event");
                     let next = n.next;
                     out.push((st, event));
@@ -616,7 +655,10 @@ impl<E> ArenaWheel<E> {
                 // A lone high-level entry is the only entry in its slot's
                 // whole time range, hence the only one at its instant:
                 // a batch of one.
-                let (at, _seq, event) = self.take_lone(lvl, slot, head);
+                if min_at == tie_at {
+                    seqs.push(self.nodes[head as usize].seq);
+                }
+                let (at, event) = self.take_lone(lvl, slot, head);
                 self.cur = at;
                 return Some((at, event));
             }
@@ -633,6 +675,19 @@ enum Backend<E> {
     Heap(BinaryHeap<Entry<E>>),
 }
 
+/// Most periodic ticks pending at once (the engine keeps six).
+const MAX_LANES: usize = 8;
+
+/// One pending periodic tick ([`EventQueue::push_periodic`]).
+struct LaneEntry<E> {
+    at: u64,
+    seq: u64,
+    event: E,
+}
+
+/// Sort key of an empty lane list: after every real entry.
+const NO_LANE: (u64, u64) = (u64::MAX, u64::MAX);
+
 /// A deterministic min-priority queue of simulation events.
 ///
 /// `E` is the simulation's event enum. The queue does not support removal;
@@ -645,6 +700,12 @@ enum Backend<E> {
 /// backends agree on them by construction.)
 pub struct EventQueue<E> {
     backend: Backend<E>,
+    /// Pending periodic ticks, sorted by `(at, seq)` *descending*: the
+    /// earliest is the last element, so popping it is `Vec::pop`.
+    lanes: Vec<LaneEntry<E>>,
+    /// Seqs of an arena batch that ties with the lanes' head instant
+    /// (scratch for [`EventQueue::pop_batch_before`]).
+    tie_seqs: Vec<u64>,
     seq: u64,
     now: SimTime,
     pushes: u64,
@@ -670,6 +731,8 @@ impl<E> EventQueue<E> {
                 QueueKind::WheelClassic => Backend::Classic(ClassicWheel::new()),
                 QueueKind::Heap => Backend::Heap(BinaryHeap::new()),
             },
+            lanes: Vec::with_capacity(MAX_LANES),
+            tie_seqs: Vec::new(),
             seq: 0,
             now: SimTime::ZERO,
             pushes: 0,
@@ -701,14 +764,7 @@ impl<E> EventQueue<E> {
     /// current clock would silently corrupt causality, so it is a bug in
     /// the caller.
     pub fn push(&mut self, at: SimTime, event: E) {
-        assert!(
-            at >= self.now,
-            "event scheduled in the past: at={at} now={}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        self.pushes += 1;
+        let seq = self.admit(at);
         match &mut self.backend {
             Backend::Arena(w) => w.insert(at.as_nanos(), seq, event),
             Backend::Classic(w) => w.insert(WheelEntry {
@@ -723,10 +779,67 @@ impl<E> EventQueue<E> {
                 h.push(Entry { at, seq, event });
             }
         }
+        self.note_len();
+    }
+
+    /// Schedule a *periodic tick* to fire at `at`: an event that, when
+    /// handled, reschedules itself one fixed period (> 0) later and is
+    /// never cancelled. It is delivered exactly as [`EventQueue::push`]
+    /// would deliver it — same seq counter, same `(time, seq)` order,
+    /// same [`QueueStats`] except `cascades` — but it waits in a short
+    /// sorted list beside the backend instead of in it, so a tick costs
+    /// neither a wheel insertion nor its cascades. At most eight ticks
+    /// may be pending at once.
+    ///
+    /// # Panics
+    /// Panics if `at` is in the past, like [`EventQueue::push`].
+    pub fn push_periodic(&mut self, at: SimTime, event: E) {
+        let seq = self.admit(at);
+        let at = at.as_nanos();
+        // Descending by (at, seq), and `seq` is the largest yet: the new
+        // tick goes right after every lane entry due later than `at`.
+        let pos = self.lanes.partition_point(|e| e.at > at);
+        self.lanes.insert(pos, LaneEntry { at, seq, event });
+        debug_assert!(
+            self.lanes.len() <= MAX_LANES,
+            "more than {MAX_LANES} periodic ticks pending"
+        );
+        self.note_len();
+    }
+
+    /// Check causality and hand out the next seq.
+    fn admit(&mut self, at: SimTime) -> u64 {
+        assert!(
+            at >= self.now,
+            "event scheduled in the past: at={at} now={}",
+            self.now
+        );
+        let seq = self.seq;
+        self.seq += 1;
+        self.pushes += 1;
+        seq
+    }
+
+    fn note_len(&mut self) {
         let len = self.len();
         if len > self.max_len {
             self.max_len = len;
         }
+    }
+
+    /// `(at, seq)` of the earliest lane entry, or [`NO_LANE`].
+    #[inline]
+    fn lane_head(&self) -> (u64, u64) {
+        self.lanes.last().map_or(NO_LANE, |e| (e.at, e.seq))
+    }
+
+    /// Pop the earliest lane entry if it is due by `limit`.
+    #[inline]
+    fn pop_lane(&mut self, limit: u64) -> Option<(u64, E)> {
+        if self.lanes.last()?.at > limit {
+            return None;
+        }
+        self.lanes.pop().map(|e| (e.at, e.event))
     }
 
     /// Pop the earliest event, advancing the clock to its timestamp.
@@ -740,28 +853,32 @@ impl<E> EventQueue<E> {
     /// This is the event loop's primitive: `pop_before(end)` replaces the
     /// `peek_time` + `pop` pair, so the wheel searches its bitmaps once
     /// per event instead of twice.
+    ///
+    /// Merge rule (every backend, both pop paths): the backend's earliest
+    /// entry is delivered iff its `(time, seq)` key sorts before the
+    /// periodic lanes' head; otherwise the lane head is, if it is due.
     pub fn pop_before(&mut self, limit: SimTime) -> Option<(SimTime, E)> {
+        let limit = limit.as_nanos();
+        let bound = self.lane_head();
         let popped = match &mut self.backend {
-            Backend::Arena(w) => w
-                .pop_before(limit.as_nanos())
-                .map(|(at, _seq, event)| (SimTime::from_nanos(at), event)),
-            Backend::Classic(w) => w
-                .pop_before(limit.as_nanos())
-                .map(|(at, _seq, event)| (SimTime::from_nanos(at), event)),
+            Backend::Arena(w) => w.pop_before(limit, bound),
+            Backend::Classic(w) => w.pop_before(limit, bound),
             Backend::Heap(h) => {
-                if h.peek().is_none_or(|e| e.at > limit) {
+                if h.peek()
+                    .is_none_or(|e| e.at.as_nanos() > limit || (e.at.as_nanos(), e.seq) > bound)
+                {
                     None
                 } else {
-                    h.pop().map(|e| (e.at, e.event))
+                    h.pop().map(|e| (e.at.as_nanos(), e.event))
                 }
             }
         };
-        if let Some((t, _)) = &popped {
-            debug_assert!(*t >= self.now);
-            self.now = *t;
-            self.pops += 1;
-        }
-        popped
+        let (t, event) = popped.or_else(|| self.pop_lane(limit))?;
+        let t = SimTime::from_nanos(t);
+        debug_assert!(t >= self.now);
+        self.now = t;
+        self.pops += 1;
+        Some((t, event))
     }
 
     /// Pop the earliest event if its timestamp `t` is `<= limit` — and
@@ -778,7 +895,11 @@ impl<E> EventQueue<E> {
     /// batch at the same instant and are picked up by the next call. On
     /// the arena wheel a batch costs one bitmap probe, and a
     /// single-event batch (the common case) never touches `out`; the
-    /// oracle backends fall back to a peek/pop loop.
+    /// oracle backends fall back to a peek/pop loop. Periodic lane
+    /// entries at the batch instant join the batch in seq order (the
+    /// [`EventQueue::pop_before`] merge rule); on the arena this costs one
+    /// compare against the lanes' head unless a wheel batch lands on that
+    /// very instant.
     pub fn pop_batch_before(
         &mut self,
         limit: SimTime,
@@ -786,9 +907,15 @@ impl<E> EventQueue<E> {
     ) -> Option<(SimTime, E)> {
         out.clear();
         let first = if let Backend::Arena(w) = &mut self.backend {
-            let first = w
-                .pop_batch_before(limit.as_nanos(), out)
-                .map(|(at, event)| (SimTime::from_nanos(at), event));
+            let limit = limit.as_nanos();
+            let lane_at = self.lanes.last().map_or(u64::MAX, |e| e.at);
+            let first =
+                match w.pop_batch_before(limit.min(lane_at), lane_at, out, &mut self.tie_seqs) {
+                    Some((t, event)) if t < lane_at => Some((t, event)),
+                    Some((t, event)) => Some((t, self.merge_lane_tie(t, event, out))),
+                    None => self.pop_lane_batch(limit, out),
+                };
+            let first = first.map(|(t, event)| (SimTime::from_nanos(t), event));
             if let Some((t, _)) = &first {
                 debug_assert!(*t >= self.now);
                 self.now = *t;
@@ -811,22 +938,58 @@ impl<E> EventQueue<E> {
         first
     }
 
+    /// An arena batch at instant `t` (`first`, then `out`, seqs in
+    /// `tie_seqs`) meets lane entries at the same `t`: splice those in by
+    /// seq and return the batch's new first event.
+    #[cold]
+    fn merge_lane_tie(&mut self, t: u64, first: E, out: &mut Vec<(SimTime, E)>) -> E {
+        let st = SimTime::from_nanos(t);
+        out.insert(0, (st, first));
+        while self.lanes.last().is_some_and(|e| e.at == t) {
+            let lane = self.lanes.pop().expect("checked non-empty");
+            let pos = self.tie_seqs.partition_point(|&s| s < lane.seq);
+            self.tie_seqs.insert(pos, lane.seq);
+            out.insert(pos, (st, lane.event));
+        }
+        self.tie_seqs.clear();
+        out.remove(0).1
+    }
+
+    /// A batch drawn from the lanes alone: the backend has nothing due at
+    /// or before the lane head.
+    fn pop_lane_batch(&mut self, limit: u64, out: &mut Vec<(SimTime, E)>) -> Option<(u64, E)> {
+        let (t, first) = self.pop_lane(limit)?;
+        let st = SimTime::from_nanos(t);
+        while self.lanes.last().is_some_and(|e| e.at == t) {
+            let lane = self.lanes.pop().expect("checked non-empty");
+            out.push((st, lane.event));
+        }
+        Some((t, first))
+    }
+
     /// Timestamp of the next event without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        match &self.backend {
-            Backend::Arena(w) => w.peek_time().map(SimTime::from_nanos),
-            Backend::Classic(w) => w.peek_time().map(SimTime::from_nanos),
-            Backend::Heap(h) => h.peek().map(|e| e.at),
+        let backend = match &self.backend {
+            Backend::Arena(w) => w.peek_time(),
+            Backend::Classic(w) => w.peek_time(),
+            Backend::Heap(h) => h.peek().map(|e| e.at.as_nanos()),
+        };
+        let lane = self.lanes.last().map(|e| e.at);
+        match (backend, lane) {
+            (Some(b), Some(l)) => Some(b.min(l)),
+            (b, l) => b.or(l),
         }
+        .map(SimTime::from_nanos)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        match &self.backend {
-            Backend::Arena(w) => w.len,
-            Backend::Classic(w) => w.len,
-            Backend::Heap(h) => h.len(),
-        }
+        self.lanes.len()
+            + match &self.backend {
+                Backend::Arena(w) => w.len,
+                Backend::Classic(w) => w.len,
+                Backend::Heap(h) => h.len(),
+            }
     }
 
     /// True when no events are pending.
@@ -1090,6 +1253,43 @@ mod tests {
             assert!(out.is_empty());
             assert_eq!(q.pop_batch_before(SimTime::MAX, &mut out), Some((t, 0)));
             assert_eq!(out, (1..32).map(|i| (t, i)).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
+    fn periodic_ticks_interleave_with_backend_entries_by_seq() {
+        for kind in KINDS {
+            for batch in [false, true] {
+                let mut q = EventQueue::with_kind(kind);
+                let t = SimTime::from_nanos(100);
+                q.push(t, "a");
+                q.push_periodic(t, "tick");
+                q.push(t, "b");
+                q.push_periodic(SimTime::from_nanos(50), "early");
+                assert_eq!(q.len(), 4);
+                assert_eq!(q.peek_time(), Some(SimTime::from_nanos(50)));
+                let mut got = Vec::new();
+                let mut out = Vec::new();
+                if batch {
+                    while let Some(first) = q.pop_batch_before(SimTime::MAX, &mut out) {
+                        got.push(first);
+                        got.append(&mut out);
+                    }
+                } else {
+                    while let Some(e) = q.pop() {
+                        got.push(e);
+                    }
+                }
+                let want = [(50, "early"), (100, "a"), (100, "tick"), (100, "b")];
+                let want: Vec<_> = want
+                    .iter()
+                    .map(|&(ns, e)| (SimTime::from_nanos(ns), e))
+                    .collect();
+                assert_eq!(got, want, "{kind:?} batch={batch}");
+                let s = q.stats();
+                assert_eq!((s.pushes, s.pops, s.max_len), (4, 4, 4));
+                assert_eq!(s.coalesced_pops, if batch { 2 } else { 0 });
+            }
         }
     }
 

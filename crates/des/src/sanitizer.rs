@@ -32,7 +32,33 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 /// FNV-1a 64-bit prime.
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
-/// Fold one `u64` into an FNV-1a 64 state, byte by byte.
+/// `FNV_PRIME^k` for `k` in `0..=8`.
+const FNV_POW: [u64; 9] = {
+    let mut pow = [1u64; 9];
+    let mut k = 1;
+    while k < 9 {
+        pow[k] = pow[k - 1].wrapping_mul(FNV_PRIME);
+        k += 1;
+    }
+    pow
+};
+
+/// The six middle bytes of a word. Tags with these zero fold through a
+/// cached per-tag table ([`Sanitizer::fold_tag`]).
+const MIDDLE_BYTES: u64 = 0x00ff_ffff_ffff_ff00;
+
+/// Sightings of a cacheable tag before its fold table is built. A word
+/// that only happens to have the shape (a TCP feedback tag whose
+/// sequence number fits the low byte) is seen a few times and never pays
+/// for, or holds, a 2 KiB table.
+const TABLE_AFTER: u32 = 64;
+
+/// Tag rows and tables reserved when a sanitizer is built: the engine
+/// emits fewer than 16 distinct variants.
+const TAG_ROWS_RESERVED: usize = 16;
+
+/// Fold one `u64` into an FNV-1a 64 state, byte by byte (the reference
+/// fold; the fast paths below produce the same bits).
 #[inline]
 fn fnv1a_fold(mut state: u64, word: u64) -> u64 {
     for b in word.to_le_bytes() {
@@ -40,6 +66,22 @@ fn fnv1a_fold(mut state: u64, word: u64) -> u64 {
         state = state.wrapping_mul(FNV_PRIME);
     }
     state
+}
+
+/// [`fnv1a_fold`] of a timestamp. XOR with a zero byte is the identity,
+/// so a run of `k` zero bytes folds as one multiply by `P^k`: a time
+/// below 2^40 ns (about 18 minutes) folds its five low bytes and then its
+/// three zero high bytes at once.
+#[inline]
+fn fold_time(mut state: u64, nanos: u64) -> u64 {
+    if nanos >> 40 != 0 {
+        return fnv1a_fold(state, nanos);
+    }
+    for i in 0..5 {
+        state ^= (nanos >> (8 * i)) & 0xff;
+        state = state.wrapping_mul(FNV_PRIME);
+    }
+    state.wrapping_mul(FNV_POW[3])
 }
 
 /// What to audit. `Default` is fully disabled (zero overhead beyond the
@@ -130,6 +172,15 @@ pub struct Sanitizer {
     last_time: SimTime,
     events: u64,
     digest: u64,
+    /// High byte of a cacheable tag → 1 + its row in `tag_slots` (0: no
+    /// row yet).
+    tag_rows: [u16; 256],
+    /// Per high byte, low byte of a cacheable tag → its sightings so far
+    /// while `<= TABLE_AFTER`, then `TABLE_AFTER + 1 +` its index in
+    /// `tag_folds`.
+    tag_slots: Vec<[u32; 256]>,
+    /// Per-tag fold tables `G_w` (see [`Sanitizer::fold_tag`]).
+    tag_folds: Vec<[u64; 256]>,
     watermarks: Vec<WatermarkState>,
     violations: Vec<Violation>,
 }
@@ -142,6 +193,12 @@ impl Sanitizer {
             last_time: SimTime::ZERO,
             events: 0,
             digest: FNV_OFFSET,
+            tag_rows: [0; 256],
+            // Room for the engine's tag vocabulary, reserved up front:
+            // growing these mid-run would leave small long-lived blocks
+            // between the run's large ones. Tables are built lazily.
+            tag_slots: Vec::with_capacity(TAG_ROWS_RESERVED),
+            tag_folds: Vec::with_capacity(TAG_ROWS_RESERVED),
             watermarks: Vec::new(),
             violations: Vec::new(),
         }
@@ -174,19 +231,77 @@ impl Sanitizer {
     /// `(time, tag)` into the trace digest. `tag` encodes the event
     /// variant and its payload; any stable encoding works as long as it
     /// is a pure function of the event.
+    #[inline]
     pub fn on_event(&mut self, now: SimTime, tag: u64) {
         if now < self.last_time {
-            // nfv-lint: allow(hot-alloc) -- invariant-violation path only
-            let detail = format!(
-                "event at {now} after event at {} (clock moved backwards)",
-                self.last_time
-            );
-            self.record(Severity::Error, "clock-monotonic", now, detail);
+            self.clock_moved_backwards(now);
         }
         self.last_time = self.last_time.max(now);
         self.events += 1;
-        self.digest = fnv1a_fold(self.digest, now.as_nanos());
-        self.digest = fnv1a_fold(self.digest, tag);
+        let digest = fold_time(self.digest, now.as_nanos());
+        self.digest = self.fold_tag(digest, tag);
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn clock_moved_backwards(&mut self, now: SimTime) {
+        // nfv-lint: allow(hot-alloc) -- invariant-violation path only
+        let detail = format!(
+            "event at {now} after event at {} (clock moved backwards)",
+            self.last_time
+        );
+        self.record(Severity::Error, "clock-monotonic", now, detail);
+    }
+
+    /// [`fnv1a_fold`] of an event tag. XOR with a byte changes only the
+    /// low 8 bits of the state, and the low byte after each multiply
+    /// depends only on the low byte before it, so for any word `w`
+    /// `fold(s, w) = s·P^8 + G_w(s mod 256)` (wrapping). For a tag whose
+    /// six middle bytes are zero — every tag the engine's event encoding
+    /// yields for small payloads — `G_w` becomes a 256-entry table once
+    /// the tag has recurred [`TABLE_AFTER`] times; other words take the
+    /// byte-wise fold.
+    #[inline]
+    fn fold_tag(&mut self, state: u64, tag: u64) -> u64 {
+        if tag & MIDDLE_BYTES != 0 {
+            return fnv1a_fold(state, tag);
+        }
+        // The table lookup depends on the tag alone, not on the state, so
+        // it overlaps the timestamp fold that precedes it.
+        let (high, low) = ((tag >> 56) as usize, (tag & 0xff) as usize);
+        let row = self.tag_rows[high] as usize;
+        match row.checked_sub(1).map(|r| self.tag_slots[r][low]) {
+            Some(slot) if slot > TABLE_AFTER => {
+                let table = &self.tag_folds[(slot - TABLE_AFTER - 1) as usize];
+                state
+                    .wrapping_mul(FNV_POW[8])
+                    .wrapping_add(table[(state & 0xff) as usize])
+            }
+            _ => self.fold_rare_tag(high, low, state, tag),
+        }
+    }
+
+    /// Byte-wise fold of a cacheable tag without a table yet; counts the
+    /// sighting and builds `G_tag` from the byte-wise fold when the tag
+    /// has recurred enough.
+    #[cold]
+    #[inline(never)]
+    fn fold_rare_tag(&mut self, high: usize, low: usize, state: u64, tag: u64) -> u64 {
+        if self.tag_rows[high] == 0 {
+            self.tag_slots.push([0; 256]);
+            self.tag_rows[high] = self.tag_slots.len() as u16;
+        }
+        let slot = &mut self.tag_slots[self.tag_rows[high] as usize - 1][low];
+        *slot += 1;
+        if *slot > TABLE_AFTER {
+            let mut table = [0u64; 256];
+            for (s, g) in (0u64..).zip(table.iter_mut()) {
+                *g = fnv1a_fold(s, tag).wrapping_sub(s.wrapping_mul(FNV_POW[8]));
+            }
+            self.tag_folds.push(table);
+            *slot = TABLE_AFTER + self.tag_folds.len() as u32;
+        }
+        fnv1a_fold(state, tag)
     }
 
     /// Check the packet-conservation ledger: every classified packet must
@@ -349,9 +464,88 @@ impl Default for Sanitizer {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn t(us: u64) -> SimTime {
         SimTime::from_micros(us)
+    }
+
+    /// FNV-1a over the eight little-endian bytes of `word`, one byte at a
+    /// time: the reference the fast folds must match bit for bit.
+    fn reference_fold(mut state: u64, word: u64) -> u64 {
+        for i in 0..8 {
+            state ^= (word >> (8 * i)) & 0xff;
+            state = state.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        state
+    }
+
+    /// Tag shapes the fast fold must cover: the engine's event tags
+    /// (variant in the high byte, a small payload in the low one, plus
+    /// wider payloads), TCP feedback tags and arbitrary words.
+    fn tag() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            (1u64..15, 0u64..256).prop_map(|(v, p)| (v << 56) | p),
+            (1u64..15, 256u64..1 << 20).prop_map(|(v, p)| (v << 56) | p),
+            (0u64..3, 0u64..256, 0u64..1 << 40)
+                .prop_map(|(kind, src, seq)| (10 << 56) | (kind << 48) | (src << 40) | seq),
+            0u64..=u64::MAX,
+        ]
+    }
+
+    fn time() -> impl Strategy<Value = u64> {
+        prop_oneof![
+            0u64..1 << 32,
+            0u64..1 << 40,
+            (1u64 << 40)..1 << 63,
+            0u64..=u64::MAX
+        ]
+    }
+
+    proptest! {
+        /// The zero-run and per-tag-table folds equal the byte-wise fold
+        /// for random states, timestamps and tags, with the tag cache
+        /// both cold and warm.
+        #[test]
+        fn fast_fold_matches_bytewise_reference(
+            cases in prop::collection::vec((0u64..=u64::MAX, time(), tag()), 1..64),
+        ) {
+            let mut s = Sanitizer::default();
+            for &(state, nanos, tag) in &cases {
+                prop_assert_eq!(fold_time(state, nanos), reference_fold(state, nanos));
+                for k in 0..=TABLE_AFTER + 1 {
+                    let state = state.wrapping_add(u64::from(k));
+                    prop_assert_eq!(s.fold_tag(state, tag), reference_fold(state, tag));
+                }
+            }
+            // Through the public path: the digest of the event stream.
+            let mut want = FNV_OFFSET;
+            for &(_, nanos, tag) in &cases {
+                s.on_event(SimTime::from_nanos(nanos), tag);
+                want = reference_fold(reference_fold(want, nanos), tag);
+            }
+            prop_assert_eq!(s.digest(), want);
+        }
+    }
+
+    #[test]
+    fn engine_tag_shapes_take_the_table_fold() {
+        let mut s = Sanitizer::default();
+        for variant in 1u64..15 {
+            for payload in [0, 1, 37, 255] {
+                let tag = (variant << 56) | payload;
+                for k in 0..=TABLE_AFTER + 2 {
+                    let state = tag.wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ u64::from(k);
+                    assert_eq!(s.fold_tag(state, tag), reference_fold(state, tag));
+                }
+            }
+        }
+        assert_eq!(s.tag_folds.len(), 14 * 4);
+        // A word of the same shape seen only a few times gets no table.
+        for seq in 0..256 {
+            s.fold_tag(7, (10 << 56) | seq);
+        }
+        assert_eq!(s.tag_folds.len(), 14 * 4);
     }
 
     #[test]

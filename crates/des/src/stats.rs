@@ -87,6 +87,9 @@ impl Ewma {
 pub struct DurationHistogram {
     counts: Vec<u64>,
     total: u64,
+    /// Highest bucket recorded into since the last reset (0 when empty):
+    /// every bucket above it is zero.
+    top: usize,
 }
 
 const MINOR_BITS: u32 = 4;
@@ -99,6 +102,7 @@ impl DurationHistogram {
         DurationHistogram {
             counts: vec![0; MAJORS * MINOR],
             total: 0,
+            top: 0,
         }
     }
 
@@ -126,8 +130,10 @@ impl DurationHistogram {
 
     /// Record one sample.
     pub fn record(&mut self, d: Duration) {
-        self.counts[Self::bucket_of(d.as_nanos())] += 1;
+        let b = Self::bucket_of(d.as_nanos());
+        self.counts[b] += 1;
         self.total += 1;
+        self.top = self.top.max(b);
     }
 
     /// Number of recorded samples.
@@ -136,22 +142,25 @@ impl DurationHistogram {
     }
 
     /// Value at percentile `p` in `[0, 100]`, or `None` if empty.
+    ///
+    /// The floor of the lowest bucket whose cumulative count exceeds the
+    /// sample rank, found walking down from the highest occupied bucket:
+    /// tail percentiles stop after a few buckets.
     pub fn percentile(&self, p: f64) -> Option<Duration> {
-        if self.total == 0 {
+        let rank = ((p / 100.0) * (self.total as f64 - 1.0)).round() as u64;
+        if rank >= self.total {
             return None;
         }
-        let rank = ((p / 100.0) * (self.total as f64 - 1.0)).round() as u64;
-        let mut seen = 0u64;
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c == 0 {
-                continue;
-            }
-            if seen + c > rank {
+        // `below` = samples in buckets under `i`; bucket `i` is the answer
+        // once it holds the rank's sample.
+        let mut below = self.total;
+        for i in (0..=self.top).rev() {
+            below -= self.counts[i];
+            if below <= rank {
                 return Some(Duration::from_nanos(Self::bucket_floor(i)));
             }
-            seen += c;
         }
-        None
+        unreachable!("rank {rank} below the {} recorded samples", self.total)
     }
 
     /// Median sample.
@@ -161,8 +170,9 @@ impl DurationHistogram {
 
     /// Discard all samples.
     pub fn reset(&mut self) {
-        self.counts.iter_mut().for_each(|c| *c = 0);
+        self.counts[..=self.top].fill(0);
         self.total = 0;
+        self.top = 0;
     }
 }
 

@@ -21,6 +21,48 @@ enum QueueOp {
     PopBatch,
 }
 
+/// One step of a lane workload: [`QueueOp`]s against the backend plus
+/// pushes that land exactly on a pending periodic tick's instant.
+#[derive(Debug, Clone, Copy)]
+enum LaneOp {
+    Queue(QueueOp),
+    /// Push `count` events at the instant lane `lane` (mod the lane count)
+    /// is next due: a wheel entry tied with a lane entry.
+    OnTick {
+        lane: usize,
+        count: u8,
+    },
+}
+
+fn lane_op() -> impl Strategy<Value = LaneOp> {
+    prop_oneof![
+        queue_op().prop_map(LaneOp::Queue),
+        queue_op().prop_map(LaneOp::Queue),
+        (0usize..8, 1u8..3).prop_map(|(lane, count)| LaneOp::OnTick { lane, count }),
+    ]
+}
+
+/// Tick periods: shared values give lane-vs-lane ties at one instant.
+fn period() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        Just(100u64),
+        Just(250u64),
+        Just(1_000u64),
+        1u64..5_000,
+        1u64 << 22..1u64 << 24
+    ]
+}
+
+/// Tag of lane `i`'s tick; backend events count up from 0.
+const TICK: u32 = 1 << 31;
+
+/// One queue under test: `laned` schedules ticks with `push_periodic`,
+/// the reference the same ticks with plain `push`.
+struct LanePair {
+    laned: EventQueue<u32>,
+    plain: EventQueue<u32>,
+}
+
 fn queue_op() -> impl Strategy<Value = QueueOp> {
     prop_oneof![
         // Near-term offsets: land in the wheel's low levels.
@@ -95,6 +137,156 @@ proptest! {
             prop_assert_eq!(a, heap.pop());
             if a.is_none() {
                 break;
+            }
+        }
+    }
+
+    /// Periodic lanes are invisible: on every backend, scheduling the
+    /// self-rescheduling ticks with `push_periodic` delivers the exact
+    /// `(time, event)` stream — hence seq order — and `QueueStats` counts
+    /// of scheduling them with plain `push`, through `pop_before` and
+    /// `pop_batch_before`. Covers ties between lanes and wheel entries at
+    /// one instant, pushes at `now`, far-future cascades and limit
+    /// refusals.
+    #[test]
+    fn periodic_lanes_match_plain_pushes(
+        periods in prop::collection::vec(period(), 1..7),
+        ops in prop::collection::vec(lane_op(), 1..200),
+    ) {
+        let mut qs: Vec<LanePair> = [QueueKind::Wheel, QueueKind::WheelClassic, QueueKind::Heap]
+            .into_iter()
+            .map(|k| LanePair { laned: EventQueue::with_kind(k), plain: EventQueue::with_kind(k) })
+            .collect();
+        // The instant each lane's tick is next due, mirrored in the test.
+        let mut due: Vec<u64> = periods.clone();
+        for (i, &p) in periods.iter().enumerate() {
+            for q in &mut qs {
+                q.laned.push_periodic(SimTime::from_nanos(p), TICK | i as u32);
+                q.plain.push(SimTime::from_nanos(p), TICK | i as u32);
+            }
+        }
+        let mut tag = 0u32;
+        let mut out = Vec::new();
+        for op in ops {
+            let now = qs[0].plain.now().as_nanos();
+            let mut delivered: Vec<(SimTime, u32)> = Vec::new();
+            match op {
+                LaneOp::OnTick { lane, count } => {
+                    let at = SimTime::from_nanos(due[lane % due.len()]);
+                    for _ in 0..count {
+                        for q in &mut qs {
+                            q.laned.push(at, tag);
+                            q.plain.push(at, tag);
+                        }
+                        tag += 1;
+                    }
+                }
+                LaneOp::Queue(QueueOp::Push { delta, count }) => {
+                    let at = SimTime::from_nanos(now + delta);
+                    for _ in 0..count {
+                        for q in &mut qs {
+                            q.laned.push(at, tag);
+                            q.plain.push(at, tag);
+                        }
+                        tag += 1;
+                    }
+                }
+                LaneOp::Queue(QueueOp::Pop) => {
+                    let got: Vec<_> =
+                        qs.iter_mut().flat_map(|q| [q.plain.pop(), q.laned.pop()]).collect();
+                    prop_assert!(got.iter().all(|g| *g == got[0]), "pop: {:?}", got);
+                    delivered.extend(got[0]);
+                }
+                LaneOp::Queue(QueueOp::PopBefore { horizon }) => {
+                    let limit = SimTime::from_nanos(now + horizon);
+                    let got: Vec<_> = qs
+                        .iter_mut()
+                        .flat_map(|q| [q.plain.pop_before(limit), q.laned.pop_before(limit)])
+                        .collect();
+                    prop_assert!(got.iter().all(|g| *g == got[0]), "pop_before: {:?}", got);
+                    delivered.extend(got[0]);
+                }
+                LaneOp::Queue(QueueOp::PopBatch) => {
+                    let mut got = Vec::new();
+                    for q in &mut qs {
+                        for queue in [&mut q.plain, &mut q.laned] {
+                            let first = queue.pop_batch_before(SimTime::MAX, &mut out);
+                            got.push((first, out.clone()));
+                        }
+                    }
+                    prop_assert!(got.iter().all(|g| *g == got[0]), "pop_batch_before: {:?}", got);
+                    let (first, rest) = got.swap_remove(0);
+                    delivered.extend(first);
+                    delivered.extend(rest);
+                }
+            }
+            // Handle deliveries in order: each tick reschedules itself
+            // one period later, as the engine's `reschedule` does.
+            for (t, ev) in delivered {
+                if ev & TICK != 0 {
+                    let lane = (ev & !TICK) as usize;
+                    prop_assert_eq!(t.as_nanos(), due[lane]);
+                    due[lane] += periods[lane];
+                    for q in &mut qs {
+                        q.laned.push_periodic(SimTime::from_nanos(due[lane]), ev);
+                        q.plain.push(SimTime::from_nanos(due[lane]), ev);
+                    }
+                }
+            }
+            for q in &qs {
+                for queue in [&q.plain, &q.laned] {
+                    prop_assert_eq!(queue.now(), qs[0].plain.now());
+                    prop_assert_eq!(queue.len(), qs[0].plain.len());
+                    prop_assert_eq!(queue.peek_time(), qs[0].plain.peek_time());
+                }
+            }
+        }
+        // Drain the backlog without rescheduling.
+        loop {
+            let got: Vec<_> = qs.iter_mut().flat_map(|q| [q.plain.pop(), q.laned.pop()]).collect();
+            prop_assert!(got.iter().all(|g| *g == got[0]), "drain: {:?}", got);
+            if got[0].is_none() {
+                break;
+            }
+        }
+        let want = qs[0].plain.stats();
+        for q in &qs {
+            for s in [q.laned.stats(), q.plain.stats()] {
+                prop_assert_eq!(
+                    (s.pushes, s.pops, s.coalesced_pops, s.max_len),
+                    (want.pushes, want.pops, want.coalesced_pops, want.max_len)
+                );
+            }
+        }
+    }
+
+    /// The top-down percentile walk equals the bottom-up scan of a
+    /// model histogram kept here, for any p in [0, 100], through resets.
+    #[test]
+    fn histogram_percentile_matches_bottom_up_model(
+        rounds in prop::collection::vec(
+            prop::collection::vec(
+                prop_oneof![0u64..64, 0u64..100_000, 0u64..1 << 34],
+                0..100,
+            ),
+            1..4,
+        ),
+        ps in prop::collection::vec(prop_oneof![Just(0.0f64), Just(100.0), 0.0f64..100.0], 1..8),
+    ) {
+        let mut h = DurationHistogram::new();
+        for samples in rounds {
+            h.reset();
+            let mut model = vec![0u64; 512];
+            for &ns in &samples {
+                h.record(Duration::from_nanos(ns));
+                model[model_bucket(ns)] += 1;
+            }
+            for &p in &ps {
+                prop_assert_eq!(
+                    h.percentile(p).map(|d| d.as_nanos()),
+                    model_percentile(&model, p),
+                    "p={}", p
+                );
             }
         }
     }
@@ -182,4 +374,40 @@ proptest! {
         prop_assert!(e.value() >= lo.saturating_sub(1) && e.value() <= hi + 1,
             "ewma {} outside [{lo}, {hi}]", e.value());
     }
+}
+
+/// Bucket of `ns` in the histogram's log-linear layout (32 log2 majors
+/// of 16 linear minors; values below 16 map to themselves).
+fn model_bucket(ns: u64) -> usize {
+    if ns < 16 {
+        return ns as usize;
+    }
+    let major = (63 - ns.leading_zeros() as usize).min(31);
+    major * 16 + ((ns >> (major - 4)) as usize & 15)
+}
+
+/// Floor value of a bucket of [`model_bucket`].
+fn model_floor(idx: usize) -> u64 {
+    let (major, minor) = (idx / 16, (idx % 16) as u64);
+    if major < 4 {
+        return idx as u64;
+    }
+    (1u64 << major) + (minor << (major - 4))
+}
+
+/// The percentile as a bottom-up cumulative scan over bucket counts.
+fn model_percentile(counts: &[u64], p: f64) -> Option<u64> {
+    let total: u64 = counts.iter().sum();
+    if total == 0 {
+        return None;
+    }
+    let rank = ((p / 100.0) * (total as f64 - 1.0)).round() as u64;
+    let mut seen = 0;
+    for (i, &c) in counts.iter().enumerate() {
+        if c > 0 && seen + c > rank {
+            return Some(model_floor(i));
+        }
+        seen += c;
+    }
+    None
 }

@@ -56,6 +56,10 @@ pub struct CbrFlow {
     /// Arrival process.
     pub process: ArrivalProcess,
     acc: f64,
+    /// `rate_pps * dt.as_secs_f64()` for the `(dt, rate_pps)` it was
+    /// computed from: the constant-rate credit per poll, which the
+    /// traffic driver asks for with the same `dt` every time.
+    credit: Option<(Duration, f64, f64)>,
     seq: u64,
     /// Frames emitted over the run.
     pub emitted: u64,
@@ -73,6 +77,7 @@ impl CbrFlow {
             cost_class: CostClassGen::Fixed(0),
             process: ArrivalProcess::Constant,
             acc: 0.0,
+            credit: None,
             seq: 0,
             emitted: 0,
         }
@@ -149,7 +154,7 @@ impl CbrFlow {
         }
         match self.process {
             ArrivalProcess::Constant => {
-                self.acc += self.rate_pps * dt.as_secs_f64();
+                self.acc += self.credit(dt);
                 let n = self.acc as u64;
                 self.acc -= n as f64;
                 n
@@ -168,6 +173,19 @@ impl CbrFlow {
                 }
                 self.acc = t - window;
                 n
+            }
+        }
+    }
+
+    /// `rate_pps * dt.as_secs_f64()`, computed once per `(dt, rate_pps)`.
+    #[inline]
+    fn credit(&mut self, dt: Duration) -> f64 {
+        match self.credit {
+            Some((d, rate, credit)) if d == dt && rate == self.rate_pps => credit,
+            _ => {
+                let credit = self.rate_pps * dt.as_secs_f64();
+                self.credit = Some((dt, self.rate_pps, credit));
+                credit
             }
         }
     }
