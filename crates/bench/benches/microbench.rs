@@ -39,7 +39,7 @@ fn mempool_ops(c: &mut Criterion) {
         let mut pool = Mempool::new(4096);
         let pkt = Packet::new(FlowId(0), ChainId(0), 64, SimTime::ZERO);
         b.iter(|| {
-            let id = pool.alloc(black_box(pkt.clone())).unwrap();
+            let id = pool.alloc(black_box(pkt)).unwrap();
             pool.free(id);
         });
     });

@@ -1,14 +1,16 @@
 //! Engine pins: the trace digest and event-queue counts of three
 //! quick-suite cells — the TCP feedback loop (fig13 NFVnice), a crash
 //! with respawn (faults/crash+recover) and elastic scaling with migration
-//! (elastic/both). Changes to how the queue stores or delivers events
-//! must leave every pinned value exactly as it is; only `cascades` may
-//! move. The knob-off builds (`no-coalesce`, `no-skip-ahead`) zero the
-//! counters those knobs feed.
+//! (elastic/both) — and of three runs whose packets keep per-packet work
+//! in the run-wise datapath, which also pin delivered, dropped and
+//! wasted packets. Changes to how the queue stores or delivers events,
+//! or how the datapath moves packets, must leave every pinned value
+//! exactly as it is; only `cascades` may move. The knob-off builds
+//! (`no-coalesce`, `no-skip-ahead`) zero the counters those knobs feed.
 
-use nfv_bench::experiments::{elastic, faults, fig13};
+use nfv_bench::experiments::{elastic, faults, fig10, fig13, fig16};
 use nfv_bench::RunLength;
-use nfvnice::{NfvniceConfig, QueueStats, Report};
+use nfvnice::{NfvniceConfig, Policy, QueueStats, Report};
 
 /// `(trace_digest, pushes, pops, coalesced_pops, max_len, skipped_ticks)`.
 type Pin = (u64, u64, u64, u64, usize, u64);
@@ -87,4 +89,73 @@ fn quick_cells_keep_their_digest_and_queue_counts() {
         &both,
         (0xc131_d3cf_a9ec_8ae5, 151_307, 151_304, 75_301, 8, 15_002),
     );
+}
+
+/// `(delivered, dropped, wasted_drops)` summed over a run's flows and NFs.
+fn outcome(r: &Report) -> (u64, u64, u64) {
+    let delivered = r.flows.iter().map(|f| f.delivered).sum();
+    let dropped = r.flows.iter().map(|f| f.dropped).sum();
+    (delivered, dropped, r.total_wasted_drops)
+}
+
+/// The enterprise edge chain of `examples/enterprise_chain.rs`
+/// (policer → firewall → NAT → monitor, three tenants), run for 200 ms.
+fn enterprise_chain() -> Report {
+    use nfv_apps::{Firewall, FlowMonitor, Match, Nat, Rule, TokenBucket, Verdict};
+    use nfvnice::{Duration, NfSpec, SimConfig, Simulation};
+    let mut cfg = SimConfig::default();
+    cfg.platform.nf_cores = 1;
+    cfg.platform.policy = Policy::CfsBatch;
+    cfg.nfvnice = NfvniceConfig::full();
+    let mut sim = Simulation::new(cfg);
+    let policer = sim.add_nf_with_handler(
+        NfSpec::new("policer", 0, 150),
+        Box::new(TokenBucket::new(200_000.0, 1_000)),
+    );
+    let allow_port_9 = Rule {
+        dst_port: Match::Is(9),
+        ..Rule::any(Verdict::Allow)
+    };
+    let firewall = sim.add_nf_with_handler(
+        NfSpec::new("firewall", 0, 300),
+        Box::new(Firewall::new(vec![allow_port_9], Verdict::Deny)),
+    );
+    let nat = sim.add_nf_with_handler(NfSpec::new("nat", 0, 250), Box::new(Nat::new(0xc0a8_0001)));
+    let monitor =
+        sim.add_nf_with_handler(NfSpec::new("monitor", 0, 100), Box::new(FlowMonitor::new()));
+    let chain = sim.add_chain(&[policer, firewall, nat, monitor]);
+    for rate in [150_000.0, 100_000.0, 50_000.0] {
+        sim.add_udp(chain, rate, 128);
+    }
+    sim.run(Duration::from_millis(200))
+}
+
+/// Pins of the datapath paths that keep per-packet work: fig10 (uniform
+/// cost classes, so every packet is its own run), fig16 len9/3core/Default
+/// (a 9-hop chain over three cores with TX spills) and a chain of
+/// stateful handlers that drop and rewrite packets.
+#[test]
+fn per_packet_paths_keep_their_digest_and_counts() {
+    let len = RunLength::quick();
+    let fig10 = fig10::run_cell(Policy::CfsBatch, NfvniceConfig::off(), len);
+    let fig16 = fig16::run_cell(9, true, NfvniceConfig::off(), len);
+    let chain = enterprise_chain();
+    check(
+        "fig10/BATCH/Default",
+        &fig10,
+        (0x2948_e457_9f17_bb48, 260_838, 260_836, 75_309, 7, 15_002),
+    );
+    assert_eq!(outcome(&fig10), (705_888, 3_737_533, 364_384));
+    check(
+        "fig16/len9/3core/Default",
+        &fig16,
+        (0xb1f6_9148_ffea_4c58, 747_554, 747_550, 75_595, 9, 15_002),
+    );
+    assert_eq!(outcome(&fig16), (460_448, 3_960_180, 3_960_180));
+    check(
+        "enterprise_chain",
+        &chain,
+        (0x9aff_0746_2c71_82a2, 190_184, 190_182, 50_200, 7, 10_002),
+    );
+    assert_eq!(outcome(&chain), (40_988, 19_002, 0));
 }

@@ -7,7 +7,7 @@
 //!
 //! | `libnf` (paper) | Here |
 //! |---|---|
-//! | `libnf_read_pkt()` | the platform batch loop: [`Platform::plan_batch`](nfv_platform::Platform::plan_batch) dequeues ≤ 32 descriptors from the NF's RX ring, blocking the NF (semaphore) when empty |
+//! | `libnf_read_pkt()` | the platform batch loop: [`Platform::plan_batch`](nfv_platform::Platform::plan_batch) dequeues ≤ 32 packets from the NF's RX ring, one descriptor per run of same-flow packets, blocking the NF (semaphore) when empty |
 //! | `libnf_write_pkt(pkt)` | the `Forward` arm of [`Platform::finish_batch`](nfv_platform::Platform::finish_batch): enqueue to the NF's TX ring; a full ring spills to the outbox and suspends the NF (local backpressure) |
 //! | `libnf_read_data` / `libnf_write_data` | [`nfv_io::DoubleBuffer::write`] driven from `finish_batch` when the NF has an [`NfIoSpec`](nfv_platform::NfIoSpec); completions run off the packet path, and only a double-buffer stall suspends the NF |
 //! | the yield flag checked per batch | [`NfRuntime::yield_flag`](nfv_platform::NfRuntime) — set by the wakeup thread, consumed at the next `plan_batch` |

@@ -130,9 +130,18 @@ impl DurationHistogram {
 
     /// Record one sample.
     pub fn record(&mut self, d: Duration) {
+        self.record_n(d, 1);
+    }
+
+    /// Record `n` samples of the same duration: what `n`
+    /// [`DurationHistogram::record`] calls leave.
+    pub fn record_n(&mut self, d: Duration, n: u64) {
+        if n == 0 {
+            return;
+        }
         let b = Self::bucket_of(d.as_nanos());
-        self.counts[b] += 1;
-        self.total += 1;
+        self.counts[b] += n;
+        self.total += n;
         self.top = self.top.max(b);
     }
 

@@ -291,6 +291,31 @@ proptest! {
         }
     }
 
+    /// `record_n(d, n)` leaves what `n` single `record(d)` calls leave:
+    /// bucket counts, total, the top bucket and every percentile.
+    #[test]
+    fn histogram_record_n_matches_single_records(
+        runs in prop::collection::vec(
+            (prop_oneof![0u64..64, 0u64..100_000, 0u64..1 << 34], 0u64..40),
+            0..30,
+        ),
+        ps in prop::collection::vec(prop_oneof![Just(0.0f64), Just(100.0), 0.0f64..100.0], 1..8),
+    ) {
+        let (mut bulk, mut single) = (DurationHistogram::new(), DurationHistogram::new());
+        for &(ns, n) in &runs {
+            bulk.record_n(Duration::from_nanos(ns), n);
+            for _ in 0..n {
+                single.record(Duration::from_nanos(ns));
+            }
+            // Debug shows the bucket counts, the total and the top bucket.
+            prop_assert_eq!(format!("{bulk:?}"), format!("{single:?}"));
+        }
+        prop_assert_eq!(bulk.count(), single.count());
+        for &p in &ps {
+            prop_assert_eq!(bulk.percentile(p), single.percentile(p), "p={}", p);
+        }
+    }
+
     /// The event queue pops in exactly sorted (time, insertion) order.
     #[test]
     fn event_queue_matches_stable_sort(times in prop::collection::vec(0u64..10_000, 1..200)) {

@@ -6,8 +6,9 @@
 //! (the overload signal NFVnice's TX threads consume), an exact-match
 //! 5-tuple flow table, and a NIC with a bounded hardware RX queue.
 //!
-//! Nothing here allocates per packet on the hot path: packets are slots in
-//! a pre-sized slab, and rings move `u32` descriptor ids.
+//! Nothing here allocates per packet on the hot path: a run of same-flow
+//! packets is one slot in a slab that grows to the simulation's peak,
+//! and rings move `u32` descriptor ids.
 
 #![warn(missing_docs)]
 
@@ -21,7 +22,7 @@ pub mod ring;
 
 pub use flowtable::{FlowAging, FlowEntry, FlowTable, FlowTableKind, FlowTableStats};
 pub use ids::{ChainId, CoreId, FlowId, NfId, PktId};
-pub use mempool::Mempool;
+pub use mempool::{Mempool, PacketRun};
 pub use nic::{FrameRun, Nic, WireFrame};
 pub use packet::{line_rate_pps, Ecn, FiveTuple, Packet, Proto};
 pub use pattern::{IpPrefix, TuplePattern};

@@ -1,43 +1,100 @@
 //! Shared packet memory pool.
 //!
 //! Models DPDK's `rte_mempool` as used by OpenNetVM: a fixed number of
-//! packet-buffer slots shared by the whole platform. Descriptors ([`PktId`])
+//! packet buffers shared by the whole platform. Descriptors ([`PktId`])
 //! index into the slab; exhaustion means the NIC driver cannot receive
 //! (counted as an allocation failure, equivalent to an early NIC drop with
 //! zero wasted work).
+//!
+//! A slot holds a [`PacketRun`]: consecutive packets of one flow that are
+//! equal in every field but `seq`. The pool still counts packets —
+//! capacity, occupancy, watermark and failures are what one buffer per
+//! packet would show.
 
 use crate::ids::PktId;
 use crate::packet::Packet;
 
-/// Fixed-capacity slab of packets with a free list.
+/// Packets `head.seq`, `head.seq + 1`, … `head.seq + count - 1` of one
+/// flow, equal in every other field (the datapath's twin of
+/// [`FrameRun`](crate::FrameRun)).
+#[derive(Debug, Clone, Copy)]
+pub struct PacketRun {
+    /// The run's first packet; packet `i` is `head` with `seq + i`.
+    pub head: Packet,
+    /// Packets in the run (≥ 1).
+    pub count: u32,
+}
+
+impl PacketRun {
+    /// A run of one packet.
+    #[inline]
+    pub fn single(pkt: Packet) -> Self {
+        PacketRun {
+            head: pkt,
+            count: 1,
+        }
+    }
+
+    /// Packet `i` (< `count`) of the run.
+    pub fn packet(&self, i: u32) -> Packet {
+        debug_assert!(i < self.count);
+        Packet {
+            seq: self.head.seq + u64::from(i),
+            ..self.head
+        }
+    }
+
+    /// The run without its first `k` (< `count`) packets.
+    #[inline]
+    pub fn after(self, k: u32) -> PacketRun {
+        debug_assert!(k < self.count);
+        PacketRun {
+            head: self.packet(k),
+            count: self.count - k,
+        }
+    }
+
+    /// The run's packets, in order.
+    pub fn packets(self) -> impl Iterator<Item = Packet> {
+        (0..self.count).map(move |i| self.packet(i))
+    }
+}
+
+/// Fixed-capacity slab of packet runs with a free list.
 ///
-/// Slots hold `Packet` directly (a parallel `live` bitmap catches stale
-/// ids and double-frees): the per-packet alloc/free hot path writes the
-/// payload exactly once and frees without moving it back out. Slots are
-/// handed out lowest id first and written on first use, so building a
-/// pool touches none of its buffer memory; freed slots are reused last
-/// in, first out.
+/// Slot `i` is the run `(slots[i], counts[i])`: the head packet, and the
+/// run's length in a parallel array that doubles as the live flag (a
+/// free slot counts zero packets), so stale ids and double frees are
+/// caught by the same load that reads a length. Allocation writes the
+/// head once, and freeing does not move it back out. The slab grows as
+/// slots are first handed out, lowest id first, so building a pool
+/// allocates nothing; freed slots are reused last in, first out. Every
+/// live slot holds at least one packet, so a pool of `capacity` packets
+/// never needs more than `capacity` slots — a split always finds one.
 #[derive(Debug)]
 pub struct Mempool {
-    /// Every slot handed out so far (reserved up to the capacity).
+    /// Head packet of every slot handed out so far.
     slots: Vec<Packet>,
-    /// One flag per slot of the capacity.
-    live: Vec<bool>,
+    /// Packets in each handed-out slot's run; zero when the slot is free.
+    counts: Vec<u32>,
+    capacity: usize,
     /// Freed slots awaiting reuse.
     free: Vec<PktId>,
-    /// Allocation failures observed (pool exhausted).
+    /// Packet allocations refused because the pool was exhausted.
     pub alloc_failures: u64,
+    /// Packets held by live slots.
     in_use: usize,
     high_watermark: usize,
 }
 
 impl Mempool {
-    /// A pool with `capacity` packet slots.
+    /// A pool with room for `capacity` packets.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "mempool capacity must be positive");
         Mempool {
-            slots: Vec::with_capacity(capacity),
-            live: vec![false; capacity],
+            slots: Vec::new(),
+            counts: Vec::new(),
+            capacity,
             free: Vec::new(),
             alloc_failures: 0,
             in_use: 0,
@@ -45,87 +102,116 @@ impl Mempool {
         }
     }
 
-    /// Allocate a slot for `pkt`: the most recently freed one, else the
-    /// lowest never-used one. Returns `None` (and counts a failure) if
-    /// the pool is exhausted.
+    /// Allocate a slot for one packet. Returns `None` (and counts a
+    /// failure) if the pool is exhausted.
     #[inline]
     pub fn alloc(&mut self, pkt: Packet) -> Option<PktId> {
-        let id = if let Some(id) = self.free.pop() {
-            debug_assert!(!self.live[id.index()]);
-            self.slots[id.index()] = pkt;
-            id
-        } else if self.slots.len() < self.live.len() {
-            self.slots.push(pkt);
-            PktId(self.slots.len() as u32 - 1)
-        } else {
-            self.alloc_failures += 1;
+        self.alloc_run(PacketRun::single(pkt))
+    }
+
+    /// Allocate one slot for `run`: the most recently freed slot, else
+    /// the lowest never-used one. With room for fewer than `run.count`
+    /// packets it allocates nothing and counts `run.count` failures —
+    /// what single allocations of a run's packets count once the pool is
+    /// empty. Size runs with [`Mempool::available`].
+    #[inline]
+    pub fn alloc_run(&mut self, run: PacketRun) -> Option<PktId> {
+        debug_assert!(run.count > 0, "empty packet run");
+        let n = run.count as usize;
+        if n > self.available() {
+            self.alloc_failures += n as u64;
             return None;
-        };
-        self.live[id.index()] = true;
-        self.in_use += 1;
+        }
+        let id = self.take_slot(run);
+        self.in_use += n;
         self.high_watermark = self.high_watermark.max(self.in_use);
         Some(id)
     }
 
-    /// Allocate one slot per packet of `pkts`, appending the ids to `out`
-    /// in the order single [`Mempool::alloc`] calls would hand them out
-    /// (DPDK's `rte_mempool_get_bulk`). All or nothing: with fewer than
-    /// `pkts.len()` slots free it allocates nothing and returns `false`,
-    /// counting no failure — size the burst with [`Mempool::available`].
-    pub fn alloc_bulk(
-        &mut self,
-        pkts: impl ExactSizeIterator<Item = Packet>,
-        out: &mut Vec<PktId>,
-    ) -> bool {
-        let n = pkts.len();
-        if n > self.available() {
-            return false;
+    /// Store `run` in a free slot and mark it live.
+    #[inline]
+    fn take_slot(&mut self, run: PacketRun) -> PktId {
+        if let Some(id) = self.free.pop() {
+            debug_assert_eq!(self.counts[id.index()], 0);
+            self.slots[id.index()] = run.head;
+            self.counts[id.index()] = run.count;
+            id
+        } else {
+            self.slots.push(run.head);
+            self.counts.push(run.count);
+            PktId(self.slots.len() as u32 - 1)
         }
-        for pkt in pkts {
-            let id = if let Some(id) = self.free.pop() {
-                self.slots[id.index()] = pkt;
-                id
-            } else {
-                self.slots.push(pkt);
-                PktId(self.slots.len() as u32 - 1)
-            };
-            debug_assert!(!self.live[id.index()]);
-            self.live[id.index()] = true;
-            out.push(id);
-        }
-        self.in_use += n;
-        self.high_watermark = self.high_watermark.max(self.in_use);
-        true
     }
 
-    /// Release a slot. Callers needing the packet's contents must read
-    /// them via [`Mempool::get`] *before* freeing — the payload is not
-    /// moved out.
+    /// Split run `id` after its first `keep` packets (0 < `keep` <
+    /// count): they stay in `id`, and the rest moves to a fresh slot,
+    /// whose id is returned. Packet counts do not change.
+    ///
+    /// # Panics
+    /// Panics on a stale id.
+    pub fn split(&mut self, id: PktId, keep: u32) -> PktId {
+        let run = self.get(id);
+        debug_assert!(0 < keep && keep < run.count, "split outside the run");
+        self.counts[id.index()] = keep;
+        self.take_slot(run.after(keep))
+    }
+
+    /// Account one packet that takes a slot and hands it straight back —
+    /// a full ring refused it. Occupancy ends unchanged; only the
+    /// watermark sees the packet in flight. A run of refused packets
+    /// bounces once: each frees its slot before the next one arrives.
+    #[inline]
+    pub fn bounce(&mut self) {
+        debug_assert!(self.available() > 0, "bounce from an empty pool");
+        self.high_watermark = self.high_watermark.max(self.in_use + 1);
+    }
+
+    /// Release slot `id` and every packet of its run. Callers needing
+    /// the contents must read them via [`Mempool::get`] *before* freeing
+    /// — the run is not moved out.
     ///
     /// # Panics
     /// Panics on double-free — that is always a simulator bug.
     #[inline]
     pub fn free(&mut self, id: PktId) {
-        assert!(
-            std::mem::replace(&mut self.live[id.index()], false),
-            "double free of packet slot"
-        );
+        let n = std::mem::replace(&mut self.counts[id.index()], 0);
+        assert!(n > 0, "double free of packet slot");
         self.free.push(id);
-        self.in_use -= 1;
+        self.in_use -= n as usize;
     }
 
-    /// Immutable access to a live packet.
+    /// Packets in live run `id`.
+    ///
+    /// # Panics
+    /// Panics on a stale id.
     #[inline]
-    pub fn get(&self, id: PktId) -> &Packet {
-        assert!(self.live[id.index()], "stale packet id");
-        &self.slots[id.index()]
+    pub fn count(&self, id: PktId) -> u32 {
+        let n = self.counts[id.index()];
+        assert!(n > 0, "stale packet id");
+        n
     }
 
-    /// Mutable access to a live packet.
+    /// A copy of live run `id`.
+    #[inline]
+    pub fn get(&self, id: PktId) -> PacketRun {
+        PacketRun {
+            count: self.count(id),
+            head: self.slots[id.index()],
+        }
+    }
+
+    /// Mutable access to a live run's head packet: a write applies to
+    /// every packet of the run. The run's length only changes through
+    /// [`Mempool::split`].
     #[inline]
     pub fn get_mut(&mut self, id: PktId) -> &mut Packet {
-        assert!(self.live[id.index()], "stale packet id");
+        self.count(id);
         &mut self.slots[id.index()]
+    }
+
+    /// Packets in the runs `ids` (all live).
+    pub fn packets_in<'a>(&self, ids: impl IntoIterator<Item = &'a PktId>) -> usize {
+        ids.into_iter().map(|&id| self.count(id) as usize).sum()
     }
 
     /// Packets currently allocated.
@@ -134,18 +220,18 @@ impl Mempool {
         self.in_use
     }
 
-    /// Slots free for allocation.
+    /// Packets the pool still has room for.
     #[inline]
     pub fn available(&self) -> usize {
-        self.live.len() - self.in_use
+        self.capacity - self.in_use
     }
 
-    /// Total slot count.
+    /// Total capacity in packets.
     pub fn capacity(&self) -> usize {
-        self.live.len()
+        self.capacity
     }
 
-    /// Peak simultaneous occupancy over the run.
+    /// Peak simultaneous occupancy (packets) over the run.
     pub fn high_watermark(&self) -> usize {
         self.high_watermark
     }
@@ -159,6 +245,12 @@ mod tests {
 
     fn pkt() -> Packet {
         Packet::new(FlowId(0), ChainId(0), 64, SimTime::ZERO)
+    }
+
+    fn run(seq: u64, count: u32) -> PacketRun {
+        let mut head = pkt();
+        head.seq = seq;
+        PacketRun { head, count }
     }
 
     #[test]
@@ -188,7 +280,7 @@ mod tests {
         let mut p = Mempool::new(1);
         let a = p.alloc(pkt()).unwrap();
         p.get_mut(a).hops_done = 3;
-        assert_eq!(p.get(a).hops_done, 3);
+        assert_eq!(p.get(a).head.hops_done, 3);
     }
 
     #[test]
@@ -204,27 +296,31 @@ mod tests {
     }
 
     #[test]
-    fn bulk_alloc_hands_out_the_single_alloc_ids() {
-        let (mut bulk, mut single) = (Mempool::new(6), Mempool::new(6));
-        for p in [&mut bulk, &mut single] {
-            let ids: Vec<_> = (0..4).map(|_| p.alloc(pkt()).unwrap()).collect();
-            p.free(ids[1]);
-            p.free(ids[3]);
-        }
-        let mut out = Vec::new();
-        assert!(
-            !bulk.alloc_bulk((0..5).map(|_| pkt()), &mut out),
-            "only 4 free"
-        );
-        assert!(out.is_empty() && bulk.alloc_failures == 0);
-        assert!(bulk.alloc_bulk((0..3).map(|_| pkt()), &mut out));
-        let want: Vec<_> = (0..3).map(|_| single.alloc(pkt()).unwrap()).collect();
-        assert_eq!(out, want);
-        assert_eq!(
-            (bulk.in_use(), bulk.high_watermark(), bulk.available()),
-            (single.in_use(), single.high_watermark(), single.available())
-        );
-        assert_eq!(bulk.alloc(pkt()), single.alloc(pkt()));
+    fn run_slots_count_packets_and_split_in_place() {
+        let mut p = Mempool::new(6);
+        let a = p.alloc(pkt()).unwrap();
+        // All or nothing: 6 packets do not fit beside `a`, and every one
+        // of them counts as a failure.
+        assert!(p.alloc_run(run(10, 6)).is_none());
+        assert_eq!((p.alloc_failures, p.in_use()), (6, 1));
+        let b = p.alloc_run(run(10, 4)).unwrap();
+        assert_eq!((p.in_use(), p.available(), p.high_watermark()), (5, 1, 5));
+        // The tail moves to a fresh slot; occupancy does not change.
+        let t = p.split(b, 3);
+        assert_eq!((p.get(b).count, p.get(t).count), (3, 1));
+        assert_eq!(p.get(t).head.seq, 13);
+        let seqs: Vec<u64> = p.get(b).packets().map(|q| q.seq).collect();
+        assert_eq!(seqs, [10, 11, 12]);
+        assert_eq!((p.in_use(), p.high_watermark()), (5, 5));
+        assert_eq!(p.packets_in(&[a, b, t]), 5);
+        // Freeing a run returns all of its packets.
+        p.free(b);
+        assert_eq!((p.in_use(), p.available()), (2, 4));
+        p.bounce();
+        assert_eq!((p.in_use(), p.high_watermark()), (2, 5));
+        p.free(a);
+        p.free(t);
+        assert_eq!(p.in_use(), 0);
     }
 
     #[test]

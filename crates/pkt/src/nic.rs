@@ -223,8 +223,14 @@ impl Nic {
     /// Transmit a frame out of the box.
     #[inline]
     pub fn transmit(&mut self, size: u32) {
-        self.tx_frames += 1;
-        self.tx_bytes += size as u64;
+        self.transmit_n(size, 1);
+    }
+
+    /// Transmit `n` frames of `size` bytes each.
+    #[inline]
+    pub fn transmit_n(&mut self, size: u32, n: u32) {
+        self.tx_frames += u64::from(n);
+        self.tx_bytes += u64::from(size) * u64::from(n);
     }
 
     /// Frames currently waiting in the RX queue.

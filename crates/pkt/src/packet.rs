@@ -62,7 +62,7 @@ impl FiveTuple {
 }
 
 /// Per-packet metadata (the "descriptor" that rides the rings).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Packet {
     /// The packet's 5-tuple (header fields NFs may read and rewrite).
     pub tuple: FiveTuple,

@@ -3,7 +3,7 @@
 use nfv_des::SimTime;
 use nfv_pkt::WireFrame;
 use nfv_pkt::{ChainId, Ecn, FlowId, FlowTableKind, FlowTableStats, FrameRun, Nic, TuplePattern};
-use nfv_pkt::{Enqueue, FiveTuple, FlowTable, Mempool, Packet, PktId, Proto, Ring};
+use nfv_pkt::{Enqueue, FiveTuple, FlowTable, Mempool, Packet, PacketRun, PktId, Proto, Ring};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -249,7 +249,7 @@ proptest! {
                 match pool.alloc(pkt) {
                     Some(id) => {
                         prop_assert!(!live.contains(&id), "duplicate live id");
-                        prop_assert_eq!(pool.get(id).seq, seq);
+                        prop_assert_eq!(pool.get(id).head.seq, seq);
                         live.push(id);
                         seq += 1;
                     }
@@ -259,6 +259,132 @@ proptest! {
                 pool.free(id);
             }
             prop_assert_eq!(pool.in_use(), live.len());
+        }
+    }
+
+    /// Run slots against a per-packet pool model (one buffer per packet):
+    /// sized run allocations, allocations from a full pool, splits, frees
+    /// and double frees leave the same packets live and the same
+    /// `in_use`, `available`, `high_watermark` and `alloc_failures`.
+    #[test]
+    fn mempool_run_slots_match_the_per_packet_model(
+        capacity in 1usize..40,
+        script in prop::collection::vec((0u8..4, 1u32..9, 0u32..=255), 1..200),
+    ) {
+        let mut pool = Mempool::new(capacity);
+        // Model: the live packets' seqs per run, plus the counters a pool
+        // of single-packet buffers keeps.
+        let mut runs: Vec<(PktId, Vec<u64>)> = Vec::new();
+        let (mut in_use, mut hwm, mut failures, mut seq) = (0usize, 0usize, 0u64, 0u64);
+        for (op, count, pick) in script {
+            match op {
+                0 => {
+                    // Entry sizes a run to the room; an empty pool refuses
+                    // every packet of the run.
+                    let room = (capacity - in_use) as u32;
+                    let n = if room == 0 { count } else { count.min(room) };
+                    let mut head = Packet::new(FlowId(0), ChainId(0), 64, SimTime::ZERO);
+                    head.seq = seq;
+                    let got = pool.alloc_run(PacketRun { head, count: n });
+                    if in_use == capacity {
+                        prop_assert!(got.is_none());
+                        failures += u64::from(n);
+                    } else {
+                        let id = got.expect("sized to the room");
+                        prop_assert!(runs.iter().all(|(live, _)| *live != id));
+                        runs.push((id, (seq..seq + u64::from(n)).collect()));
+                        in_use += n as usize;
+                        hwm = hwm.max(in_use);
+                    }
+                    seq += u64::from(n);
+                }
+                1 if !runs.is_empty() => {
+                    let k = pick as usize % runs.len();
+                    let n = runs[k].1.len() as u32;
+                    if n > 1 {
+                        let keep = 1 + pick % (n - 1);
+                        let tail = pool.split(runs[k].0, keep);
+                        let seqs = runs[k].1.split_off(keep as usize);
+                        runs.push((tail, seqs));
+                    }
+                }
+                2 if !runs.is_empty() => {
+                    let (id, seqs) = runs.swap_remove(pick as usize % runs.len());
+                    pool.free(id);
+                    in_use -= seqs.len();
+                    // A second free of the slot panics and changes nothing.
+                    let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        pool.free(id)
+                    }));
+                    prop_assert!(again.is_err(), "double free accepted");
+                }
+                _ => {}
+            }
+            prop_assert_eq!(
+                (pool.in_use(), pool.available(), pool.high_watermark(), pool.alloc_failures),
+                (in_use, capacity - in_use, hwm, failures)
+            );
+            for (id, seqs) in &runs {
+                let got: Vec<u64> = pool.get(*id).packets().map(|p| p.seq).collect();
+                prop_assert_eq!(&got, seqs);
+            }
+        }
+    }
+
+    /// Run entries in a ring against a per-packet `VecDeque<PktId>`: run
+    /// enqueues that split at the room, refusals and limited run
+    /// dequeues leave the same packets queued, in order, and the same
+    /// `len`, `room`, `enqueued`, `dequeued` and `full_drops`.
+    #[test]
+    fn ring_run_entries_match_the_per_packet_model(
+        capacity in 1usize..24,
+        script in prop::collection::vec((prop::bool::ANY, 1u32..9), 1..300),
+    ) {
+        let mut pool = Mempool::new(64);
+        let mut ring = Ring::new(capacity);
+        // Model entries are packets; `PktId(seq)` names packet `seq`.
+        let mut model: VecDeque<PktId> = VecDeque::new();
+        let (mut enqueued, mut dequeued, mut full_drops) = (0u64, 0u64, 0u64);
+        let mut seq = 0u64;
+        for (op_is_enqueue, n) in script {
+            if op_is_enqueue {
+                let mut head = Packet::new(FlowId(0), ChainId(0), 64, SimTime::ZERO);
+                head.seq = seq;
+                let id = pool.alloc_run(PacketRun { head, count: n }).expect("pool is large");
+                if let Some(tail) = ring.enqueue_run(id, &mut pool) {
+                    ring.refuse(u64::from(pool.get(tail).count));
+                    pool.free(tail);
+                }
+                for s in seq..seq + u64::from(n) {
+                    if model.len() < capacity {
+                        model.push_back(PktId(s as u32));
+                        enqueued += 1;
+                    } else {
+                        full_drops += 1;
+                    }
+                }
+                seq += u64::from(n);
+            } else if let Some(id) = ring.dequeue_run(n, &mut pool) {
+                let run = pool.get(id);
+                prop_assert!(run.count <= n);
+                for p in run.packets() {
+                    prop_assert_eq!(model.pop_front(), Some(PktId(p.seq as u32)));
+                    dequeued += 1;
+                }
+                pool.free(id);
+            } else {
+                prop_assert!(model.is_empty());
+            }
+            let queued: Vec<PktId> = ring
+                .iter()
+                .flat_map(|id| pool.get(id).packets().map(|p| PktId(p.seq as u32)))
+                .collect();
+            prop_assert_eq!(&queued, &model.iter().copied().collect::<Vec<_>>());
+            prop_assert_eq!(
+                (ring.len(), ring.room(), ring.enqueued, ring.dequeued, ring.full_drops),
+                (model.len(), capacity - model.len(), enqueued, dequeued, full_drops)
+            );
+            prop_assert_eq!(pool.in_use(), model.len());
         }
     }
 

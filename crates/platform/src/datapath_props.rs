@@ -1,15 +1,18 @@
 //! Run-wise datapath vs a per-packet reference model.
 //!
 //! `rx_poll`, `tx_drain`, `plan_batch` and `finish_batch` move runs of
-//! packets in bursts. The model below is the per-packet datapath they
-//! replace: one mempool slot, ring enqueue, next-hop resolution and
-//! pending count per packet. Random scripts drive both over the same
-//! topology — shared rings, replica pins, a dropping handler, TCP flows,
-//! crashes and restarts — and every step must leave identical state.
+//! packets: one mempool slot, ring entry and batch row per run. The model
+//! below is the per-packet datapath they replace: one mempool slot, ring
+//! enqueue, next-hop resolution and pending count per packet. Random
+//! scripts drive both over the same topology — shared rings, replica
+//! pins, a dropping handler, TCP flows, crashes and restarts — and every
+//! step must leave identical state, with rings, outboxes and batches
+//! compared packet by packet (slot ids differ by design).
 
 use super::*;
-use nfv_pkt::FiveTuple;
+use nfv_pkt::{Enqueue, FiveTuple, Mempool};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// Drops every third packet it sees.
 struct DropEveryThird(u32);
@@ -27,6 +30,16 @@ impl PacketHandler for DropEveryThird {
 
 /// The per-packet datapath.
 impl Platform {
+    fn note_tcp_drop(&self, flow: FlowId, seq: u64, tcp_out: &mut Vec<TcpEvent>) {
+        if self.is_tcp(flow) {
+            tcp_out.push(TcpEvent {
+                flow,
+                seq,
+                kind: TcpEventKind::Dropped,
+            });
+        }
+    }
+
     fn ref_rx_poll(&mut self, now: SimTime, admit: &mut AdmitFn<'_>, tcp_out: &mut Vec<TcpEvent>) {
         let mut runs = Vec::new();
         self.nic.take_rx(&mut runs);
@@ -92,7 +105,7 @@ impl Platform {
     ) {
         for i in 0..self.nfs.len() {
             while let Some(pid) = self.nfs[i].tx.dequeue() {
-                let p = self.mempool.get(pid);
+                let p = &self.mempool.get(pid).head;
                 let (flow, chain, hops, seq, size, arrival, ecn) = (
                     p.flow,
                     p.chain,
@@ -165,7 +178,7 @@ impl Platform {
         let (mut cycles, mut n) = (0u64, 0usize);
         while n < self.cfg.batch_size {
             let Some(pid) = nf.rx.dequeue() else { break };
-            let pkt = self.mempool.get(pid);
+            let pkt = &self.mempool.get(pid).head;
             cycles += nf.spec.cost.cycles(pkt.cost_class) * nf.cost_factor;
             if !nf.pending_by_chain.sub(pkt.chain) {
                 self.stats.pending_desync += 1;
@@ -227,7 +240,7 @@ fn side() -> (Side, NfId) {
     let mut p = Platform::new(PlatformConfig {
         nf_cores: 1,
         mempool_capacity: 24,
-        batch_size: 6,
+        batch_size: 4,
         ..Default::default()
     });
     let a = p.add_nf(NfSpec::new("a", 0, 100).with_rings(6, 3));
@@ -337,9 +350,11 @@ impl Side {
             }
             5 => {
                 let marks = &mut self.marks;
+                // The policy's answer depends on the NF and the step, never
+                // on how often it was asked within the drain.
                 let mut mark_ce = |nf: NfId| {
                     marks.push(nf);
-                    (marks.len() + usize::from(y)).is_multiple_of(3)
+                    (nf.index() + k + usize::from(y)).is_multiple_of(3)
                 };
                 if reference {
                     p.ref_tx_drain(now, &mut mark_ce, &mut self.tcp);
@@ -369,9 +384,16 @@ impl Side {
     /// Everything the datapath can leave behind, one labeled part each.
     fn fingerprint(&self) -> Vec<String> {
         let p = &self.p;
+        let pool = &p.mempool;
         let mut parts = vec![
             format!("stats {:?}", p.stats),
-            format!("mempool {:?}", p.mempool),
+            format!(
+                "mempool in_use {} available {} high_watermark {} alloc_failures {}",
+                pool.in_use(),
+                pool.available(),
+                pool.high_watermark(),
+                pool.alloc_failures
+            ),
             format!("table {:?}", p.flow_table.stats()),
             format!("nic tx {}", p.nic.tx_frames),
             format!("tcp {:?}", self.tcp),
@@ -379,7 +401,7 @@ impl Side {
             format!("plans {:?}", self.plans),
             format!("marks {:?}", self.marks),
         ];
-        parts.extend(p.nfs.iter().map(|nf| format!("{nf:?}")));
+        parts.extend(p.nfs.iter().map(|nf| nf_state(nf, pool)));
         parts
     }
 
@@ -392,13 +414,69 @@ impl Side {
     }
 }
 
+/// The packets of runs `ids`, in order, one `Packet` each.
+fn expand(pool: &Mempool, ids: impl IntoIterator<Item = PktId>) -> Vec<Packet> {
+    ids.into_iter()
+        .flat_map(|id| pool.get(id).packets())
+        .collect()
+}
+
+/// An NF's state with its rings, outbox and batch expanded per packet.
+fn nf_state(nf: &NfRuntime, pool: &Mempool) -> String {
+    let NfRuntime {
+        spec,
+        task,
+        rx,
+        tx,
+        yield_flag,
+        blocked,
+        pending_by_chain,
+        outbox,
+        in_progress,
+        current_batch,
+        dbuf,
+        health,
+        cost_factor,
+        replica_of,
+        processed,
+        wasted_drops,
+        arrivals,
+        last_ppp,
+        processed_meter,
+        wasted_meter,
+    } = nf;
+    let ring = |r: &nfv_pkt::Ring| {
+        format!(
+            "len {} room {} enqueued {} dequeued {} full_drops {} {:?}",
+            r.len(),
+            r.room(),
+            r.enqueued,
+            r.dequeued,
+            r.full_drops,
+            expand(pool, r.iter())
+        )
+    };
+    format!(
+        "{spec:?} {task:?} rx [{}] tx [{}] outbox {:?} batch {:?} {yield_flag:?} {blocked:?} \
+         {pending_by_chain:?} {current_batch:?} {dbuf:?} {health:?} {cost_factor:?} \
+         {replica_of:?} {processed:?} {wasted_drops:?} {arrivals:?} {last_ppp:?} \
+         {processed_meter:?} {wasted_meter:?}",
+        ring(rx),
+        ring(tx),
+        expand(pool, outbox.iter().copied()),
+        expand(pool, in_progress.iter().copied()),
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 96, ..ProptestConfig::default() })]
 
     /// Every step of a random script leaves the run-wise datapath in the
-    /// per-packet model's state: stats, rings (ids, `enqueued`,
-    /// `full_drops`), outboxes, pending counts, mempool ids and
-    /// `high_watermark`, trace and `TcpEvent` order, ECN decisions.
+    /// per-packet model's state: stats; rings, outboxes and batches packet
+    /// by packet (flow, chain, seq, hops, `enqueued_at`, ECN, arrival,
+    /// size, cost class) with their counters; pending counts; the
+    /// mempool's `in_use`, `available`, `high_watermark` and
+    /// `alloc_failures`; trace and `TcpEvent` order; ECN decisions.
     #[test]
     fn run_wise_datapath_matches_the_per_packet_model(
         script in prop::collection::vec((0u8..7, 0u8..=255, 0u8..=255), 1..160),
@@ -417,15 +495,168 @@ proptest! {
     }
 }
 
+/// Where the run-wise side split a run during one step, read off its
+/// rings and slots around the step. A split keeps the head packets under
+/// the run's id and moves the tail to a fresh slot.
+#[derive(Debug, Default, Clone, Copy, PartialEq)]
+struct Splits {
+    /// `plan_batch` cut a run at the batch size.
+    batch: bool,
+    /// Entry admitted the head of a run and dropped the tail at a full
+    /// ring.
+    entry_ring: bool,
+    /// Entry admitted the head of a run and dropped the tail at an empty
+    /// pool.
+    entry_pool: bool,
+    /// `tx_drain` stored the head of a run in the next RX ring and dropped
+    /// the tail.
+    drain_ring: bool,
+    /// `finish_batch` stored the head of a run in the TX ring and parked
+    /// the tail in the outbox.
+    batch_spill: bool,
+    /// The outbox flush stored the head of its first run.
+    flush: bool,
+    /// A run of three or more packets reached the dropping handler.
+    handler: bool,
+}
+
+/// Run lengths of every live slot in a ring, outbox or batch.
+fn live_runs(p: &Platform) -> BTreeMap<PktId, u32> {
+    p.nfs
+        .iter()
+        .flat_map(|nf| {
+            let queued = nf.rx.iter().chain(nf.tx.iter());
+            queued.chain(nf.outbox.iter().chain(&nf.in_progress).copied())
+        })
+        .map(|id| (id, p.mempool.get(id).count))
+        .collect()
+}
+
+/// Drive `script` through both sides step by step, asserting equal state
+/// after every step, and report which splits the run-wise side made.
+fn run_script(script: &[(u8, u8, u8)]) -> (Side, Vec<nfv_obs::TraceEvent>, Splits) {
+    let (mut s, c) = side();
+    let (mut model, _) = side();
+    let (mut seqs, mut model_seqs) = ([0u64; TUPLES as usize], [0u64; TUPLES as usize]);
+    let batch = s.p.cfg.batch_size as u32;
+    let mut trace = Vec::new();
+    let mut hit = Splits::default();
+    // Wire runs delivered so far: (flow, first seq, frames). Tuple `n`
+    // is flow `n`, and each step delivers at its own instant, so the NIC
+    // never merges two of them.
+    let mut wire: Vec<(FlowId, u64, u64)> = Vec::new();
+    for (k, &step @ (op, x, y)) in script.iter().enumerate() {
+        let before = live_runs(&s.p);
+        let nf = NfId(u32::from(x) % s.p.nfs.len() as u32);
+        let rx_counts: Vec<u32> = s.p.nfs[nf.index()]
+            .rx
+            .iter()
+            .map(|id| s.p.mempool.get(id).count)
+            .collect();
+        let (tcp_before, plans_before) = (s.tcp.len(), s.plans.len());
+        if op <= 2 && u32::from(x) % TUPLES < TUPLES - 1 {
+            let n = u32::from(x) % TUPLES;
+            wire.push((FlowId(n), seqs[n as usize], 1 + u64::from(y) % 10));
+        }
+        s.step(false, k, step, &mut seqs);
+        model.step(true, k, step, &mut model_seqs);
+        assert_eq!(s.diff(&model), None, "step {k} {step:?}");
+        let events = s.p.trace.take();
+        assert_eq!(events, model.p.trace.take(), "step {k} {step:?}");
+        let plan = s.plans[plans_before..].first().copied();
+        let ran = matches!(plan, Some(BatchPlan::Run { n, .. }) if n > 0);
+        let fresh_outbox = s.p.nfs[nf.index()]
+            .outbox
+            .front()
+            .is_some_and(|id| !before.contains_key(id));
+        match op {
+            3 => {
+                // Each dropped TCP packet has a drop trace, in the same
+                // order. A drop whose predecessor in its wire run was
+                // admitted cut that run.
+                let drops: Vec<&TcpEvent> = s.tcp[tcp_before..]
+                    .iter()
+                    .filter(|e| e.kind == TcpEventKind::Dropped)
+                    .collect();
+                let causes: Vec<DropCause> = events
+                    .iter()
+                    .filter_map(|e| match e.kind {
+                        TraceKind::PacketDrop { cause, flow, .. }
+                            if flow != NO_ID && s.p.is_tcp(FlowId(flow)) =>
+                        {
+                            Some(cause)
+                        }
+                        _ => None,
+                    })
+                    .collect();
+                assert_eq!(drops.len(), causes.len());
+                for (ev, cause) in drops.iter().zip(causes) {
+                    let run_start = wire
+                        .iter()
+                        .find(|&&(f, first, n)| {
+                            f == ev.flow && (first..first + n).contains(&ev.seq)
+                        })
+                        .map(|&(_, first, _)| first);
+                    let prev_dropped = drops
+                        .iter()
+                        .any(|d| d.flow == ev.flow && d.seq + 1 == ev.seq);
+                    if run_start.is_some_and(|first| first < ev.seq) && !prev_dropped {
+                        hit.entry_ring |= cause == DropCause::RingFull;
+                        hit.entry_pool |= cause == DropCause::MempoolExhausted;
+                    }
+                }
+            }
+            4 => {
+                let mut sum = 0;
+                for n in &rx_counts {
+                    hit.batch |= sum < batch && sum + n > batch && ran;
+                    sum += n;
+                }
+                hit.batch_spill |= nf != c && ran && fresh_outbox;
+                hit.flush |= plan == Some(BatchPlan::Block(BlockReason::TxFull)) && fresh_outbox;
+                let handler_drop = events.iter().any(|e| {
+                    matches!(
+                        e.kind,
+                        TraceKind::PacketDrop {
+                            cause: DropCause::Handler,
+                            ..
+                        }
+                    )
+                });
+                hit.handler |= nf == c && rx_counts.first() >= Some(&3) && handler_drop;
+            }
+            5 => {
+                // A drain only appends to RX rings: an entry that lost
+                // packets came from a TX ring and was cut.
+                hit.drain_ring |= s.p.nfs.iter().any(|nf| {
+                    let shrunk = |id| before.get(&id).is_some_and(|&n| n > s.p.mempool.count(id));
+                    nf.rx.iter().any(shrunk)
+                });
+            }
+            _ => {}
+        }
+        trace.extend(events);
+    }
+    (s, trace, hit)
+}
+
 /// One scripted pass that must reach each case the property covers, so
 /// the property cannot go vacuous: the entry ring fills mid-run, the
 /// mempool runs out mid-run, a next hop is dead, packets spill from TX to
-/// the outbox, ECN marks land and TCP flows see feedback.
+/// the outbox, ECN marks land and TCP flows see feedback — and each place
+/// a run can split is reached.
 #[test]
 fn the_datapath_script_reaches_every_case() {
-    let (mut s, _) = side();
-    let mut seqs = [0u64; TUPLES as usize];
-    let mut script = Vec::new();
+    // Opening: `b`'s RX ring is left one packet short of full while a
+    // batch of `a` pushes a 3-packet run at it.
+    let mut script = vec![
+        (0, 3, 3),
+        (0, 0, 9),
+        (0, 9, 0),
+        (3, 0, 0),
+        (4, 0, 0),
+        (5, 0, 0),
+    ];
     for round in 0..12u8 {
         for x in 0..TUPLES as u8 {
             script.push((0, x, 7 + round));
@@ -443,15 +674,17 @@ fn the_datapath_script_reaches_every_case() {
             script.push((6, 0, 0));
         }
     }
-    let (mut model, _) = side();
-    let mut model_seqs = seqs;
-    for (k, &step) in script.iter().enumerate() {
-        s.step(false, k, step, &mut seqs);
-        model.step(true, k, step, &mut model_seqs);
-        assert_eq!(s.diff(&model), None, "step {k} {step:?}");
-    }
-    let trace = s.p.trace.take();
-    assert_eq!(trace, model.p.trace.take());
+    let (s, trace, hit) = run_script(&script);
+    let every = Splits {
+        batch: true,
+        entry_ring: true,
+        entry_pool: true,
+        drain_ring: true,
+        batch_spill: true,
+        flush: true,
+        handler: true,
+    };
+    assert_eq!(hit, every, "not every split reached");
     let hit = |cause| {
         trace
             .iter()

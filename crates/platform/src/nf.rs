@@ -301,12 +301,13 @@ pub struct NfRuntime {
     /// Pending RX packets per chain — lets the wakeup thread decide in
     /// O(#chains) whether everything queued here is throttled.
     pub pending_by_chain: ChainCounts,
-    /// Packets processed (time already charged) but not yet pushed to the
-    /// TX ring because it filled: flushed before the next batch.
+    /// Packet runs processed (time already charged) but not yet pushed
+    /// to the TX ring because it filled: flushed before the next batch.
     pub outbox: VecDeque<nfv_pkt::PktId>,
-    /// Packets dequeued for the batch currently executing on the CPU.
+    /// Packet runs dequeued for the batch currently executing on the CPU,
+    /// one row per run.
     pub in_progress: Vec<nfv_pkt::PktId>,
-    /// `(duration, n)` of the batch currently executing.
+    /// `(duration, n)` of the batch currently executing (`n` packets).
     pub current_batch: Option<(Duration, usize)>,
     /// Double-buffer engine when `spec.io` is `Async`.
     pub dbuf: Option<DoubleBuffer>,
@@ -392,6 +393,13 @@ impl NfRuntime {
     /// [`NfRuntime::note_arrival`] for `n` enqueue attempts at once.
     pub fn note_arrivals(&mut self, n: u64) {
         self.arrivals += n;
+    }
+
+    /// Record `n` packets this NF processed that were then dropped at the
+    /// next hop (wasted work).
+    pub fn note_wasted(&mut self, n: u64) {
+        self.wasted_drops += n;
+        self.wasted_meter.add(n);
     }
 
     /// True when the NF process is alive (up or wedged — a stalled NF

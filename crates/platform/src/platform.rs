@@ -17,8 +17,8 @@ use nfv_des::{CpuFreq, Duration, SimTime};
 use nfv_io::{StorageDevice, WriteOutcome};
 use nfv_obs::{DropCause, SleepReason, TraceKind, TraceSink, NO_ID};
 use nfv_pkt::{
-    ChainId, Ecn, Enqueue, FlowAging, FlowId, FlowTable, FlowTableKind, FrameRun, Mempool, NfId,
-    Nic, Packet, PktId, Proto, TuplePattern, WireFrame,
+    ChainId, Ecn, FlowAging, FlowId, FlowTable, FlowTableKind, FrameRun, Mempool, NfId, Nic,
+    Packet, PacketRun, PktId, Proto, TuplePattern, WireFrame,
 };
 use nfv_sched::{CfsParams, CgroupCpu, OsScheduler, Policy, SchedBackend};
 use std::collections::BTreeSet;
@@ -179,10 +179,8 @@ pub struct Platform {
     /// of each run (both reused across polls).
     scratch_runs: Vec<FrameRun>,
     scratch_classes: Vec<Option<(FlowId, ChainId)>>,
-    /// Packet ids of an entry burst, and of the burst bound for one next
-    /// NF in `tx_drain` (both reused across calls).
-    scratch_pids: Vec<PktId>,
-    scratch_burst: Vec<PktId>,
+    /// The runs a batch forwards, in order (reused across batches).
+    scratch_fwd: Vec<PktId>,
     /// Number of NFs currently `Down` — lets the per-frame dead-chain
     /// check in `rx_poll` short-circuit to nothing in fault-free runs.
     down_nfs: usize,
@@ -230,8 +228,7 @@ impl Platform {
             tcp_flow: Vec::new(),
             scratch_runs: Vec::new(),
             scratch_classes: Vec::new(),
-            scratch_pids: Vec::new(),
-            scratch_burst: Vec::new(),
+            scratch_fwd: Vec::new(),
             down_nfs: 0,
             replicas_of: std::collections::BTreeMap::new(),
             replica_floor: std::collections::BTreeMap::new(),
@@ -354,8 +351,10 @@ impl Platform {
     /// The NIC queue holds frame runs. Each run is classified with one
     /// flow-table operation, and a run dropped at entry (unclassified,
     /// dead chain or throttled) is counted in O(1); drop traces and TCP
-    /// feedback stay per frame, in frame order. Every counter ends up as
-    /// if each frame had been handled on its own.
+    /// feedback stay per frame, in frame order. An admitted run enters
+    /// the entry ring as one packet run — one mempool slot, one ring
+    /// entry — cut where the ring or the pool runs out of room. Every
+    /// counter ends up as if each frame had been handled on its own.
     pub fn rx_poll(&mut self, now: SimTime, admit: &mut AdmitFn<'_>, tcp_out: &mut Vec<TcpEvent>) {
         let mut runs = std::mem::take(&mut self.scratch_runs);
         let mut classes = std::mem::take(&mut self.scratch_classes);
@@ -391,6 +390,10 @@ impl Platform {
                 }
                 continue;
             };
+            let pkts = PacketRun {
+                head: admitted(run.head, flow, chain, now),
+                count: run.count,
+            };
             if flow != cached_flow {
                 // Wildcard rules can mint new flows at runtime; keep
                 // per-flow stats sized accordingly.
@@ -402,8 +405,7 @@ impl Platform {
                 // the (live) entry NF, and counting it would inflate its
                 // weight for the duration of the outage.
                 if let Some(dead) = self.chain_down_nf(chain) {
-                    let cause = DropCause::NfDown;
-                    self.shed_run(now, run, (flow, chain), cause, dead, tcp_out);
+                    self.drop_run(now, &pkts, DropCause::NfDown, dead, false, tcp_out);
                     continue;
                 }
                 // With replicas, the flow is first sharded to its
@@ -430,83 +432,86 @@ impl Platform {
             self.nfs[entry.index()].note_arrivals(n);
             if !cached_admit {
                 let cause = DropCause::EntryThrottle;
-                self.shed_run(now, run, (flow, chain), cause, entry, tcp_out);
+                self.drop_run(now, &pkts, cause, entry, false, tcp_out);
                 continue;
             }
-            // Bulk entry: the prefix that fits both the entry ring and the
-            // mempool takes its slots and ring entries in one burst each;
-            // only the overflow tail walks its frames, so drop ids, traces
-            // and `TcpEvent`s stay per frame.
-            let bulk = (run.count as usize)
-                .min(self.nfs[entry.index()].rx.room())
-                .min(self.mempool.available());
-            if bulk > 0 {
-                let mut ids = std::mem::take(&mut self.scratch_pids);
-                ids.clear();
-                let pkts = (0..bulk as u32).map(|i| admitted(run.frame(i), flow, chain, now));
-                let allocated = self.mempool.alloc_bulk(pkts, &mut ids);
-                debug_assert!(allocated);
-                let nf = &mut self.nfs[entry.index()];
-                let stored = nf.rx.enqueue_burst(&ids);
-                debug_assert_eq!(stored, bulk);
-                nf.pending_by_chain.add_n(chain, bulk as u32);
-                self.scratch_pids = ids;
-            }
-            for i in bulk as u32..run.count {
-                let frame = run.frame(i);
-                let Some(pid) = self.mempool.alloc(admitted(frame, flow, chain, now)) else {
-                    self.stats.mempool_fail += 1;
-                    self.stats
-                        .dropped(flow, chain, DropLocation::MempoolExhausted);
-                    self.trace_drop(now, DropCause::MempoolExhausted, flow.0, chain.0, entry.0);
-                    self.note_tcp_drop(flow, frame.seq, tcp_out);
-                    continue;
+            // Entry: the prefix that fits both the entry ring and the
+            // mempool takes one slot and one ring entry. A frame takes its
+            // slot before it meets the ring, so the tail drops where the
+            // per-frame path runs out first: at an empty pool (no slot),
+            // or at a full ring (each frame bounces through a slot).
+            let room = self.nfs[entry.index()].rx.room();
+            let avail = self.mempool.available();
+            let take = (run.count as usize).min(room).min(avail) as u32;
+            if take > 0 {
+                let prefix = PacketRun {
+                    count: take,
+                    ..pkts
                 };
+                let id = self.mempool.alloc_run(prefix).expect("sized to the pool");
                 let nf = &mut self.nfs[entry.index()];
-                match nf.rx.enqueue(pid) {
-                    Enqueue::Ok { .. } => nf.note_pending(chain),
-                    Enqueue::Full => {
-                        self.mempool.free(pid);
-                        self.stats
-                            .dropped(flow, chain, DropLocation::RingFull(entry));
-                        self.trace_drop(now, DropCause::RingFull, flow.0, chain.0, entry.0);
-                        self.note_tcp_drop(flow, frame.seq, tcp_out);
-                    }
-                }
+                let rest = nf.rx.enqueue_run(id, &mut self.mempool);
+                debug_assert!(rest.is_none(), "sized to the ring");
+                nf.pending_by_chain.add_n(chain, take);
+            }
+            if take < run.count {
+                let tail = pkts.after(take);
+                let n = u64::from(tail.count);
+                let cause = if avail <= room {
+                    self.mempool.alloc_failures += n;
+                    self.stats.mempool_fail += n;
+                    DropCause::MempoolExhausted
+                } else {
+                    self.mempool.bounce();
+                    self.nfs[entry.index()].rx.refuse(n);
+                    DropCause::RingFull
+                };
+                self.drop_run(now, &tail, cause, entry, false, tcp_out);
             }
         }
         self.scratch_runs = runs;
         self.scratch_classes = classes;
     }
 
-    /// Drop a whole classified run at the entry NF `nf`, `cause` being
-    /// `EntryThrottle` or `NfDown` (then `nf` is the dead NF): the
+    /// Count the packets of `run` dropped for `cause` at NF `nf`: the
     /// counters move once for the run, and only a traced or TCP run walks
-    /// its frames.
-    fn shed_run(
+    /// its packets — a drop trace each (after an ECN mark trace when the
+    /// TX thread `marked` them on the way to `nf`) and a `TcpEvent` each,
+    /// in packet order. The run's slot, if any, is the caller's to free.
+    fn drop_run(
         &mut self,
         now: SimTime,
-        run: &FrameRun,
-        (flow, chain): (FlowId, ChainId),
+        run: &PacketRun,
         cause: DropCause,
         nf: NfId,
+        marked: bool,
         tcp_out: &mut Vec<TcpEvent>,
     ) {
+        let (flow, chain) = (run.head.flow, run.head.chain);
         let loc = match cause {
+            DropCause::EntryThrottle => DropLocation::EntryThrottle,
             DropCause::NfDown => DropLocation::NfDown(nf),
-            _ => DropLocation::EntryThrottle,
+            DropCause::RingFull => DropLocation::RingFull(nf),
+            DropCause::MempoolExhausted => DropLocation::MempoolExhausted,
+            DropCause::Handler => DropLocation::Handler(nf),
+            DropCause::Unclassified | DropCause::NicOverflow => {
+                unreachable!("{cause:?} drops a frame before it has a flow")
+            }
         };
-        self.stats.dropped_n(flow, chain, loc, run.count as u64);
+        self.stats.dropped_n(flow, chain, loc, u64::from(run.count));
         let tcp = self.is_tcp(flow);
         if !tcp && !self.trace.is_on() {
             return;
         }
-        for i in 0..run.count {
+        for i in 0..u64::from(run.count) {
+            if marked {
+                self.trace.record(now, TraceKind::EcnMark { nf: nf.0 });
+            }
             self.trace_drop(now, cause, flow.0, chain.0, nf.0);
             if tcp {
                 tcp_out.push(TcpEvent {
                     flow,
-                    seq: run.head.seq + i as u64,
+                    seq: run.head.seq + i,
                     kind: TcpEventKind::Dropped,
                 });
             }
@@ -531,16 +536,6 @@ impl Platform {
         self.tcp_flow.get(flow.index()) == Some(&true)
     }
 
-    fn note_tcp_drop(&self, flow: FlowId, seq: u64, tcp_out: &mut Vec<TcpEvent>) {
-        if self.is_tcp(flow) {
-            tcp_out.push(TcpEvent {
-                flow,
-                seq,
-                kind: TcpEventKind::Dropped,
-            });
-        }
-    }
-
     // ------------------------------------------------------------------
     // TX thread mechanism
     // ------------------------------------------------------------------
@@ -550,13 +545,14 @@ impl Platform {
     /// NIC at chain end. Returns, via `woken_tx`, NFs whose full TX ring
     /// gained room (local backpressure release).
     ///
-    /// Each ring is walked in runs of packets that share (flow, chain,
-    /// hops): the next hop is resolved once per run, and packets bound
-    /// for the same next NF are enqueued to its RX ring in one burst,
-    /// with their pending counts added once per chain.
-    /// The ECN decision, drops, traces and `TcpEvent`s stay per packet, in
-    /// ring order, so every counter ends as if each packet had been
-    /// forwarded on its own.
+    /// Each ring entry is a run of packets that share (flow, chain,
+    /// hops): the next hop is resolved once per run of entries with the
+    /// same key, and a run moves to the next RX ring as one entry, split
+    /// only where the ring runs out of room. `mark_ce` is called once per
+    /// ECT packet and must give the same answer for an NF throughout one
+    /// drain, so a run shares its ECN decision. Drops, traces and
+    /// `TcpEvent`s stay per packet, in ring order, so every counter ends
+    /// as if each packet had been forwarded on its own.
     pub fn tx_drain(
         &mut self,
         now: SimTime,
@@ -564,157 +560,117 @@ impl Platform {
         tcp_out: &mut Vec<TcpEvent>,
         woken_tx: &mut Vec<NfId>,
     ) {
-        let mut burst = std::mem::take(&mut self.scratch_burst);
         for i in 0..self.nfs.len() {
             if !self.nfs[i].tx.is_empty() {
-                self.forward(NfId(i as u32), &mut burst, now, mark_ce, tcp_out);
+                self.forward(NfId(i as u32), now, mark_ce, tcp_out);
             }
         }
-        self.scratch_burst = burst;
         // Local backpressure release: wake NFs that were stalled on a full
         // TX ring and now have room for their whole outbox.
         for i in 0..self.nfs.len() {
             let nf = &self.nfs[i];
-            if nf.blocked == Some(BlockReason::TxFull) && nf.tx.room() >= nf.outbox.len().max(1) {
+            if nf.blocked == Some(BlockReason::TxFull)
+                && nf.tx.room() >= self.mempool.packets_in(&nf.outbox).max(1)
+            {
                 woken_tx.push(NfId(i as u32));
             }
         }
     }
 
-    /// Drain `from`'s TX ring, forwarding its packets in order (see
-    /// [`Platform::tx_drain`]). `burst` collects the packets bound for one
-    /// next NF until the next hop changes.
+    /// Drain `from`'s TX ring, forwarding its runs in order (see
+    /// [`Platform::tx_drain`]).
     fn forward(
         &mut self,
         from: NfId,
-        burst: &mut Vec<PktId>,
         now: SimTime,
         mark_ce: &mut dyn FnMut(NfId) -> bool,
         tcp_out: &mut Vec<TcpEvent>,
     ) {
-        // The current run's key and resolved hop: `None` at chain end.
+        // The current key and its resolved hop: `None` at chain end.
         let mut key = (FlowId(u32::MAX), ChainId(u32::MAX), u8::MAX);
         let mut hop: Option<NfId> = None;
         let mut hop_down = false;
         let mut tcp = false;
-        // The open burst: its next NF, the room left in that NF's RX
-        // ring, and the pending count of the chain run at its tail.
-        let mut to = NfId(u32::MAX);
-        let mut room = 0usize;
-        let mut pend = (ChainId(u32::MAX), 0u32);
-        burst.clear();
-        while let Some(pid) = self.nfs[from.index()].tx.dequeue() {
-            let p = self.mempool.get(pid);
-            let (flow, chain, hops) = (p.flow, p.chain, p.hops_done);
-            let (seq, size, arrival, ecn) = (p.seq, p.size, p.arrival, p.ecn);
-            if (flow, chain, hops) != key {
-                key = (flow, chain, hops);
+        while let Some(id) = self.nfs[from.index()]
+            .tx
+            .dequeue_run(u32::MAX, &mut self.mempool)
+        {
+            let run = self.mempool.get(id);
+            let (p, n) = (&run.head, run.count);
+            if (p.flow, p.chain, p.hops_done) != key {
+                key = (p.flow, p.chain, p.hops_done);
                 // Chains name base NFs; shard the flow across the hop's
                 // replica group (no-op without replicas). Nothing in a
-                // drain changes health or pins, so once per run is exact.
+                // drain changes health or pins, so once per key is exact.
                 hop = self
                     .chains
-                    .nf_at(chain, hops as usize)
-                    .map(|next| self.resolve_instance(next, flow));
+                    .nf_at(p.chain, p.hops_done as usize)
+                    .map(|next| self.resolve_instance(next, p.flow));
                 hop_down = hop.is_some_and(|n| self.nfs[n.index()].health == NfHealth::Down);
-                tcp = self.is_tcp(flow);
+                tcp = self.is_tcp(p.flow);
             }
             let Some(next) = hop else {
                 // Chain complete: out the wire.
-                self.mempool.free(pid);
-                self.nic.transmit(size);
-                self.stats.delivered(flow, chain, size, now.since(arrival));
+                self.mempool.free(id);
+                self.nic.transmit_n(p.size, n);
+                let latency = now.since(p.arrival);
+                self.stats
+                    .delivered_n(p.flow, p.chain, p.size, latency, u64::from(n));
                 if tcp {
-                    tcp_out.push(TcpEvent {
-                        flow,
-                        seq,
-                        kind: TcpEventKind::Delivered { ce: ecn == Ecn::Ce },
-                    });
+                    let kind = TcpEventKind::Delivered {
+                        ce: p.ecn == Ecn::Ce,
+                    };
+                    tcp_out.extend((0..u64::from(n)).map(|i| TcpEvent {
+                        flow: p.flow,
+                        seq: p.seq + i,
+                        kind,
+                    }));
                 }
                 continue;
             };
             if hop_down {
-                // A dead next hop cannot accept the packet; the upstream
+                // A dead next hop cannot accept the packets; the upstream
                 // NF's processing is wasted, same as a full-ring drop.
                 // (Transient: entry shedding stops new traffic for the
                 // chain the moment the NF dies.)
-                self.drop_forwarded(pid, from, next, DropCause::NfDown, now, tcp_out);
+                self.mempool.free(id);
+                self.drop_run(now, &run, DropCause::NfDown, next, false, tcp_out);
+                self.nfs[from.index()].note_wasted(u64::from(n));
                 continue;
             }
-            if next != to {
-                self.flush_burst(to, burst, &mut pend);
-                to = next;
-                room = self.nfs[next.index()].rx.room();
+            let marked = p.ecn == Ecn::Ect0 && {
+                let mark = mark_ce(next);
+                for _ in 1..n {
+                    let again = mark_ce(next);
+                    debug_assert_eq!(again, mark, "mark_ce changed its answer within a drain");
+                }
+                mark
+            };
+            let head = self.mempool.get_mut(id);
+            head.enqueued_at = now;
+            if marked {
+                head.ecn = Ecn::Ce;
             }
-            {
-                let p = self.mempool.get_mut(pid);
-                p.enqueued_at = now;
-                if p.ecn == Ecn::Ect0 && mark_ce(next) {
-                    p.ecn = Ecn::Ce;
+            let nf = &mut self.nfs[next.index()];
+            nf.note_arrivals(u64::from(n));
+            let rest = nf.rx.enqueue_run(id, &mut self.mempool);
+            let refused = rest.map_or(0, |r| self.mempool.count(r));
+            nf.rx.refuse(u64::from(refused));
+            nf.pending_by_chain.add_n(p.chain, n - refused);
+            if marked && self.trace.is_on() {
+                for _ in 0..n - refused {
                     self.trace.record(now, TraceKind::EcnMark { nf: next.0 });
                 }
             }
-            self.nfs[next.index()].note_arrival();
-            if room == 0 {
-                // Flush the burst so the full ring itself rejects (and
-                // counts) the packet. The previous NF's work is wasted.
-                self.flush_burst(to, burst, &mut pend);
-                let rejected = self.nfs[next.index()].rx.enqueue(pid);
-                debug_assert_eq!(rejected, Enqueue::Full);
-                self.drop_forwarded(pid, from, next, DropCause::RingFull, now, tcp_out);
-                continue;
+            if let Some(rest) = rest {
+                // The tail met a full ring. The previous NF's work is
+                // wasted.
+                let tail = self.mempool.get(rest);
+                self.mempool.free(rest);
+                self.drop_run(now, &tail, DropCause::RingFull, next, marked, tcp_out);
+                self.nfs[from.index()].note_wasted(u64::from(refused));
             }
-            room -= 1;
-            burst.push(pid);
-            if pend.0 != chain {
-                self.nfs[to.index()].pending_by_chain.add_n(pend.0, pend.1);
-                pend = (chain, 0);
-            }
-            pend.1 += 1;
         }
-        self.flush_burst(to, burst, &mut pend);
-    }
-
-    /// Enqueue the open burst to `to`'s RX ring (sized to fit) and add
-    /// the pending count of its last chain run.
-    fn flush_burst(&mut self, to: NfId, burst: &mut Vec<PktId>, pend: &mut (ChainId, u32)) {
-        if burst.is_empty() {
-            return;
-        }
-        let nf = &mut self.nfs[to.index()];
-        let stored = nf.rx.enqueue_burst(burst);
-        debug_assert_eq!(stored, burst.len(), "burst sized to the ring's room");
-        nf.pending_by_chain.add_n(pend.0, pend.1);
-        *pend = (ChainId(u32::MAX), 0);
-        burst.clear();
-    }
-
-    /// Drop a forwarded packet at next hop `next` (`RingFull` or
-    /// `NfDown`), charging the wasted work to `from`.
-    fn drop_forwarded(
-        &mut self,
-        pid: PktId,
-        from: NfId,
-        next: NfId,
-        cause: DropCause,
-        now: SimTime,
-        tcp_out: &mut Vec<TcpEvent>,
-    ) {
-        let (flow, chain, seq) = {
-            let p = self.mempool.get(pid);
-            (p.flow, p.chain, p.seq)
-        };
-        let loc = match cause {
-            DropCause::NfDown => DropLocation::NfDown(next),
-            _ => DropLocation::RingFull(next),
-        };
-        self.mempool.free(pid);
-        self.stats.dropped(flow, chain, loc);
-        self.trace_drop(now, cause, flow.0, chain.0, next.0);
-        let nf = &mut self.nfs[from.index()];
-        nf.wasted_drops += 1;
-        nf.wasted_meter.add(1);
-        self.note_tcp_drop(flow, seq, tcp_out);
     }
 
     // ------------------------------------------------------------------
@@ -724,6 +680,9 @@ impl Platform {
     /// Begin a batch for `nf` (the current task on its core). Flushes the
     /// outbox, honors the yield flag, and dequeues up to `batch_size`
     /// packets, computing the batch's CPU cost from the NF's cost model.
+    /// The batch holds one row per run; a run longer than the batch's
+    /// remaining room is split, and its tail stays at the head of the RX
+    /// ring.
     pub fn plan_batch(&mut self, nf_id: NfId) -> BatchPlan {
         let batch = self.cfg.batch_size;
         let nf = &mut self.nfs[nf_id.index()];
@@ -742,13 +701,19 @@ impl Platform {
             nf.current_batch = Some((duration, 0));
             return BatchPlan::Run { duration, n: 0 };
         }
-        // Flush previously processed packets that did not fit in TX.
-        while let Some(&pid) = nf.outbox.front() {
-            match nf.tx.enqueue(pid) {
-                Enqueue::Ok { .. } => {
+        // Flush previously processed packets that did not fit in TX, in
+        // order, until the first refusal (which counts once, as the
+        // failed single enqueue that stops a per-packet flush).
+        while let Some(&id) = nf.outbox.front() {
+            match nf.tx.enqueue_run(id, &mut self.mempool) {
+                None => {
                     nf.outbox.pop_front();
                 }
-                Enqueue::Full => break,
+                Some(rest) => {
+                    nf.outbox[0] = rest;
+                    nf.tx.refuse(1);
+                    break;
+                }
             }
         }
         if !nf.outbox.is_empty() {
@@ -762,24 +727,31 @@ impl Platform {
             return BatchPlan::Block(BlockReason::EmptyRx);
         }
         debug_assert!(nf.in_progress.is_empty(), "batch already in progress");
-        let n = nf.rx.dequeue_burst(batch, &mut nf.in_progress);
-        // Pending counts move once per run of same-chain packets;
-        // `sub_n` reports exactly the desyncs single `sub`s would.
+        // Cost is per packet, and a run's packets share their cost class.
+        // Pending counts move once per run of same-chain rows; `sub_n`
+        // reports exactly the desyncs single `sub`s would.
+        let mut left = batch as u32;
         let mut cycles = 0u64;
         let mut run = (ChainId(u32::MAX), 0u32);
         let mut desync = 0u64;
-        for &pid in &nf.in_progress {
-            let pkt = self.mempool.get(pid);
+        while left > 0 {
+            let Some(id) = nf.rx.dequeue_run(left, &mut self.mempool) else {
+                break;
+            };
+            let PacketRun { head, count } = self.mempool.get(id);
             // `cost_factor` is the transient slowdown fault (1 = nominal).
-            cycles += nf.spec.cost.cycles(pkt.cost_class) * nf.cost_factor;
-            if pkt.chain != run.0 {
+            cycles += nf.spec.cost.cycles(head.cost_class) * u64::from(count) * nf.cost_factor;
+            if head.chain != run.0 {
                 desync += u64::from(nf.pending_by_chain.sub_n(run.0, run.1));
-                run = (pkt.chain, 0);
+                run = (head.chain, 0);
             }
-            run.1 += 1;
+            run.1 += count;
+            left -= count;
+            nf.in_progress.push(id);
         }
         desync += u64::from(nf.pending_by_chain.sub_n(run.0, run.1));
         self.stats.pending_desync += desync;
+        let n = batch - left as usize;
         let duration = self
             .cfg
             .freq
@@ -791,86 +763,82 @@ impl Platform {
     }
 
     /// Complete the batch started by [`Platform::plan_batch`]: run the
-    /// handler on each packet, perform storage writes, and push survivors
-    /// toward the TX ring in one burst (overflow goes to the outbox, in
-    /// order).
+    /// handler, perform storage writes, and push survivors toward the TX
+    /// ring (overflow goes to the outbox, in order). The stock
+    /// [`ForwardAll`] handler forwards whole runs; any other handler is
+    /// handed its packets one at a time, each split off into a run of one.
     pub fn finish_batch(&mut self, nf_id: NfId, now: SimTime) -> BatchEffects {
         let mut fx = BatchEffects::default();
         let idx = nf_id.index();
         // Take the batch vec so the handler can borrow `self`, but hand it
         // back (cleared) afterwards — its capacity is reused every batch.
-        let mut pids = std::mem::take(&mut self.nfs[idx].in_progress);
+        let mut rows = std::mem::take(&mut self.nfs[idx].in_progress);
         let (_, n) = self.nfs[idx]
             .current_batch
             .take()
             .expect("finish without plan");
-        debug_assert_eq!(n, pids.len());
+        debug_assert_eq!(n, self.mempool.packets_in(&rows));
         let mut handler = self.handlers[idx].take().expect("handler re-entry");
         let trivial = self.trivial_handler[idx];
-        let io_spec = self.nfs[idx].spec.io;
-        let io_on = io_spec.is_some() && !self.io_flows.is_empty();
+        let io_on = self.nfs[idx].spec.io.is_some() && !self.io_flows.is_empty();
         let mut sync_bytes = 0u64;
-        // Forwarded packets are compacted to the front of `pids`, in order.
-        let mut forwarded = 0;
-        for j in 0..pids.len() {
-            let pid = pids[j];
-            // One slab access covers the handler call, the post-handler
-            // field reads, and the forward hop bump. The stock
-            // [`ForwardAll`] handler is a stateless no-op: skip its
-            // dynamic dispatch and use its (constant) action directly.
-            let p = self.mempool.get_mut(pid);
-            let action = if trivial {
-                NfAction::Forward
-            } else {
-                handler.handle(&mut *p, now)
-            };
-            let (flow, chain) = (p.flow, p.chain);
-            if action == NfAction::Forward {
+        // Forwarded runs, in order.
+        let mut fwd = std::mem::take(&mut self.scratch_fwd);
+        for &row in &rows {
+            if trivial {
+                // A stateless forward: skip the dynamic dispatch and move
+                // the whole run on.
+                let p = self.mempool.get_mut(row);
                 p.hops_done += 1;
+                let flow = p.flow;
+                if io_on && self.io_flows.contains(&flow) {
+                    let count = self.mempool.count(row);
+                    self.storage_writes(idx, count, now, &mut sync_bytes, &mut fx);
+                }
+                fwd.push(row);
+                continue;
             }
-            // Storage I/O for registered flows.
-            if io_on && self.io_flows.contains(&flow) {
-                let io = io_spec.expect("io_on implies io_spec");
-                match io.mode {
-                    IoMode::Sync => sync_bytes += io.bytes_per_packet,
-                    IoMode::Async { .. } => {
-                        let dbuf = self.nfs[idx].dbuf.as_mut().expect("async io w/o dbuf");
-                        match dbuf.write(now, io.bytes_per_packet, &mut self.storage) {
-                            WriteOutcome::Buffered => {}
-                            WriteOutcome::Flushing { completion } => {
-                                fx.flush_completions.push(completion);
-                            }
-                            WriteOutcome::Blocked => {
-                                // Both buffers busy: the NF suspends
-                                // after this batch; it is woken by the
-                                // in-flight flush's completion event.
-                                fx.block = Some(BlockReason::Io);
-                            }
-                        }
+            let mut id = row;
+            loop {
+                let rest = (self.mempool.count(id) > 1).then(|| self.mempool.split(id, 1));
+                let p = self.mempool.get_mut(id);
+                let action = handler.handle(&mut *p, now);
+                let (flow, chain) = (p.flow, p.chain);
+                if action == NfAction::Forward {
+                    p.hops_done += 1;
+                }
+                if io_on && self.io_flows.contains(&flow) {
+                    self.storage_writes(idx, 1, now, &mut sync_bytes, &mut fx);
+                }
+                match action {
+                    NfAction::Drop => {
+                        self.mempool.free(id);
+                        self.stats
+                            .dropped(flow, chain, DropLocation::Handler(nf_id));
+                        self.trace_drop(now, DropCause::Handler, flow.0, chain.0, nf_id.0);
                     }
+                    NfAction::Forward => fwd.push(id),
                 }
-            }
-            match action {
-                NfAction::Drop => {
-                    self.mempool.free(pid);
-                    self.stats
-                        .dropped(flow, chain, DropLocation::Handler(nf_id));
-                    self.trace_drop(now, DropCause::Handler, flow.0, chain.0, nf_id.0);
-                }
-                NfAction::Forward => {
-                    pids[forwarded] = pid;
-                    forwarded += 1;
+                match rest {
+                    Some(next) => id = next,
+                    None => break,
                 }
             }
         }
         let nf = &mut self.nfs[idx];
         nf.processed += n as u64;
         nf.processed_meter.add(n as u64);
-        let stored = nf.tx.enqueue_burst(&pids[..forwarded]);
-        nf.outbox.extend(&pids[stored..forwarded]);
+        for &id in &fwd {
+            if let Some(rest) = nf.tx.enqueue_run(id, &mut self.mempool) {
+                nf.tx.refuse(u64::from(self.mempool.count(rest)));
+                nf.outbox.push_back(rest);
+            }
+        }
         self.handlers[idx] = Some(handler);
-        pids.clear();
-        self.nfs[idx].in_progress = pids;
+        rows.clear();
+        self.nfs[idx].in_progress = rows;
+        fwd.clear();
+        self.scratch_fwd = fwd;
         if sync_bytes > 0 {
             // Blocking write: the NF sleeps until the device finishes.
             let completion = self.storage.submit_write(now, sync_bytes);
@@ -878,6 +846,44 @@ impl Platform {
             fx.io_wake_at = Some(completion);
         }
         fx
+    }
+
+    /// Storage writes of `n` processed packets of an I/O flow at NF
+    /// `idx`, one per packet: synchronous bytes add up for one blocking
+    /// write after the batch; asynchronous writes go through the double
+    /// buffer.
+    fn storage_writes(
+        &mut self,
+        idx: usize,
+        n: u32,
+        now: SimTime,
+        sync_bytes: &mut u64,
+        fx: &mut BatchEffects,
+    ) {
+        let io = self.nfs[idx]
+            .spec
+            .io
+            .expect("storage writes without io spec");
+        match io.mode {
+            IoMode::Sync => *sync_bytes += io.bytes_per_packet * u64::from(n),
+            IoMode::Async { .. } => {
+                let dbuf = self.nfs[idx].dbuf.as_mut().expect("async io w/o dbuf");
+                for _ in 0..n {
+                    match dbuf.write(now, io.bytes_per_packet, &mut self.storage) {
+                        WriteOutcome::Buffered => {}
+                        WriteOutcome::Flushing { completion } => {
+                            fx.flush_completions.push(completion);
+                        }
+                        WriteOutcome::Blocked => {
+                            // Both buffers busy: the NF suspends after
+                            // this batch; it is woken by the in-flight
+                            // flush's completion event.
+                            fx.block = Some(BlockReason::Io);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     /// Deliver a storage-flush completion to `nf`.
@@ -969,25 +975,18 @@ impl Platform {
         self.nfs[idx].cost_factor = 1;
         self.nfs[idx].pending_by_chain.clear();
         // nfv-lint: allow(hot-alloc) -- crash drain runs once per injected fault
-        let mut pids: Vec<nfv_pkt::PktId> = Vec::new();
-        while let Some(pid) = self.nfs[idx].rx.dequeue() {
-            pids.push(pid);
-        }
-        while let Some(pid) = self.nfs[idx].tx.dequeue() {
-            pids.push(pid);
-        }
-        pids.extend(self.nfs[idx].outbox.drain(..));
-        pids.append(&mut self.nfs[idx].in_progress);
-        let freed = pids.len();
-        for pid in pids {
-            let (flow, chain, seq) = {
-                let p = self.mempool.get(pid);
-                (p.flow, p.chain, p.seq)
-            };
-            self.mempool.free(pid);
-            self.stats.dropped(flow, chain, DropLocation::NfDown(nf_id));
-            self.trace_drop(now, DropCause::NfDown, flow.0, chain.0, nf_id.0);
-            self.note_tcp_drop(flow, seq, tcp_out);
+        let mut ids: Vec<PktId> = Vec::new();
+        let nf = &mut self.nfs[idx];
+        nf.rx.drain_all(&mut ids);
+        nf.tx.drain_all(&mut ids);
+        ids.extend(nf.outbox.drain(..));
+        ids.append(&mut nf.in_progress);
+        let mut freed = 0;
+        for id in ids {
+            let run = self.mempool.get(id);
+            self.mempool.free(id);
+            freed += run.count as usize;
+            self.drop_run(now, &run, DropCause::NfDown, nf_id, false, tcp_out);
         }
         let task = self.nfs[idx].task;
         self.sched.park(task, now);
@@ -1217,8 +1216,8 @@ impl Platform {
     /// Age of the packet at the head of `nf`'s RX ring (how long it has
     /// been queued) — the backpressure queuing-time input.
     pub fn rx_head_age(&self, nf_id: NfId, now: SimTime) -> Option<Duration> {
-        let pid = self.nfs[nf_id.index()].rx.peek()?;
-        Some(now.since(self.mempool.get(pid).enqueued_at))
+        let id = self.nfs[nf_id.index()].rx.peek()?;
+        Some(now.since(self.mempool.get(id).head.enqueued_at))
     }
 
     /// Write `cpu.shares` for an NF's cgroup, returning the sysfs-write
@@ -1243,7 +1242,10 @@ impl Platform {
         let held: usize = self
             .nfs
             .iter()
-            .map(|nf| nf.rx.len() + nf.tx.len() + nf.outbox.len() + nf.in_progress.len())
+            .map(|nf| {
+                let parked = nf.outbox.iter().chain(&nf.in_progress);
+                nf.rx.len() + nf.tx.len() + self.mempool.packets_in(parked)
+            })
             .sum();
         held == self.mempool.in_use()
     }
@@ -1419,9 +1421,10 @@ mod tests {
         trace: Vec<nfv_obs::TraceEvent>,
         tcp: Vec<TcpEvent>,
         admit_calls: Vec<FlowId>,
-        /// Per NF: arrivals, then `(packet id, seq)` of each queued packet.
-        rings: Vec<(u64, Vec<(u32, u64)>)>,
-        mempool_in_use: usize,
+        /// Per NF: arrivals, ring counters, then each queued packet.
+        rings: Vec<(u64, String)>,
+        /// `in_use`, `available`, `high_watermark`, `alloc_failures`.
+        mempool: (usize, usize, usize, u64),
     }
 
     /// Run `polls` of `(tuple, first seq, frames)` runs through `rx_poll`,
@@ -1492,13 +1495,17 @@ mod tests {
             p.stats.dropped_total + p.stats.unclassified,
             "split = {split}"
         );
-        let rings = (0..p.nfs.len())
-            .map(|i| {
-                let mut queued = Vec::new();
-                while let Some(pid) = p.nfs[i].rx.dequeue() {
-                    queued.push((pid.0, p.mempool.get(pid).seq));
-                }
-                (p.nfs[i].arrivals, queued)
+        let rings = p
+            .nfs
+            .iter()
+            .map(|nf| {
+                let rx = &nf.rx;
+                let queued: Vec<Packet> = rx
+                    .iter()
+                    .flat_map(|id| p.mempool.get(id).packets())
+                    .collect();
+                let counters = (rx.len(), rx.room(), rx.enqueued, rx.full_drops);
+                (nf.arrivals, format!("{counters:?} {queued:?}"))
             })
             .collect();
         RxOutcome {
@@ -1509,7 +1516,12 @@ mod tests {
             tcp,
             admit_calls,
             rings,
-            mempool_in_use: p.mempool.in_use(),
+            mempool: (
+                p.mempool.in_use(),
+                p.mempool.available(),
+                p.mempool.high_watermark(),
+                p.mempool.alloc_failures,
+            ),
         }
     }
 
@@ -1672,7 +1684,7 @@ mod tests {
         p.finish_batch(a, SimTime::from_micros(1));
         // 16 fit in tx, 16 spilled
         assert_eq!(p.nfs[a.index()].tx.len(), 16);
-        assert_eq!(p.nfs[a.index()].outbox.len(), 16);
+        assert_eq!(p.mempool.packets_in(&p.nfs[a.index()].outbox), 16);
         // next plan: outbox still stuck (tx full) → block TxFull
         assert_eq!(p.plan_batch(a), BatchPlan::Block(BlockReason::TxFull));
         p.mark_blocked(a, BlockReason::TxFull, SimTime::from_micros(1));
@@ -1813,7 +1825,7 @@ mod tests {
         // Put packets in every holding spot of NF a: 8 left in rx, 32
         // mid-batch.
         p.plan_batch(NfId(0));
-        assert_eq!(p.nfs[0].in_progress.len(), 32);
+        assert_eq!(p.mempool.packets_in(&p.nfs[0].in_progress), 32);
         assert_eq!(p.nfs[0].pending(), 8);
         let freed = p.crash_nf(NfId(0), SimTime::from_micros(1), &mut tcp);
         assert_eq!(freed, 40);

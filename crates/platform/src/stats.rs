@@ -127,19 +127,34 @@ pub struct PlatformStats {
 impl PlatformStats {
     /// Record a delivery for `flow` on `chain` with end-to-end `latency`.
     pub fn delivered(&mut self, flow: FlowId, chain: ChainId, bytes: u32, latency: Duration) {
-        self.delivered_total += 1;
+        self.delivered_n(flow, chain, bytes, latency, 1);
+    }
+
+    /// Record `n` deliveries of `bytes` each with the same `latency` (a
+    /// packet run): the same counters, meters and histograms as `n`
+    /// [`PlatformStats::delivered`] calls.
+    pub fn delivered_n(
+        &mut self,
+        flow: FlowId,
+        chain: ChainId,
+        bytes: u32,
+        latency: Duration,
+        n: u64,
+    ) {
+        let run_bytes = u64::from(bytes) * n;
+        self.delivered_total += n;
         let f = &mut self.flows[flow.index()];
-        f.delivered += 1;
-        f.delivered_bytes += bytes as u64;
+        f.delivered += n;
+        f.delivered_bytes += run_bytes;
         if let Some(d) = self.flow_detail.get_mut(flow.index()) {
-            d.pps_meter.add(1);
-            d.bytes_meter.add(bytes as u64);
-            d.latency.record(latency);
+            d.pps_meter.add(n);
+            d.bytes_meter.add(run_bytes);
+            d.latency.record_n(latency, n);
         }
         let c = &mut self.chains[chain.index()];
-        c.delivered += 1;
-        c.pps_meter.add(1);
-        c.latency.record(latency);
+        c.delivered += n;
+        c.pps_meter.add(n);
+        c.latency.record_n(latency, n);
     }
 
     /// Record an in-box drop for `flow` (and entry bookkeeping when the
@@ -226,6 +241,28 @@ mod tests {
                 single.dropped(FlowId(0), ChainId(0), loc);
             }
             assert_eq!(format!("{bulk:?}"), format!("{single:?}"), "{loc:?}");
+        }
+    }
+
+    #[test]
+    fn bulk_deliveries_equal_repeated_single_deliveries() {
+        for detail in [true, false] {
+            let (mut bulk, mut single) = (one_flow(detail), one_flow(detail));
+            for (us, n, roll) in [(5, 3, 0), (7, 1, 1), (1_000, 0, 1), (40, 6, 2)] {
+                let latency = Duration::from_micros(us);
+                bulk.delivered_n(FlowId(0), ChainId(0), 64, latency, n);
+                for _ in 0..n {
+                    single.delivered(FlowId(0), ChainId(0), 64, latency);
+                }
+                for s in [&mut bulk, &mut single] {
+                    s.roll(SimTime::from_secs(roll));
+                }
+                // Debug covers every counter, meter rate and histogram
+                // bucket; percentiles follow from the buckets.
+                assert_eq!(format!("{bulk:?}"), format!("{single:?}"));
+                let p99 = |s: &PlatformStats| s.chains[0].latency.percentile(99.0);
+                assert_eq!(p99(&bulk), p99(&single));
+            }
         }
     }
 
