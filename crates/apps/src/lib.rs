@@ -23,6 +23,7 @@
 //! assert!(report.flow(0).delivered > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod dpi;

@@ -5,6 +5,8 @@
 //! workload — while each iteration also sanity-checks the experiment's
 //! headline property so a regression in *results* fails loudly.
 
+#![forbid(unsafe_code)]
+
 use criterion::{criterion_group, criterion_main, Criterion};
 use nfv_bench::experiments::*;
 use nfv_bench::RunLength;

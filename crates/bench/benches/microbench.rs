@@ -2,6 +2,8 @@
 //! mempool, event queue, flow table, service-time histogram and a full
 //! scheduler dispatch cycle.
 
+#![forbid(unsafe_code)]
+
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use nfv_des::{Duration, DurationHistogram, EventQueue, QueueKind, SimTime};
 use nfv_pkt::{ChainId, FiveTuple, FlowId, FlowTable, Mempool, Packet, PktId, Proto, Ring};

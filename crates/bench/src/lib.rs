@@ -5,6 +5,7 @@
 //! under `benches/` run compressed versions of the same cells plus
 //! microbenchmarks and design-ablation comparisons.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod experiments;

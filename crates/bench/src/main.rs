@@ -27,6 +27,8 @@
 //! directory for `--trace` alone); wall times live in their own file so
 //! the metrics document stays byte-reproducible.
 
+#![forbid(unsafe_code)]
+
 use nfv_bench::experiments::*;
 use nfv_bench::{Exp, RunLength};
 

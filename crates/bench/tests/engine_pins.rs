@@ -1,16 +1,20 @@
 //! Engine pins: the trace digest and event-queue counts of three
 //! quick-suite cells — the TCP feedback loop (fig13 NFVnice), a crash
 //! with respawn (faults/crash+recover) and elastic scaling with migration
-//! (elastic/both) — and of three runs whose packets keep per-packet work
-//! in the run-wise datapath, which also pin delivered, dropped and
-//! wasted packets. Changes to how the queue stores or delivers events,
-//! or how the datapath moves packets, must leave every pinned value
+//! (elastic/both) — of three runs whose packets keep per-packet work in
+//! the run-wise datapath, which also pin delivered, dropped and wasted
+//! packets, and of the two scale cells that learn flows through a
+//! wildcard rule, which also pin the flow-table counters. Changes to how
+//! the queue stores or delivers events, how the datapath moves packets
+//! or how the RX thread classifies them must leave every pinned value
 //! exactly as it is; only `cascades` may move. The knob-off builds
 //! (`no-coalesce`, `no-skip-ahead`) zero the counters those knobs feed.
 
-use nfv_bench::experiments::{elastic, faults, fig10, fig13, fig16};
+#![forbid(unsafe_code)]
+
+use nfv_bench::experiments::{elastic, faults, fig10, fig13, fig16, scale};
 use nfv_bench::RunLength;
-use nfvnice::{NfvniceConfig, Policy, QueueStats, Report};
+use nfvnice::{FlowTableStats, NfvniceConfig, Policy, QueueStats, Report};
 
 /// `(trace_digest, pushes, pops, coalesced_pops, max_len, skipped_ticks)`.
 type Pin = (u64, u64, u64, u64, usize, u64);
@@ -158,4 +162,91 @@ fn per_packet_paths_keep_their_digest_and_counts() {
         (0x9aff_0746_2c71_82a2, 190_184, 190_182, 50_200, 7, 10_002),
     );
     assert_eq!(outcome(&chain), (40_988, 19_002, 0));
+}
+
+/// `(probe_steps, max_probe, rehashes, shards, slots)`.
+type Probe = (u64, u64, u64, u64, u64);
+
+/// Check a run's flow-table counters: `shared` holds the fields both
+/// index backends agree on, `sharded` and `flat` each backend's own
+/// probe and shape fields (the build-default backend picks which).
+fn check_flow_table(cell: &str, r: &Report, shared: FlowTableStats, sharded: Probe, flat: Probe) {
+    let (probe_steps, max_probe, rehashes, shards, slots) = if cfg!(feature = "flat-flowtable") {
+        flat
+    } else {
+        sharded
+    };
+    let want = FlowTableStats {
+        probe_steps,
+        max_probe,
+        rehashes,
+        shards,
+        slots,
+        ..shared
+    };
+    assert_eq!(r.flow, want, "{cell}: flow-table counters");
+}
+
+/// Pins of the flow-learning path: the two scale cells that mint flows
+/// through a wildcard rule on nearly every frame. `1m_flows` learns 2^20
+/// tuples in sweep order; `tenants` learns four interleaved tuple slices
+/// with aging on, so ids are evicted and recycled throughout. Changes to
+/// how the RX thread classifies must leave every value here as it is.
+#[test]
+fn flow_learning_cells_keep_their_digest_and_counts() {
+    let len = RunLength::quick();
+
+    let m = scale::run_1m(len);
+    check(
+        "scale/1m_flows",
+        &m,
+        (0xc24c_55c1_021d_9d1c, 210_296, 210_294, 75_300, 7, 30_001),
+    );
+    check_flow_table(
+        "scale/1m_flows",
+        &m,
+        FlowTableStats {
+            installs: 1_048_576,
+            recycled: 0,
+            evicted: 0,
+            exact_hits: 301_424,
+            memo_hits: 0,
+            wildcard_hits: 1_048_576,
+            live: 1_048_576,
+            pinned: 0,
+            ..FlowTableStats::default()
+        },
+        (2_239_399, 37, 864, 64, 3_145_728),
+        (2_252_943, 37, 19, 1, 2_097_152),
+    );
+    assert_eq!((m.flows_active, m.flows_evicted), (1_048_576, 0));
+    assert_eq!((m.nic_overflow, m.entry_drops), (0, 0));
+    assert_eq!(outcome(&m), (1_349_910, 0, 0));
+
+    let t = scale::run_tenants(len);
+    check(
+        "scale/tenants",
+        &t,
+        (0xfb03_260c_9dc9_0aa2, 285_290, 285_288, 75_300, 7, 30_001),
+    );
+    check_flow_table(
+        "scale/tenants",
+        &t,
+        FlowTableStats {
+            installs: 538_176,
+            recycled: 423_232,
+            evicted: 428_008,
+            exact_hits: 301_824,
+            memo_hits: 0,
+            wildcard_hits: 538_176,
+            live: 110_168,
+            pinned: 0,
+            ..FlowTableStats::default()
+        },
+        (1_319_511, 35, 640, 64, 262_144),
+        (1_311_599, 31, 16, 1, 262_144),
+    );
+    assert_eq!((t.flows_active, t.flows_evicted), (110_168, 428_008));
+    assert_eq!((t.nic_overflow, t.entry_drops), (0, 0));
+    assert_eq!(outcome(&t), (839_944, 0, 0));
 }

@@ -41,6 +41,8 @@
 //! `tests/` and `benches/` directories and the in-tree harness shims
 //! (`crates/check`, `crates/criterion`, `crates/proptest`).
 
+#![forbid(unsafe_code)]
+
 pub mod json;
 pub mod legacy;
 pub mod lexer;

@@ -12,6 +12,8 @@
 //! root (as `cargo run -p nfv-check --bin nfv-lint` does) or point it
 //! elsewhere with `--root`.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Instant;

@@ -29,6 +29,8 @@
 //! Refresh it with three quick runs whenever the suite's cell set or its
 //! expected performance changes — see CLAUDE.md.
 
+#![forbid(unsafe_code)]
+
 use nfv_check::perf::{self, Gate};
 use std::collections::BTreeSet;
 use std::process::ExitCode;

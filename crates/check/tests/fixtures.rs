@@ -8,6 +8,8 @@
 //! dispatch root or an `ev_tag` arm must stay a deny, and the negative
 //! units must stay clean.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;

@@ -5,6 +5,8 @@
 //! line-lexical engine is kept as a differential oracle for the six
 //! rules both engines implement.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::Path;

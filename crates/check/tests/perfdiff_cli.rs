@@ -4,6 +4,8 @@
 //! these pin that the gate's *verdict* (process exit code) reflects
 //! them, so a refactor of `main` can't silently turn FAIL into green.
 
+#![forbid(unsafe_code)]
+
 use std::path::PathBuf;
 use std::process::Command;
 

@@ -36,6 +36,7 @@
 //! assert!(report.flow(0).delivered > 0);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod backpressure;

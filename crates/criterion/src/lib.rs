@@ -18,6 +18,8 @@
 //! Wall-clock use is confined to this harness; the simulator itself never
 //! reads a clock (`nfv-lint` enforces that, and skips this crate).
 
+#![forbid(unsafe_code)]
+
 use std::sync::OnceLock;
 use std::time::Instant;
 

@@ -13,6 +13,7 @@
 //! cancellation is by lazy invalidation with generation counters, and every
 //! run is bit-for-bit reproducible for a given seed.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod queue;

@@ -1,5 +1,7 @@
 //! Property-based tests for the DES kernel against naive reference models.
 
+#![forbid(unsafe_code)]
+
 use nfv_des::{jain_index, DurationHistogram, EventQueue, QueueKind, SimTime, WindowedMedian};
 use nfv_des::{Duration, Ewma};
 use proptest::prelude::*;

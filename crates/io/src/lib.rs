@@ -7,6 +7,7 @@
 //! when both buffers are unavailable does the NF suspend and yield the CPU.
 //! The baseline NF, without NFVnice, performs blocking writes.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod device;

@@ -18,6 +18,7 @@
 //! document or CSV — all hand-rolled (the workspace has no external
 //! dependencies) and byte-deterministic for a given recording.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod metrics;

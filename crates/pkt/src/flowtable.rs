@@ -44,8 +44,16 @@
 //!   tuple, `count` frames). Table state and counters equal classifying
 //!   frame by frame. A wildcard miss installs into the empty slot its
 //!   miss probe stopped at instead of probing again.
+//! - **Bulk classification.** [`FlowTable::classify_runs`] classifies an
+//!   RX poll's runs in two passes, the way DPDK's bulk hash lookup does:
+//!   pass 1 hashes every run and prefetches its home slot, pass 2
+//!   classifies them in order with the saved hashes. The slot misses of a
+//!   large table overlap instead of being waited out one by one. Pass 1
+//!   changes no state and carries only hashes into pass 2: a mint there
+//!   can grow a shard and move every slot.
 
 use crate::ids::{ChainId, FlowId};
+use crate::nic::FrameRun;
 use crate::packet::FiveTuple;
 use crate::pattern::TuplePattern;
 
@@ -206,6 +214,24 @@ fn tuple_hash(t: &FiveTuple) -> u64 {
     h ^ (h >> 29)
 }
 
+/// Hint the CPU to pull the cache line holding `p` into L1. Only a
+/// hint: it reads nothing the caller sees and changes no state.
+#[cfg(target_arch = "x86_64")]
+#[allow(unsafe_code)]
+#[inline(always)]
+fn prefetch<T>(p: &T) {
+    use core::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
+    // SAFETY: a prefetch never faults and never writes, whatever the
+    // address (here a live reference), and SSE is baseline on x86-64.
+    unsafe { _mm_prefetch::<_MM_HINT_T0>((p as *const T).cast()) }
+}
+
+/// Hint the CPU to pull the cache line holding `p` into L1: a no-op on
+/// targets without an x86-64 prefetch.
+#[cfg(not(target_arch = "x86_64"))]
+#[inline(always)]
+fn prefetch<T>(_p: &T) {}
+
 const SHARD_BITS: u32 = 6;
 const SHARDS: usize = 1 << SHARD_BITS;
 
@@ -252,6 +278,14 @@ impl Shard {
             }
             i = (i + 1) & mask;
             steps += 1;
+        }
+    }
+
+    /// Prefetch the home slot a probe for hash `h` starts at.
+    #[inline]
+    fn prefetch_home(&self, h: u64) {
+        if !self.slots.is_empty() {
+            prefetch(&self.slots[h as u32 as usize & (self.slots.len() - 1)]);
         }
     }
 
@@ -424,6 +458,9 @@ pub struct FlowTable {
     memo: u32,
     /// Copy of the armed memo slot's tuple (valid iff `memo != NO_MEMO`).
     memo_key: FiveTuple,
+    /// [`FlowTable::classify_runs`]' per-run tuple hashes (reused; empty
+    /// until the first bulk classification).
+    hashes: Vec<u64>,
 }
 
 impl Default for FlowTable {
@@ -457,6 +494,7 @@ impl FlowTable {
             memo: NO_MEMO,
             // Placeholder: never read while the memo is disarmed.
             memo_key: FiveTuple::synthetic(0, crate::Proto::Udp),
+            hashes: Vec::new(),
         }
     }
 
@@ -576,6 +614,42 @@ impl FlowTable {
         packets: u64,
         bytes: u64,
     ) -> Option<(FlowId, ChainId)> {
+        self.classify_hashed(tuple, packets, bytes, || tuple_hash(tuple))
+    }
+
+    /// Classify each of `runs` in order, appending one result per run to
+    /// `out`: results, table state and every counter end up exactly as
+    /// after one [`FlowTable::classify_run`] per run. Pass 1 hashes each
+    /// run's tuple and prefetches its home slot; pass 2 classifies with
+    /// the saved hashes, so the slot misses of a large table overlap.
+    pub fn classify_runs(&mut self, runs: &[FrameRun], out: &mut Vec<Option<(FlowId, ChainId)>>) {
+        let mut hashes = std::mem::take(&mut self.hashes);
+        hashes.clear();
+        // Pass 1 only hints. It carries hashes, never slot positions: a
+        // mint in pass 2 can grow a shard and move every slot.
+        hashes.extend(runs.iter().map(|run| {
+            let h = tuple_hash(&run.head.tuple);
+            self.index.shard(h).prefetch_home(h);
+            h
+        }));
+        out.reserve(runs.len());
+        for (run, &h) in runs.iter().zip(&hashes) {
+            let (tuple, packets) = (&run.head.tuple, u64::from(run.count));
+            out.push(self.classify_hashed(tuple, packets, run.bytes(), || h));
+        }
+        self.hashes = hashes;
+    }
+
+    /// The body of [`FlowTable::classify_run`]: `hash` yields `tuple`'s
+    /// hash and is called only on a memo miss.
+    #[inline(always)]
+    fn classify_hashed(
+        &mut self,
+        tuple: &FiveTuple,
+        packets: u64,
+        bytes: u64,
+        hash: impl FnOnce() -> u64,
+    ) -> Option<(FlowId, ChainId)> {
         debug_assert!(packets > 0, "empty run");
         // Last-flow memo: a hit here is exactly the exact-match path below
         // minus the hash + probe. The key copy lives inline so a memo
@@ -588,7 +662,7 @@ impl FlowTable {
             self.stats.memo_hits += packets;
             self.memo
         } else {
-            let h = tuple_hash(tuple);
+            let h = hash();
             let shard = self.index.shard(h);
             let (found, steps) = shard.find(h, tuple, &self.keys);
             let f = match found {

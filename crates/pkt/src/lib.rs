@@ -10,6 +10,7 @@
 //! packets is one slot in a slab that grows to the simulation's peak,
 //! and rings move `u32` descriptor ids.
 
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod flowtable;

@@ -1,5 +1,7 @@
 //! Property-based tests for rings, mempool and flow table.
 
+#![forbid(unsafe_code)]
+
 use nfv_des::SimTime;
 use nfv_pkt::WireFrame;
 use nfv_pkt::{ChainId, Ecn, FlowId, FlowTableKind, FlowTableStats, FrameRun, Nic, TuplePattern};
@@ -84,6 +86,12 @@ impl ModelTable {
     }
 
     fn classify(&mut self, n: u16) -> Option<(u32, ChainId)> {
+        self.classify_matching(n, true)
+    }
+
+    /// Classify tuple `n`; `matched` says whether the wildcard rules match
+    /// it at all (an unmatched tuple is classified only by an install).
+    fn classify_matching(&mut self, n: u16, matched: bool) -> Option<(u32, ChainId)> {
         let epoch = self.epoch;
         let memo_hit = self.memo == Some(n);
         if let Some(f) = self.live.get_mut(&n) {
@@ -96,7 +104,7 @@ impl ModelTable {
             self.memo = Some(n);
             return Some((f.id, f.chain));
         }
-        let chain = self.wildcard_winner()?;
+        let chain = self.wildcard_winner().filter(|_| matched)?;
         self.stats.wildcard_hits += 1;
         self.memo = Some(n);
         let id = self.mint(n, chain, false);
@@ -189,6 +197,78 @@ fn burst_op() -> impl Strategy<Value = BurstOp> {
         prop::collection::vec((0u16..12, 1u8..5), 1..12).prop_map(|runs| BurstOp::Burst { runs }),
         prop::collection::vec((0u16..12, 1u8..5), 1..12).prop_map(|runs| BurstOp::Burst { runs }),
         (1u32..3).prop_map(|idle_epochs| BurstOp::Age { idle_epochs }),
+    ]
+}
+
+/// Where a run of a bulk-classification batch takes its tuple from.
+#[derive(Debug, Clone, Copy)]
+enum RunTuple {
+    /// One of a few UDP tuples, learned early and met often.
+    Hot(u16),
+    /// The previous run's tuple again: a memo hit when that one classified.
+    Again,
+    /// A UDP tuple never seen before: a wildcard mint, growing its shard
+    /// whenever the mint passes half occupancy.
+    Fresh,
+    /// A TCP tuple, which the UDP-only wildcard rules never match:
+    /// unclassified unless installed.
+    Tcp(u16),
+}
+
+/// One step of the bulk-classification churn script.
+#[derive(Debug, Clone)]
+enum BulkOp {
+    Install {
+        n: u16,
+        chain: u8,
+    },
+    InstallWildcard {
+        chain: u8,
+        priority: i32,
+    },
+    /// One RX poll: `(tuple, frames)` runs, classified as one batch.
+    Batch {
+        runs: Vec<(RunTuple, u8)>,
+    },
+    Age {
+        idle_epochs: u32,
+    },
+}
+
+/// Model keys `0..8` are the hot UDP tuples, `8..12` the TCP tuples and
+/// `12..` the fresh UDP tuples, in order of first use.
+const BULK_TCP: std::ops::Range<u16> = 8..12;
+const BULK_FRESH: u16 = 12;
+
+fn bulk_tuple(n: u16) -> FiveTuple {
+    let proto = if BULK_TCP.contains(&n) {
+        Proto::Tcp
+    } else {
+        Proto::Udp
+    };
+    FiveTuple::synthetic(n as u32, proto)
+}
+
+fn run_tuple() -> impl Strategy<Value = RunTuple> {
+    prop_oneof![
+        (0u16..8).prop_map(RunTuple::Hot),
+        Just(RunTuple::Again),
+        Just(RunTuple::Fresh),
+        Just(RunTuple::Fresh),
+        BULK_TCP.prop_map(RunTuple::Tcp),
+    ]
+}
+
+fn bulk_op() -> impl Strategy<Value = BulkOp> {
+    prop_oneof![
+        (0u16..BULK_TCP.end, 0u8..4).prop_map(|(n, chain)| BulkOp::Install { n, chain }),
+        (0u8..4, 0u8..3).prop_map(|(chain, priority)| BulkOp::InstallWildcard {
+            chain,
+            priority: priority as i32,
+        }),
+        prop::collection::vec((run_tuple(), 1u8..4), 1..48).prop_map(|runs| BulkOp::Batch { runs }),
+        prop::collection::vec((run_tuple(), 1u8..4), 1..48).prop_map(|runs| BulkOp::Batch { runs }),
+        (1u32..3).prop_map(|idle_epochs| BulkOp::Age { idle_epochs }),
     ]
 }
 
@@ -571,6 +651,111 @@ proptest! {
             let t = FiveTuple::synthetic(n as u32, Proto::Udp);
             prop_assert_eq!(burst.classify(&t, 64), per_frame.classify(&t, 64));
             prop_assert_eq!(burst.stats(), per_frame.stats());
+        }
+    }
+
+    /// Bulk classification (`classify_runs` over a whole RX poll) equals
+    /// one `classify_run` per run and the per-frame BTreeMap model, on
+    /// both index backends: per-run results, every `FlowTableStats` field,
+    /// `len`, `entries()` and the memo state the next classification
+    /// meets. Batches mix adjacent same-tuple runs (memo hits),
+    /// unclassified tuples and fresh wildcard mints, which grow shards in
+    /// the middle of a batch; aging between batches evicts flows and
+    /// recycles their ids.
+    #[test]
+    fn bulk_classification_matches_per_run_and_model(
+        script in prop::collection::vec(bulk_op(), 1..120),
+    ) {
+        for kind in [FlowTableKind::Sharded, FlowTableKind::Flat] {
+            let mut bulk = FlowTable::with_kind(kind);
+            let mut per_run = FlowTable::with_kind(kind);
+            let mut model = ModelTable::default();
+            let (mut ev_b, mut ev_r) = (Vec::new(), Vec::new());
+            let (mut runs, mut keys, mut out) = (Vec::new(), Vec::new(), Vec::new());
+            let mut fresh = BULK_FRESH;
+            for op in &script {
+                match *op {
+                    BulkOp::Install { n, chain } => {
+                        let (t, c) = (bulk_tuple(n), ChainId(chain as u32));
+                        let fb = bulk.install(t, c);
+                        prop_assert_eq!(fb, per_run.install(t, c));
+                        prop_assert_eq!(fb, FlowId(model.install(n, c)));
+                    }
+                    BulkOp::InstallWildcard { chain, priority } => {
+                        let (c, udp) = (ChainId(chain as u32), TuplePattern::any().proto(Proto::Udp));
+                        bulk.install_wildcard(udp, c, priority);
+                        per_run.install_wildcard(udp, c, priority);
+                        model.install_wildcard(c, priority);
+                    }
+                    BulkOp::Batch { runs: ref spec } => {
+                        runs.clear();
+                        keys.clear();
+                        for (k, &(from, count)) in spec.iter().enumerate() {
+                            let n = match from {
+                                RunTuple::Hot(n) | RunTuple::Tcp(n) => n,
+                                RunTuple::Again => keys.last().copied().unwrap_or(0),
+                                RunTuple::Fresh => {
+                                    fresh += 1;
+                                    fresh - 1
+                                }
+                            };
+                            keys.push(n);
+                            // Sizes vary run to run, so byte totals are checked.
+                            let size = 64 + 8 * k as u32 + n as u32;
+                            runs.push(FrameRun {
+                                head: WireFrame { tuple: bulk_tuple(n), ..frame(n, size) },
+                                count: count as u32,
+                            });
+                        }
+                        out.clear();
+                        bulk.classify_runs(&runs, &mut out);
+                        prop_assert_eq!(out.len(), runs.len());
+                        for ((run, &n), &class) in runs.iter().zip(&keys).zip(&out) {
+                            let packets = run.count as u64;
+                            let rr = per_run.classify_run(&run.head.tuple, packets, run.bytes());
+                            prop_assert_eq!(class, rr, "tuple {}", n);
+                            for _ in 0..run.count {
+                                let matched = !BULK_TCP.contains(&n);
+                                let rm = model.classify_matching(n, matched);
+                                prop_assert_eq!(rr, rm.map(|(id, c)| (FlowId(id), c)));
+                            }
+                        }
+                        // Memo state: classifying the batch's last tuple
+                        // again moves the same counters on all three.
+                        let &n = keys.last().unwrap();
+                        let t = bulk_tuple(n);
+                        let rb = bulk.classify(&t, 64);
+                        prop_assert_eq!(rb, per_run.classify(&t, 64));
+                        let rm = model.classify_matching(n, !BULK_TCP.contains(&n));
+                        prop_assert_eq!(rb, rm.map(|(id, c)| (FlowId(id), c)));
+                    }
+                    BulkOp::Age { idle_epochs } => {
+                        ev_b.clear();
+                        ev_r.clear();
+                        bulk.age(idle_epochs, &mut ev_b);
+                        per_run.age(idle_epochs, &mut ev_r);
+                        let em: Vec<FlowId> =
+                            model.age(idle_epochs).into_iter().map(FlowId).collect();
+                        prop_assert_eq!(&ev_b, &ev_r);
+                        prop_assert_eq!(&ev_b, &em);
+                    }
+                }
+                let stats = bulk.stats();
+                prop_assert_eq!(stats, per_run.stats());
+                let m = &model.stats;
+                prop_assert_eq!(
+                    (stats.exact_hits, stats.memo_hits, stats.wildcard_hits),
+                    (m.exact_hits, m.memo_hits, m.wildcard_hits)
+                );
+                prop_assert_eq!(
+                    (stats.installs, stats.recycled, stats.evicted),
+                    (m.installs, m.recycled, m.evicted)
+                );
+                prop_assert!(bulk.entries().eq(per_run.entries()), "entries diverged");
+                prop_assert_eq!(bulk.classified_packets(), per_run.classified_packets());
+                prop_assert_eq!(bulk.len(), per_run.len());
+                prop_assert_eq!(bulk.len(), model.live.len());
+            }
         }
     }
 

@@ -13,6 +13,7 @@
 //! driven with no-op policies behaves like vanilla OpenNetVM (the paper's
 //! "Default" baseline).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod chain;

@@ -361,16 +361,13 @@ impl Platform {
         runs.clear();
         self.nic.take_rx(&mut runs);
         // Classification pass: one flow-table operation per run, with the
-        // per-frame counter semantics intact (`FlowTable::classify_run`).
-        // A tight pass lets the CPU overlap the cache misses of cold
-        // lookups; nothing below touches the flow table, so classifying
-        // up front is the same as classifying run by run.
+        // per-frame counter semantics intact, and the slot misses of cold
+        // lookups overlapped (`FlowTable::classify_runs`). Nothing below
+        // touches the flow table, so classifying up front is the same as
+        // classifying run by run, and a pass of its own keeps admission
+        // work from splitting up the overlapped misses.
         classes.clear();
-        classes.extend(runs.iter().map(|run| {
-            let n = run.count as u64;
-            self.flow_table
-                .classify_run(&run.head.tuple, n, run.bytes())
-        }));
+        self.flow_table.classify_runs(&runs, &mut classes);
         // Per-poll decision cache: within one poll nothing a frame's
         // admission depends on can change (NF health, backpressure marks
         // and replica pins are only mutated by other events), so the

@@ -22,6 +22,8 @@
 //! failure always reproduces on re-run; there is no persistence file and
 //! no wall-clock entropy anywhere).
 
+#![forbid(unsafe_code)]
+
 use std::ops::{Range, RangeInclusive};
 
 /// Runner configuration. Only `cases` is consulted; the other fields exist

@@ -21,6 +21,7 @@
 //! per run via [`SchedBackend`] or build-wide with
 //! `--features classic-sched` (DESIGN.md §12).
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cgroup;

@@ -6,6 +6,8 @@
 //! replays a full fig7-style simulation, and CI's `bench-variants`
 //! matrix byte-diffs the quick suite.
 
+#![forbid(unsafe_code)]
+
 use nfv_des::{Duration, SimTime};
 use nfv_sched::{CfsParams, OsScheduler, Policy, SchedBackend, SwitchKind, TaskId, TaskState};
 use proptest::prelude::*;

@@ -2,6 +2,8 @@
 //! conservation, weight proportionality, and liveness under random
 //! workloads.
 
+#![forbid(unsafe_code)]
+
 use nfv_des::{Duration, SimTime};
 use nfv_sched::{CfsParams, OsScheduler, Policy, SwitchKind, TaskId};
 use proptest::prelude::*;

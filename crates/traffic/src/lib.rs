@@ -7,6 +7,7 @@
 //! machines polled/fed by the platform's event loop, keeping the crate free
 //! of any simulation-scheduling concerns.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cbr;

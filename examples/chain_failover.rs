@@ -17,6 +17,8 @@
 //!
 //! Run with: `cargo run --release --bin chain_failover`
 
+#![forbid(unsafe_code)]
+
 use nfvnice::{
     Duration, FaultKind, NfId, NfSpec, ObsConfig, Report, SimConfig, SimTime, Simulation, TraceKind,
 };

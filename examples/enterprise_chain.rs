@@ -9,6 +9,8 @@
 //!
 //! Run with: `cargo run --release --bin enterprise_chain`
 
+#![forbid(unsafe_code)]
+
 use nfv_apps::{Firewall, FlowMonitor, Nat, Rule, TokenBucket, Verdict};
 use nfvnice::{Duration, NfSpec, NfvniceConfig, Policy, SimConfig, Simulation};
 

@@ -13,6 +13,8 @@
 //!
 //! Run with: `cargo run --release --bin flash_crowd`
 
+#![forbid(unsafe_code)]
+
 use nfvnice::{tenant, Duration, FlowAging, NfSpec, SimConfig, SimTime, Simulation, TenantSpec};
 
 const RUN_MS: u64 = 120;

@@ -8,6 +8,8 @@
 //!
 //! Run with: `cargo run --release --bin io_bound_nf`
 
+#![forbid(unsafe_code)]
+
 use nfvnice::{Duration, IoMode, NfIoSpec, NfSpec, NfvniceConfig, Policy, SimConfig, Simulation};
 
 fn run(mode: IoMode, variant: NfvniceConfig) -> nfvnice::Report {

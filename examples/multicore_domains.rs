@@ -10,6 +10,8 @@
 //!
 //! Run with: `cargo run --release --bin multicore_domains`
 
+#![forbid(unsafe_code)]
+
 use nfvnice::{Duration, NfSpec, NfvniceConfig, Policy, SimConfig, Simulation};
 
 fn main() {

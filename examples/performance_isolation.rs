@@ -10,6 +10,8 @@
 //!
 //! Run with: `cargo run --release --bin performance_isolation`
 
+#![forbid(unsafe_code)]
+
 use nfvnice::{Duration, NfSpec, NfvniceConfig, Policy, SimConfig, SimTime, Simulation};
 
 const SCALE: u64 = 5; // compress the paper's 55 s timeline to 11 s

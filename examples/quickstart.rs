@@ -3,6 +3,8 @@
 //!
 //! Run with: `cargo run --release --bin quickstart`
 
+#![forbid(unsafe_code)]
+
 use nfvnice::{Duration, NfSpec, NfvniceConfig, Policy, SimConfig, Simulation};
 
 fn run(variant: NfvniceConfig) -> nfvnice::Report {

@@ -9,6 +9,8 @@
 //!
 //! Run with: `cargo run --release --bin service_chain_backpressure`
 
+#![forbid(unsafe_code)]
+
 use nfvnice::{
     Duration, NfAction, NfSpec, NfvniceConfig, ObsConfig, Packet, PacketHandler, Policy, SimConfig,
     Simulation, TraceKind,

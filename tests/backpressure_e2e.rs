@@ -1,6 +1,8 @@
 //! End-to-end backpressure behaviour: selective early discard, hysteresis,
 //! cross-chain selectivity, local (TX-ring) backpressure and ECN marking.
 
+#![forbid(unsafe_code)]
+
 use nfvnice::{BackpressureConfig, Duration, NfSpec, NfvniceConfig, Policy, SimConfig, Simulation};
 
 fn cfg(cores: usize, variant: NfvniceConfig) -> SimConfig {

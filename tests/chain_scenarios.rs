@@ -2,6 +2,8 @@
 //! exercising the full stack (traffic → NIC → flow table → rings →
 //! scheduler → NFs → delivery).
 
+#![forbid(unsafe_code)]
+
 use nfvnice::{Duration, NfSpec, NfvniceConfig, Policy, Report, SimConfig, SimTime, Simulation};
 
 fn cfg(cores: usize, policy: Policy, variant: NfvniceConfig) -> SimConfig {

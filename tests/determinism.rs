@@ -7,6 +7,8 @@
 //! The scenarios mirror the six example binaries (`examples/*.rs`) with
 //! durations compressed for debug-mode test runs.
 
+#![forbid(unsafe_code)]
+
 use nfvnice::{
     Duration, IoMode, NfAction, NfIoSpec, NfSpec, NfvniceConfig, Packet, PacketHandler, Policy,
     SimConfig, SimTime, Simulation,

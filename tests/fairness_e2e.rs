@@ -1,6 +1,8 @@
 //! End-to-end rate-cost proportional fairness, including property-based
 //! tests over randomized NF populations.
 
+#![forbid(unsafe_code)]
+
 use nfvnice::{Duration, NfSpec, NfvniceConfig, Policy, Report, SimConfig, Simulation};
 use proptest::prelude::*;
 

@@ -15,6 +15,8 @@
 //! faulted digest must differ from the unfaulted one (the fault events
 //! are part of the replayed trace, not out-of-band mutations).
 
+#![forbid(unsafe_code)]
+
 use nfvnice::{
     Duration, FaultKind, NfId, NfSpec, NfvniceConfig, Policy, SanitizerConfig, SimConfig, SimTime,
     Simulation,

@@ -11,6 +11,8 @@
 //!    maintained `Report` counters (throttles, ECN marks, cgroup writes,
 //!    entry drops).
 
+#![forbid(unsafe_code)]
+
 use nfvnice::{
     trace_to_csv, trace_to_jsonl, Duration, NfSpec, NfvniceConfig, ObsConfig, Policy, Report,
     SimConfig, Simulation, TraceEvent, TraceKind,

@@ -1,6 +1,8 @@
 //! Edge-case integration tests: resource exhaustion, unclassified traffic,
 //! wildcard steering, and a full NF-application chain under NFVnice.
 
+#![forbid(unsafe_code)]
+
 use nfvnice::{Duration, NfSpec, NfvniceConfig, Policy, SimConfig, Simulation};
 
 fn cfg(variant: NfvniceConfig) -> SimConfig {

@@ -1,6 +1,8 @@
 //! End-to-end scheduler conformance: the simulated CFS/BATCH/RR policies
 //! must show the behavioural signatures Section 2.2 of the paper measures.
 
+#![forbid(unsafe_code)]
+
 use nfvnice::{Duration, NfSpec, NfvniceConfig, Policy, Report, SimConfig, Simulation};
 
 fn three_standalone_nfs(policy: Policy, costs: [u64; 3], rates: [f64; 3]) -> Report {
