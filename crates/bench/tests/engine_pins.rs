@@ -7,8 +7,9 @@
 //! wildcard rule, which also pin the flow-table counters. Changes to how
 //! the queue stores or delivers events, how the datapath moves packets
 //! or how the RX thread classifies them must leave every pinned value
-//! exactly as it is; only `cascades` may move. The knob-off builds
-//! (`no-coalesce`, `no-skip-ahead`) zero the counters those knobs feed.
+//! exactly as it is; only `cascades` may move. The pins hold on both
+//! queue backends and both flow-table backends (CI runs this file under
+//! the `heap-queue` and `flat-flowtable` features too).
 
 #![forbid(unsafe_code)]
 
@@ -21,16 +22,6 @@ type Pin = (u64, u64, u64, u64, usize, u64);
 
 fn check(cell: &str, r: &Report, pin: Pin) {
     let (digest, pushes, pops, coalesced, max_len, skipped) = pin;
-    let coalesced = if cfg!(feature = "no-coalesce") {
-        0
-    } else {
-        coalesced
-    };
-    let skipped = if cfg!(feature = "no-skip-ahead") {
-        0
-    } else {
-        skipped
-    };
     let QueueStats {
         pushes: p,
         pops: q,

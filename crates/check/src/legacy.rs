@@ -1,452 +1,33 @@
-//! The original line-lexical scanner, kept compiled and unchanged as a
-//! differential oracle for the token-level engine in [`crate::rules`] —
-//! the same pattern as the binary heap retained beside the timer wheel
-//! (DESIGN.md §10). `tests/lint.rs` asserts that the six rules both
-//! engines implement (`hash-map`, `hash-set`, `wall-clock`,
-//! `thread-spawn`, `raw-rand`, `float-accum`) produce identical findings
-//! over the real workspace and over a seeded hazard corpus.
-//!
-//! The scanner is deliberately lexical — a hand-rolled comment/string
-//! stripper plus substring rules. Its `hot-alloc` implementation (the
-//! hand-maintained [`HOT_FNS`] list) is *not* part of the differential:
-//! the new engine replaces it with a call-graph derived from parsed fn
-//! bodies, precisely because this list goes stale under refactors.
-
-use crate::{Finding, Severity};
-
-/// Files whose per-event / per-packet functions are scanned by the
-/// legacy `hot-alloc` rule. A path matches when it equals an entry or
-/// starts with a directory entry.
-pub const HOT_PATHS: [&str; 3] = [
-    "crates/core/src/engine/",
-    "crates/platform/src/platform.rs",
-    "crates/des/src/queue.rs",
-];
-
-/// Function names the legacy `hot-alloc` rule treated as hot. Superseded
-/// by the call-graph in `rules::hot_alloc`, which derives this set (and
-/// more) from the dispatch roots.
-pub const HOT_FNS: [&str; 14] = [
-    "handle",
-    "do_core_run",
-    "do_batch_done",
-    "kick",
-    "retire_dead",
-    "do_traffic",
-    "do_rx",
-    "do_tx",
-    "plan_batch",
-    "finish_batch",
-    "rx_poll",
-    "tx_drain",
-    "push",
-    "pop_before",
-];
-
-/// Is `text[idx..]` preceded/followed by identifier characters? Used for
-/// word-boundary matching of tokens like `Instant` or `rand`.
-fn is_ident_char(c: u8) -> bool {
-    c == b'_' || c.is_ascii_alphanumeric()
-}
-
-/// Find `needle` in `hay` as a whole word (not embedded in a larger
-/// identifier), returning true if present.
-fn has_word(hay: &str, needle: &str) -> bool {
-    find_word(hay, needle).is_some()
-}
-
-fn find_word(hay: &str, needle: &str) -> Option<usize> {
-    let bytes = hay.as_bytes();
-    let mut from = 0;
-    while let Some(pos) = hay[from..].find(needle) {
-        let start = from + pos;
-        let end = start + needle.len();
-        let ok_before = start == 0 || !is_ident_char(bytes[start - 1]);
-        let ok_after = end >= bytes.len() || !is_ident_char(bytes[end]);
-        if ok_before && ok_after {
-            return Some(start);
-        }
-        from = start + 1;
-    }
-    None
-}
-
-/// Does the line use `rand` as a path root (`rand::...`) or import it
-/// (`use rand...`, `extern crate rand`)? `nfv_des::SimRng` and idents
-/// merely containing "rand" do not match.
-fn uses_rand(code: &str) -> bool {
-    if let Some(start) = find_word(code, "rand") {
-        let rest = code[start + 4..].trim_start();
-        if rest.starts_with("::") {
-            return true;
-        }
-    }
-    let t = code.trim_start();
-    if let Some(rest) = t.strip_prefix("use ") {
-        let rest = rest.trim_start();
-        if rest == "rand" || rest.starts_with("rand;") || rest.starts_with("rand::") {
-            return true;
-        }
-    }
-    t.starts_with("extern crate rand")
-}
-
-/// Float-accumulation heuristic: a `+=` (or `-=`) whose line mentions a
-/// float type or a float literal. Type information is out of reach for a
-/// lexical pass, so this intentionally over-approximates.
-fn float_accum(code: &str) -> bool {
-    if !code.contains("+=") && !code.contains("-=") {
-        return false;
-    }
-    if code.contains("f64") || code.contains("f32") {
-        return true;
-    }
-    // float literal: digit '.' digit
-    let b = code.as_bytes();
-    b.windows(3)
-        .any(|w| w[0].is_ascii_digit() && w[1] == b'.' && w[2].is_ascii_digit())
-}
-
-/// One source line after comment/string stripping.
-struct CleanLine {
-    /// Code with comments and string contents blanked out.
-    code: String,
-    /// Text of any `//` comment on the line (block comments excluded —
-    /// allowlist directives must be line comments).
-    comment: String,
-}
-
-/// Strip comments and string literals, preserving line structure. String
-/// contents are replaced with spaces (the quotes remain), so rules never
-/// fire on text inside literals; `//` comment text is captured separately
-/// for allowlist parsing.
-fn clean_lines(text: &str) -> Vec<CleanLine> {
-    #[derive(PartialEq)]
-    enum St {
-        Code,
-        Block(u32),
-        Str,
-        RawStr(u32),
-    }
-    let mut st = St::Code;
-    let mut out = Vec::new();
-    for line in text.lines() {
-        let b = line.as_bytes();
-        let mut code = String::with_capacity(line.len());
-        let mut comment = String::new();
-        let mut i = 0;
-        while i < b.len() {
-            match st {
-                St::Code => {
-                    if b[i] == b'/' && i + 1 < b.len() && b[i + 1] == b'/' {
-                        comment.push_str(&line[i..]);
-                        break;
-                    } else if b[i] == b'/' && i + 1 < b.len() && b[i + 1] == b'*' {
-                        st = St::Block(1);
-                        code.push(' ');
-                        i += 2;
-                    } else if b[i] == b'"' {
-                        st = St::Str;
-                        code.push('"');
-                        i += 1;
-                    } else if b[i] == b'r'
-                        && i + 1 < b.len()
-                        && (b[i + 1] == b'"' || b[i + 1] == b'#')
-                        && (i == 0 || !is_ident_char(b[i - 1]))
-                    {
-                        // raw string r"..." or r#"..."#
-                        let mut hashes = 0;
-                        let mut j = i + 1;
-                        while j < b.len() && b[j] == b'#' {
-                            hashes += 1;
-                            j += 1;
-                        }
-                        if j < b.len() && b[j] == b'"' {
-                            st = St::RawStr(hashes);
-                            code.push_str("r\"");
-                            i = j + 1;
-                        } else {
-                            code.push(b[i] as char);
-                            i += 1;
-                        }
-                    } else if b[i] == b'\'' {
-                        // char literal (or lifetime — a lifetime has no
-                        // closing quote within a few chars; treat
-                        // conservatively: copy it through untouched)
-                        if i + 2 < b.len() && b[i + 2] == b'\'' && b[i + 1] != b'\\' {
-                            code.push_str("' '");
-                            i += 3;
-                        } else if i + 3 < b.len() && b[i + 1] == b'\\' && b[i + 3] == b'\'' {
-                            code.push_str("'  '");
-                            i += 4;
-                        } else {
-                            code.push('\'');
-                            i += 1;
-                        }
-                    } else {
-                        code.push(b[i] as char);
-                        i += 1;
-                    }
-                }
-                St::Block(depth) => {
-                    if b[i] == b'*' && i + 1 < b.len() && b[i + 1] == b'/' {
-                        st = if depth == 1 {
-                            St::Code
-                        } else {
-                            St::Block(depth - 1)
-                        };
-                        i += 2;
-                    } else if b[i] == b'/' && i + 1 < b.len() && b[i + 1] == b'*' {
-                        st = St::Block(depth + 1);
-                        i += 2;
-                    } else {
-                        i += 1;
-                    }
-                }
-                St::Str => {
-                    if b[i] == b'\\' {
-                        i += 2;
-                    } else if b[i] == b'"' {
-                        st = St::Code;
-                        code.push('"');
-                        i += 1;
-                    } else {
-                        code.push(' ');
-                        i += 1;
-                    }
-                }
-                St::RawStr(hashes) => {
-                    if b[i] == b'"' {
-                        let mut j = i + 1;
-                        let mut h = 0;
-                        while j < b.len() && b[j] == b'#' && h < hashes {
-                            h += 1;
-                            j += 1;
-                        }
-                        if h == hashes {
-                            st = St::Code;
-                            code.push('"');
-                            i = j;
-                        } else {
-                            code.push(' ');
-                            i += 1;
-                        }
-                    } else {
-                        code.push(' ');
-                        i += 1;
-                    }
-                }
-            }
-        }
-        // A string still open at end-of-line: multi-line string literal.
-        out.push(CleanLine { code, comment });
-    }
-    out
-}
-
-/// Allocation-in-hot-path heuristic: an allocating constructor or macro
-/// on the line. `Vec::with_capacity` is deliberately *not* flagged — the
-/// hot-path idiom is to size buffers once at setup and recycle them, and
-/// flagging it would punish exactly that fix.
-fn hot_alloc(code: &str) -> bool {
-    code.contains("Box::new")
-        || code.contains("Vec::new")
-        || code.contains("vec!")
-        || code.contains("format!")
-}
-
-/// Which lines are inside a hot function of a hot file (see [`HOT_PATHS`]
-/// / [`HOT_FNS`]): the scope of the `hot-alloc` rule. Brace-depth
-/// tracking from the `fn` line — nested closures/blocks stay hot until
-/// the function's own closing brace.
-fn hot_fn_mask(lines: &[CleanLine], path_label: &str) -> Vec<bool> {
-    let p = path_label.replace('\\', "/");
-    let in_scope = HOT_PATHS
-        .iter()
-        .any(|h| p == *h || (h.ends_with('/') && p.starts_with(h)));
-    let mut mask = vec![false; lines.len()];
-    if !in_scope {
-        return mask;
-    }
-    let mut depth: i64 = 0;
-    // Depth the enclosing hot fn was declared at; None when outside one.
-    let mut hot_at: Option<i64> = None;
-    for (i, l) in lines.iter().enumerate() {
-        let code = &l.code;
-        if hot_at.is_none()
-            && HOT_FNS.iter().any(|f| {
-                find_word(code, f).is_some_and(|pos| {
-                    code[..pos].trim_end().ends_with("fn")
-                        && code[pos + f.len()..].trim_start().starts_with(['(', '<'])
-                })
-            })
-        {
-            hot_at = Some(depth);
-        }
-        if hot_at.is_some() {
-            mask[i] = true;
-        }
-        for ch in code.bytes() {
-            match ch {
-                b'{' => depth += 1,
-                b'}' => {
-                    depth -= 1;
-                    if hot_at.is_some_and(|d| depth <= d) {
-                        hot_at = None;
-                    }
-                }
-                _ => {}
-            }
-        }
-    }
-    mask
-}
-
-/// Which lines are inside `#[cfg(test)]`-gated items. Returns a bool per
-/// line; `true` means "skip, this is test code".
-fn test_code_mask(lines: &[CleanLine]) -> Vec<bool> {
-    let mut mask = vec![false; lines.len()];
-    let mut i = 0;
-    while i < lines.len() {
-        if lines[i].code.contains("#[cfg(test)]") {
-            // Skip the gated item: everything up to the end of the first
-            // brace group (or the first `;` seen before any brace opens).
-            // Scanning starts on the attribute line itself so a one-line
-            // `#[cfg(test)] mod t {}` is handled; the attribute's own
-            // parentheses don't affect brace depth.
-            mask[i] = true;
-            let mut depth: i64 = 0;
-            let mut opened = false;
-            let mut j = i;
-            while j < lines.len() {
-                mask[j] = true;
-                for ch in lines[j].code.bytes() {
-                    match ch {
-                        b'{' => {
-                            depth += 1;
-                            opened = true;
-                        }
-                        b'}' => depth -= 1,
-                        b';' if !opened && depth == 0 => {
-                            // item without a body, e.g. a gated `use`
-                            depth = -1;
-                        }
-                        _ => {}
-                    }
-                    if opened && depth == 0 {
-                        break;
-                    }
-                    if depth < 0 {
-                        break;
-                    }
-                }
-                if (opened && depth == 0) || depth < 0 {
-                    break;
-                }
-                j += 1;
-            }
-            i = j + 1;
-        } else {
-            i += 1;
-        }
-    }
-    mask
-}
-
-/// Allowlist directives on a comment: `nfv-lint: allow(rule-a, rule-b)`.
-fn allowed_rules(comment: &str) -> Vec<String> {
-    let mut out = Vec::new();
-    let Some(pos) = comment.find("nfv-lint:") else {
-        return out;
-    };
-    let rest = &comment[pos + "nfv-lint:".len()..];
-    let rest = rest.trim_start();
-    if let Some(args) = rest
-        .strip_prefix("allow(")
-        .and_then(|r| r.split_once(')').map(|(a, _)| a))
-    {
-        for rule in args.split(',') {
-            out.push(rule.trim().to_string());
-        }
-    }
-    out
-}
-
-/// Scan one file's source text with the legacy engine. `path_label` is
-/// used in findings and to decide path-scoped rules (`float-accum` only
-/// applies under `crates/sched` and `crates/core`).
-pub fn scan_source(path_label: &str, text: &str) -> Vec<Finding> {
-    let lines = clean_lines(text);
-    let mask = test_code_mask(&lines);
-    let hot_mask = hot_fn_mask(&lines, path_label);
-    let float_scope = {
-        let p = path_label.replace('\\', "/");
-        p.contains("crates/sched/") || p.contains("crates/core/")
-    };
-    let raw_lines: Vec<&str> = text.lines().collect();
-    let mut findings = Vec::new();
-    for (idx, cl) in lines.iter().enumerate() {
-        if mask[idx] {
-            continue;
-        }
-        let mut hits: Vec<(&'static str, Severity)> = Vec::new();
-        let code = &cl.code;
-        if has_word(code, "HashMap") {
-            hits.push(("hash-map", Severity::Deny));
-        }
-        if has_word(code, "HashSet") {
-            hits.push(("hash-set", Severity::Deny));
-        }
-        if has_word(code, "Instant") || has_word(code, "SystemTime") {
-            hits.push(("wall-clock", Severity::Deny));
-        }
-        if code.contains("thread::spawn")
-            || code.contains("thread::scope")
-            || code.contains("thread::Builder")
-        {
-            hits.push(("thread-spawn", Severity::Deny));
-        }
-        if uses_rand(code) {
-            hits.push(("raw-rand", Severity::Deny));
-        }
-        if float_scope && float_accum(code) {
-            hits.push(("float-accum", Severity::Warn));
-        }
-        if hot_mask[idx] && hot_alloc(code) {
-            hits.push(("hot-alloc", Severity::Warn));
-        }
-        if hits.is_empty() {
-            continue;
-        }
-        // Allowlist: same line or the line above.
-        let mut allowed = allowed_rules(&cl.comment);
-        if idx > 0 {
-            allowed.extend(allowed_rules(&lines[idx - 1].comment));
-        }
-        for (rule, severity) in hits {
-            if allowed.iter().any(|a| a == rule) {
-                continue;
-            }
-            findings.push(Finding {
-                path: path_label.to_string(),
-                line: idx + 1,
-                rule,
-                severity,
-                snippet: raw_lines.get(idx).unwrap_or(&"").trim().to_string(),
-            });
-        }
-    }
-    findings
-}
+//! Unit checks carried over from the retired line-lexical scanner, now
+//! run against the token-level engine in [`crate::rules`]. Each test
+//! keeps the name and the source snippets it had beside that scanner, so
+//! every behaviour it pinned stays checked on the engine that replaced
+//! it. Where the engines' contracts differ, the snippet follows the
+//! current one: allow directives carry their mandatory `-- <reason>`, and
+//! `hot-alloc` hotness comes from the dispatch roots
+//! ([`crate::rules::hot_alloc::HOT_ROOTS`]) rather than a list of names.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::rules::scan_one;
+    use crate::Severity;
 
     fn rules_of(src: &str) -> Vec<&'static str> {
-        scan_source("crates/x/src/lib.rs", src)
+        scan_one("crates/x/src/lib.rs", src)
             .into_iter()
             .map(|f| f.rule)
+            .collect()
+    }
+
+    /// `(line, rule)` of the allocation findings only: a single-file scan
+    /// of a root file that lacks some of its roots also reports each
+    /// missing root (a deny `hot-alloc` finding on line 1), which these
+    /// checks are not about.
+    fn hot_allocs(path: &str, src: &str) -> Vec<(usize, &'static str)> {
+        scan_one(path, src)
+            .into_iter()
+            .filter(|f| f.rule == "hot-alloc" && f.severity == Severity::Warn)
+            .map(|f| (f.line, f.rule))
             .collect()
     }
 
@@ -487,7 +68,7 @@ mod tests {
         );
         // Harness-side concurrency (the bench suite runner) opts out with
         // the standard annotation; the sim crates never should.
-        let allowed = "std::thread::scope(|s| { // nfv-lint: allow(thread-spawn)\n";
+        let allowed = "std::thread::scope(|s| { // nfv-lint: allow(thread-spawn) -- harness only\n";
         assert!(rules_of(allowed).is_empty());
     }
 
@@ -506,22 +87,22 @@ mod tests {
     fn float_accum_only_in_scoped_crates() {
         let src = "acc += x as f64;\n";
         assert_eq!(
-            scan_source("crates/core/src/load.rs", src)
+            scan_one("crates/core/src/load.rs", src)
                 .first()
                 .map(|f| f.rule),
             Some("float-accum")
         );
         assert_eq!(
-            scan_source("crates/sched/src/scheduler.rs", "w += 0.5;\n").len(),
+            scan_one("crates/sched/src/scheduler.rs", "w += 0.5;\n").len(),
             1
         );
-        assert!(scan_source("crates/traffic/src/cbr.rs", src).is_empty());
+        assert!(scan_one("crates/traffic/src/cbr.rs", src).is_empty());
     }
 
     #[test]
     fn integer_accumulation_not_flagged() {
         assert!(rules_of("count += 1;\n").is_empty());
-        assert!(scan_source("crates/core/src/x.rs", "count += 1;\n").is_empty());
+        assert!(scan_one("crates/core/src/x.rs", "count += 1;\n").is_empty());
     }
 
     #[test]
@@ -539,16 +120,18 @@ mod tests {
 
     #[test]
     fn allowlist_same_line_and_line_above() {
-        let same = "use std::collections::HashMap; // nfv-lint: allow(hash-map)\n";
+        let same =
+            "use std::collections::HashMap; // nfv-lint: allow(hash-map) -- keyed lookups only\n";
         assert!(rules_of(same).is_empty());
-        let above = "// nfv-lint: allow(wall-clock)\nlet t = Instant::now();\n";
+        let above = "// nfv-lint: allow(wall-clock) -- harness timing\nlet t = Instant::now();\n";
         assert!(rules_of(above).is_empty());
-        // allowing one rule does not silence another
-        let partial = "// nfv-lint: allow(hash-map)\nlet t = Instant::now();\n";
-        assert_eq!(rules_of(partial), vec!["wall-clock"]);
-        // multiple rules in one directive
-        let multi =
-            "use std::collections::{HashMap, HashSet}; // nfv-lint: allow(hash-map, hash-set)\n";
+        // Allowing one rule does not silence another (and the unused
+        // allow is itself reported).
+        let partial =
+            "// nfv-lint: allow(hash-map) -- keyed lookups only\nlet t = Instant::now();\n";
+        assert_eq!(rules_of(partial), vec!["stale-allow", "wall-clock"]);
+        // Multiple rules in one directive.
+        let multi = "use std::collections::{HashMap, HashSet}; // nfv-lint: allow(hash-map, hash-set) -- keyed lookups only\n";
         assert!(rules_of(multi).is_empty());
     }
 
@@ -564,7 +147,7 @@ mod tests {
 }
 ";
         assert!(rules_of(src).is_empty());
-        // but code before the module is still scanned
+        // But code before the module is still scanned.
         let src2 = "use std::collections::HashMap;\n#[cfg(test)]\nmod tests {}\n";
         assert_eq!(rules_of(src2), vec!["hash-map"]);
     }
@@ -577,7 +160,7 @@ mod tests {
 
     #[test]
     fn finding_carries_location_and_snippet() {
-        let f = &scan_source("crates/x/src/a.rs", "\nlet t = Instant::now();\n")[0];
+        let f = &scan_one("crates/x/src/a.rs", "\nlet t = Instant::now();\n")[0];
         assert_eq!(f.line, 2);
         assert_eq!(f.path, "crates/x/src/a.rs");
         assert_eq!(f.snippet, "let t = Instant::now();");
@@ -597,34 +180,33 @@ impl Simulation {
     }
 }
 ";
-        let rules: Vec<_> = scan_source("crates/core/src/engine/mod.rs", src)
-            .into_iter()
-            .map(|f| (f.line, f.rule))
-            .collect();
-        assert_eq!(rules, vec![(3, "hot-alloc"), (4, "hot-alloc")]);
+        assert_eq!(
+            hot_allocs("crates/core/src/engine/mod.rs", src),
+            vec![(3, "hot-alloc"), (4, "hot-alloc")]
+        );
         // Same code outside the hot-path file set: no findings.
-        assert!(scan_source("crates/traffic/src/cbr.rs", src).is_empty());
+        assert!(scan_one("crates/traffic/src/cbr.rs", src).is_empty());
     }
 
     #[test]
     fn hot_alloc_macros_and_allowlist() {
         let src = "\
-fn rx_poll(&mut self) {
+fn handle(&mut self) {
     let msg = format!(\"x\");
     // nfv-lint: allow(hot-alloc) -- teardown only
     let v = vec![1, 2];
 }
 ";
-        let rules: Vec<_> = scan_source("crates/platform/src/platform.rs", src)
-            .into_iter()
-            .map(|f| (f.line, f.rule))
-            .collect();
-        assert_eq!(rules, vec![(2, "hot-alloc")]);
+        assert_eq!(
+            hot_allocs("crates/core/src/engine/mod.rs", src),
+            vec![(2, "hot-alloc")]
+        );
     }
 
     #[test]
     fn hot_alloc_respects_fn_word_boundary_and_capacity() {
-        // `push_back` is not `push`; with_capacity is the fix, not a hit.
+        // `push_back_helper` is not the `push` root; with_capacity is the
+        // fix, not a hit.
         let src = "\
 fn push_back_helper(&mut self) {
     let v = Vec::new();
@@ -634,7 +216,7 @@ fn push(&mut self) {
     v.push(1);
 }
 ";
-        assert!(scan_source("crates/des/src/queue.rs", src).is_empty());
+        assert!(hot_allocs("crates/des/src/queue.rs", src).is_empty());
     }
 
     #[test]
@@ -649,10 +231,9 @@ impl Q {
     }
 }
 ";
-        let rules: Vec<_> = scan_source("crates/des/src/queue.rs", src)
-            .into_iter()
-            .map(|f| f.line)
-            .collect();
-        assert_eq!(rules, vec![3]);
+        assert_eq!(
+            hot_allocs("crates/des/src/queue.rs", src),
+            vec![(3, "hot-alloc")]
+        );
     }
 }

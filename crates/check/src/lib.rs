@@ -12,10 +12,8 @@
 //! one place), [`parse`] recovers the item structure rules need (fn/impl
 //! boundaries, `#[cfg(test)]` regions, allowlist directives), and the
 //! [`rules`] registry runs each [`rules::Rule`] over the parsed
-//! workspace. The previous line-lexical scanner survives unchanged in
-//! [`legacy`] as a differential oracle (the same pattern as the binary
-//! heap kept beside the timer wheel): `tests/lint.rs` asserts both
-//! engines produce identical findings for the six rules they share.
+//! workspace. The fixture corpus (`tests/fixtures/`) and the JSON
+//! snapshot in `tests/lint.rs` pin each rule's findings.
 //!
 //! Rules (see `crates/check/README.md` for the full table):
 //!
@@ -44,7 +42,8 @@
 #![forbid(unsafe_code)]
 
 pub mod json;
-pub mod legacy;
+#[cfg(test)]
+mod legacy;
 pub mod lexer;
 pub mod parse;
 pub mod perf;

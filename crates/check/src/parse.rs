@@ -153,8 +153,8 @@ impl SourceFile {
 
     /// Mark every line covered by a `#[cfg(test)]`-gated item, from the
     /// attribute line through the item's closing `}` (or its `;` when the
-    /// item has no body). Matches the legacy scanner's masking exactly,
-    /// but structurally: the attribute is the token run `# [ cfg ( test ) ]`.
+    /// item has no body), structurally: the attribute is the token run
+    /// `# [ cfg ( test ) ]`.
     fn mark_test_regions(&mut self) {
         let n = self.toks.len();
         let mut i = 0;
@@ -314,8 +314,8 @@ impl SourceFile {
 }
 
 /// Parse one line comment into a directive, if it carries one. The
-/// accepted form is the legacy scanner's: `nfv-lint: allow(a, b)` with an
-/// optional ` -- reason` trailer that the new engine requires.
+/// accepted form is `nfv-lint: allow(a, b)` with a ` -- reason` trailer
+/// (optional here; `stale-allow` flags a directive without one).
 fn parse_directive(comment: &str, line: u32) -> Option<Directive> {
     let pos = comment.find("nfv-lint:")?;
     let rest = comment[pos + "nfv-lint:".len()..].trim_start();

@@ -1,7 +1,6 @@
-//! The five hard determinism rules, token-level reimplementations of the
-//! legacy scanner's substring heuristics: hash containers, wall clocks,
-//! threads, and raw randomness. Behavior-compatible with
-//! [`crate::legacy`] — `tests/lint.rs` holds the differential.
+//! The five hard determinism rules, matched on tokens: hash containers,
+//! wall clocks, threads, and raw randomness. `tests/lint.rs` pins the
+//! findings of a seeded corpus that fires each of them.
 
 use super::{finding, Rule, Workspace};
 use crate::lexer::Kind;

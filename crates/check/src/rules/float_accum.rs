@@ -3,8 +3,8 @@
 //! must either use integers or be reviewed and allowlisted.
 //!
 //! Type information is out of reach without full inference, so this
-//! over-approximates exactly like the legacy engine: the compound
-//! assignment and the float evidence just have to share a line. Evidence
+//! over-approximates: the compound assignment and the float evidence just
+//! have to share a line. Evidence
 //! is a float literal or any non-literal token mentioning `f64`/`f32`
 //! (type ascriptions, casts, suffixed literals, `as_secs_f64()` calls).
 
@@ -48,8 +48,7 @@ impl Rule for FloatAccumRule {
             let e = lines.entry(t.line).or_default();
             match t.kind {
                 Kind::Punct if text == "+=" || text == "-=" => e.0 = true,
-                // String/char literal contents are not evidence (the
-                // legacy engine blanked them out).
+                // String/char literal contents are not evidence.
                 Kind::Literal => {}
                 Kind::Float
                     if digit_dot_digit(text) || text.contains("f64") || text.contains("f32") =>
@@ -107,8 +106,9 @@ mod tests {
 
     #[test]
     fn exponent_only_literals_are_not_evidence() {
-        // parity with the legacy digit-dot-digit check (fixed-point-div
-        // may still fire on the cast; float-accum must not)
+        // only digit-dot-digit literals are float evidence
+        // (fixed-point-div may still fire on the cast; float-accum must
+        // not)
         assert!(scan_one("crates/core/src/x.rs", "n += 1e9 as u64;\n")
             .iter()
             .all(|f| f.rule != "float-accum"));

@@ -1,8 +1,8 @@
 //! `hot-alloc` v2: allocation in the event-dispatch / queue hot path.
 //!
-//! The legacy engine kept a hand-maintained list of hot function names
-//! ([`crate::legacy::HOT_FNS`]) that silently went stale whenever
-//! `engine/` was refactored. This version derives hotness from the code:
+//! A hand-maintained list of hot function names would silently go stale
+//! whenever `engine/` is refactored, so this rule derives hotness from the
+//! code:
 //! a call graph is built from the parsed fn bodies and hotness propagates
 //! transitively from the dispatch roots ([`HOT_ROOTS`]) — the event-loop
 //! `handle` and the queue's `push`/`pop_before`. Renaming or splitting a

@@ -146,7 +146,7 @@ pub fn scan_sources(inputs: Vec<(String, String)>) -> Vec<Finding> {
         rule.check_workspace(&ws, &mut raw);
     }
 
-    // Test code is exempt (same policy as the legacy engine).
+    // Test code is exempt.
     raw.retain(|f| {
         ws.file_index(&f.path)
             .is_none_or(|i| !ws.files[i].is_test_line(f.line as u32))

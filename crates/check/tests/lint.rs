@@ -1,9 +1,8 @@
 //! End-to-end tests for the `nfv-lint` binary: the real workspace must
 //! scan clean, a scratch tree seeded with each hazard pattern must fail
 //! with a JSON finding carrying the rule id and file:line, the JSON
-//! report shape and ordering are pinned by a snapshot, and the legacy
-//! line-lexical engine is kept as a differential oracle for the six
-//! rules both engines implement.
+//! report shape and ordering are pinned by a snapshot, and a seeded
+//! corpus pins the exact findings of the six determinism rules.
 
 #![forbid(unsafe_code)]
 
@@ -152,14 +151,13 @@ fn github_format_emits_annotations() {
     );
 }
 
-/// Differential oracle: the legacy line-lexical scanner and the v2
-/// token engine must agree, finding for finding, on the six rules they
-/// share — over the real workspace AND a seeded corpus that makes each
-/// of those rules fire (the workspace is clean, so on its own it only
-/// proves agreement on emptiness).
+/// The six determinism rules on the real workspace plus a seeded corpus
+/// that makes each of them fire: exactly the findings below, no more (the
+/// workspace is clean, so every finding comes from the corpus). The set
+/// was recorded from the line-lexical scanner this engine replaced.
 #[test]
-fn legacy_and_v2_engines_agree_on_shared_rules() {
-    const SHARED: [&str; 6] = [
+fn determinism_rules_fire_exactly_on_seeded_corpus() {
+    const RULES: [&str; 6] = [
         "hash-map",
         "hash-set",
         "wall-clock",
@@ -206,29 +204,33 @@ impl Acc {
         .to_string(),
     ));
 
-    let legacy: BTreeSet<(String, usize, &str)> = files
-        .iter()
-        .flat_map(|(p, t)| nfv_check::legacy::scan_source(p, t))
-        .filter(|f| SHARED.contains(&f.rule))
-        .map(|f| (f.path, f.line, f.rule))
-        .collect();
-    let v2: BTreeSet<(String, usize, &str)> = nfv_check::rules::scan_sources(files)
+    let found: BTreeSet<(String, usize, &str)> = nfv_check::rules::scan_sources(files)
         .into_iter()
-        .filter(|f| SHARED.contains(&f.rule))
+        .filter(|f| RULES.contains(&f.rule))
         .map(|f| (f.path, f.line, f.rule))
         .collect();
-
-    assert!(
-        legacy
-            .iter()
-            .any(|(p, _, _)| p.ends_with("seeded_hazards.rs")),
-        "seeded corpus must actually fire: {legacy:?}"
-    );
-    for rule in SHARED {
+    let hazards = "crates/platform/src/seeded_hazards.rs";
+    let want: BTreeSet<(String, usize, &str)> = [
+        ("crates/core/src/seeded_float.rs", 7, "float-accum"),
+        (hazards, 1, "hash-map"),
+        (hazards, 2, "hash-set"),
+        (hazards, 3, "wall-clock"),
+        (hazards, 4, "raw-rand"),
+        (hazards, 7, "hash-map"),
+        (hazards, 8, "hash-set"),
+        (hazards, 9, "wall-clock"),
+        (hazards, 10, "wall-clock"),
+        (hazards, 11, "thread-spawn"),
+        (hazards, 12, "raw-rand"),
+    ]
+    .into_iter()
+    .map(|(p, l, r)| (p.to_string(), l, r))
+    .collect();
+    for rule in RULES {
         assert!(
-            legacy.iter().any(|(_, _, r)| *r == rule),
+            want.iter().any(|(_, _, r)| *r == rule),
             "no {rule} finding in the seeded corpus"
         );
     }
-    assert_eq!(legacy, v2, "engines disagree");
+    assert_eq!(found, want);
 }

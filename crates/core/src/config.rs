@@ -143,23 +143,10 @@ pub struct SimConfig {
     /// contract as `faults`).
     pub elastic: ElasticConfig,
     /// Event-queue backend. Defaults to the build's default
-    /// ([`QueueKind::default_kind`]: the timer wheel, or the heap under
-    /// the `heap-queue` feature); both produce identical event streams,
-    /// so this knob only exists for differential testing.
+    /// ([`QueueKind::default_kind`]: the arena timer wheel, or the binary
+    /// heap under the `heap-queue` feature); both produce identical event
+    /// streams, so this only selects the differential oracle.
     pub queue: QueueKind,
-    /// Periodic-timer coalescing: the run loop drains every same-instant
-    /// event in one queue probe and processes the batch in `(time, seq)`
-    /// order — byte-identical to per-pop delivery by construction
-    /// (DESIGN.md §15). Default on; the `no-coalesce` cargo feature flips
-    /// the build-wide default off for the differential CI leg.
-    pub coalesce: bool,
-    /// Idle skip-ahead: elide the *body* of a periodic tick proven to be
-    /// a strict no-op (empty NIC for RX; empty mempool for TX; empty
-    /// mempool plus quiescent backpressure for wakeup). The event is
-    /// still popped and folded into the trace digest, so output is
-    /// byte-identical (DESIGN.md §15). Default on; the `no-skip-ahead`
-    /// cargo feature flips the build-wide default off.
-    pub skip_ahead: bool,
 }
 
 impl Default for SimConfig {
@@ -177,8 +164,6 @@ impl Default for SimConfig {
             faults: FaultConfig::default(),
             elastic: ElasticConfig::default(),
             queue: QueueKind::default_kind(),
-            coalesce: !cfg!(feature = "no-coalesce"),
-            skip_ahead: !cfg!(feature = "no-skip-ahead"),
         }
     }
 }

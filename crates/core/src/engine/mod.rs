@@ -350,25 +350,17 @@ impl Simulation {
     pub fn run(&mut self, duration: Duration) -> Report {
         let end = SimTime::ZERO + duration;
         self.prime(end);
-        if self.cfg.coalesce {
-            // Timer coalescing: drain every same-instant event in one
-            // queue probe and replay the batch in `(time, seq)` order.
-            // Anything a handler pushes at the batch's own instant
-            // carries a higher seq than every batch member, so it lands
-            // in the *next* batch at the same timestamp — the delivered
-            // stream is identical to per-pop operation (DESIGN.md §15).
-            let mut rest: Vec<(SimTime, Ev)> = Vec::new();
-            while let Some((now, ev)) = self.queue.pop_batch_before(end, &mut rest) {
-                self.handle(now, ev, end);
-                for (t, e) in rest.drain(..) {
-                    self.handle(t, e, end);
-                }
-            }
-        } else {
-            // `pop_before` folds the old `peek_time` + `pop` pair into
-            // one queue search per event.
-            while let Some((now, ev)) = self.queue.pop_before(end) {
-                self.handle(now, ev, end);
+        // Timer coalescing: drain every same-instant event in one queue
+        // probe and replay the batch in `(time, seq)` order. Anything a
+        // handler pushes at the batch's own instant carries a higher seq
+        // than every batch member, so it lands in the *next* batch at the
+        // same timestamp — the delivered stream is identical to per-pop
+        // operation (DESIGN.md §15).
+        let mut rest: Vec<(SimTime, Ev)> = Vec::new();
+        while let Some((now, ev)) = self.queue.pop_batch_before(end, &mut rest) {
+            self.handle(now, ev, end);
+            for (t, e) in rest.drain(..) {
+                self.handle(t, e, end);
             }
         }
         self.platform.roll_meters(end);
@@ -382,6 +374,20 @@ impl Simulation {
     }
 
     fn prime(&mut self, end: SimTime) {
+        // A zero period would re-arm its tick at the very instant it
+        // fires, and the run would never leave that instant.
+        for (field, period) in [
+            ("traffic_poll", self.cfg.traffic_poll),
+            ("rx_poll", self.cfg.rx_poll),
+            ("tx_poll", self.cfg.tx_poll),
+            ("wakeup_period", self.cfg.wakeup_period),
+            (
+                "nfvnice.load.sample_period",
+                self.cfg.nfvnice.load.sample_period,
+            ),
+        ] {
+            assert!(period > Duration::ZERO, "SimConfig.{field} must be > 0");
+        }
         self.run_end = end;
         let n_nfs = self.platform.nfs.len();
         self.watchdog = vec![(0, 0); n_nfs];
@@ -511,7 +517,7 @@ impl Simulation {
                 // digested and rescheduled, so the stream is unchanged.
                 // Empty NIC: `do_rx` would classify, admit and dispatch
                 // nothing.
-                if self.cfg.skip_ahead && self.platform.nic.rx_pending() == 0 {
+                if self.platform.nic.rx_pending() == 0 {
                     self.skipped_ticks += 1;
                 } else {
                     self.do_rx(now);
@@ -522,7 +528,7 @@ impl Simulation {
                 // No live packet anywhere: no outbox to drain, and no
                 // TxFull NF to wake (a TxFull block implies a live
                 // outbox entry, hence `in_use > 0`).
-                if self.cfg.skip_ahead && self.platform.mempool.in_use() == 0 {
+                if self.platform.mempool.in_use() == 0 {
                     self.skipped_ticks += 1;
                 } else {
                     self.do_tx(now);
@@ -538,8 +544,7 @@ impl Simulation {
                 // hysteresis audit is live — a skipped scan would shift a
                 // state's first-observation time and change the measured
                 // dwell (`Sanitizer::wants_hysteresis`).
-                if self.cfg.skip_ahead
-                    && self.platform.mempool.in_use() == 0
+                if self.platform.mempool.in_use() == 0
                     && (!self.cfg.nfvnice.backpressure || self.bp.quiescent())
                     && !self.sanitizer.wants_hysteresis()
                 {

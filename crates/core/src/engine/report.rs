@@ -99,7 +99,7 @@ impl Simulation {
         let total_delivered_pps = flows.iter().map(|f| f.delivered_pps).sum();
         Report {
             wall,
-            policy: self.platform.sched.policy().label(),
+            policy: self.cfg.platform.policy.label(),
             variant: self.cfg.nfvnice.label().to_string(),
             nfs,
             flows,

@@ -104,126 +104,179 @@ fn queue_backends_produce_identical_runs() {
         sim.run(Duration::from_millis(60))
     };
     let wheel = run(nfv_des::QueueKind::Wheel);
-    let classic = run(nfv_des::QueueKind::WheelClassic);
     let heap = run(nfv_des::QueueKind::Heap);
-    for other in [&classic, &heap] {
-        assert_eq!(wheel.trace_digest, other.trace_digest);
-        assert_eq!(wheel.flow(0).delivered, other.flow(0).delivered);
-        assert_eq!(wheel.flow(0).dropped, other.flow(0).dropped);
-        assert_eq!(wheel.total_wasted_drops, other.total_wasted_drops);
-        for (w, h) in wheel.nfs.iter().zip(other.nfs.iter()) {
-            assert_eq!(w.processed, h.processed, "{}", w.name);
-        }
+    assert_eq!(wheel.trace_digest, heap.trace_digest);
+    assert_eq!(wheel.flow(0).delivered, heap.flow(0).delivered);
+    assert_eq!(wheel.flow(0).dropped, heap.flow(0).dropped);
+    assert_eq!(wheel.total_wasted_drops, heap.total_wasted_drops);
+    for (w, h) in wheel.nfs.iter().zip(heap.nfs.iter()) {
+        assert_eq!(w.processed, h.processed, "{}", w.name);
     }
 }
 
+/// `(digest, total delivered pps, coalesced pops, skipped ticks,
+/// [(processed, cpu ns)] per NF, [(delivered, dropped)] per flow)`.
+type CoalescePin = (u64, f64, u64, u64, [(u64, u64); 2], [(u64, u64); 1]);
+
 #[test]
-fn coalesce_and_skip_ahead_knobs_are_byte_identical() {
-    // The engine-level speed knobs (same-instant batch replay and
-    // no-op-tick body elision) must be invisible in every deterministic
-    // output: same event stream (trace digest), same per-NF/per-flow
-    // counters, for every knob combination — regardless of which way the
-    // build's features flipped the defaults. Poisson arrivals so RNG
-    // draws depend on event order; an idle tail so skip-ahead actually
-    // fires.
-    let run = |coalesce: bool, skip_ahead: bool, rate_pps: f64| {
-        let mut cfg = base_cfg(1, Policy::CfsNormal, NfvniceConfig::full());
-        cfg.coalesce = coalesce;
-        cfg.skip_ahead = skip_ahead;
-        let mut sim = Simulation::new(cfg);
+fn coalesced_skip_ahead_runs_keep_their_pins() {
+    // Same-instant batch replay and no-op-tick body elision must be
+    // invisible in every deterministic output. The digest and counters
+    // below are those of the per-pop engine that ran every tick body, so
+    // the pins hold the engine to that event stream; the coalesced-pop
+    // and skipped-tick counts pin how far each mechanism engages.
+    // Poisson arrivals so RNG draws depend on event order; the light run
+    // has idle gaps (20k pps ≪ the chain's capacity).
+    let run = |rate_pps: f64| {
+        let mut sim = Simulation::new(base_cfg(1, Policy::CfsNormal, NfvniceConfig::full()));
         let a = sim.add_nf(NfSpec::new("light", 0, 120));
         let b = sim.add_nf(NfSpec::new("heavy", 0, 26_000));
         let chain = sim.add_chain(&[a, b]);
         sim.add_udp_with(chain, rate_pps, 64, |f| f.poisson());
-        sim.run(Duration::from_millis(60))
-    };
-    // Overloaded run (backpressure active) and a lightly loaded one with
-    // idle gaps between packets: both must be knob-invariant.
-    let base = run(false, false, 400_000.0);
-    for (coalesce, skip_ahead) in [(true, false), (false, true), (true, true)] {
-        let fast = run(coalesce, skip_ahead, 400_000.0);
-        assert_eq!(
-            base.trace_digest, fast.trace_digest,
-            "coalesce={coalesce} skip_ahead={skip_ahead}"
+        let r = sim.run(Duration::from_millis(60));
+        assert_eq!((r.total_wasted_drops, r.throttle_events), (0, 0));
+        let nf = |i: usize| (r.nfs[i].processed, r.nfs[i].cpu_time.as_nanos());
+        let pin: CoalescePin = (
+            r.trace_digest,
+            r.total_delivered_pps,
+            r.queue.coalesced_pops,
+            r.queue.skipped_ticks,
+            [nf(0), nf(1)],
+            [(r.flow(0).delivered, r.flow(0).dropped)],
         );
-        assert_eq!(base.total_delivered_pps, fast.total_delivered_pps);
-        assert_eq!(base.total_wasted_drops, fast.total_wasted_drops);
-        assert_eq!(base.throttle_events, fast.throttle_events);
-        for (b, f) in base.nfs.iter().zip(fast.nfs.iter()) {
-            assert_eq!(b.processed, f.processed, "{}", b.name);
-            assert_eq!(b.cpu_time, f.cpu_time, "{}", b.name);
-        }
-        for (b, f) in base.flows.iter().zip(fast.flows.iter()) {
-            assert_eq!(b.delivered, f.delivered);
-            assert_eq!(b.dropped, f.dropped);
-        }
-    }
-    // The light run has idle windows (20k pps ≪ the chain's capacity),
-    // so both knobs must actually engage — and stay byte-invariant.
-    let idle_base = run(false, false, 20_000.0);
-    let idle_fast = run(true, true, 20_000.0);
-    assert_eq!(idle_base.trace_digest, idle_fast.trace_digest);
-    assert_eq!(idle_base.flow(0).delivered, idle_fast.flow(0).delivered);
-    assert!(idle_fast.queue.skipped_ticks > 0, "skip-ahead never fired");
-    assert!(idle_fast.queue.coalesced_pops > 0, "coalescing never fired");
-    assert_eq!(idle_base.queue.skipped_ticks, 0);
-    assert_eq!(idle_base.queue.coalesced_pops, 0);
+        pin
+    };
+    assert_eq!(
+        run(400_000.0),
+        (
+            0x9c7c_7c4d_670f_2eac,
+            98283.33333333334,
+            15_060,
+            3_003,
+            [(17_828, 822_885), (5_897, 58_970_000)],
+            [(5_897, 0)],
+        )
+    );
+    assert_eq!(
+        run(20_000.0),
+        (
+            0x87aa_3ba9_e4c1_8593,
+            19616.666666666668,
+            15_321,
+            10_957,
+            [(1_177, 55_109), (1_177, 11_770_000)],
+            [(1_177, 0)],
+        )
+    );
 }
 
+/// Per NF: `(processed, cpu ns, cswch/s, nvcswch/s)`.
+type NfSchedPin = (u64, u64, f64, f64);
+
 #[test]
-fn sched_backends_produce_identical_runs() {
-    // The trait seam must be invisible: for every policy, the hook-based
-    // SchedCore driver and the classic monolithic scheduler must yield
-    // the same event order, hence the same trace digest, delivery counts
-    // and per-NF switch counters, on a full fig7-style overloaded-chain
-    // sim. Poisson arrivals so RNG draws depend on event order.
-    for policy in [
-        Policy::CfsNormal,
-        Policy::CfsBatch,
-        Policy::rr_1ms(),
-        Policy::Cooperative,
-        Policy::Edf {
-            period: Duration::from_millis(1),
-        },
-        Policy::Slo,
-    ] {
-        let run = |backend: nfv_sched::SchedBackend| {
-            let mut cfg = base_cfg(1, policy, NfvniceConfig::full());
-            cfg.platform.sched_backend = backend;
-            let mut sim = Simulation::new(cfg);
-            let a = sim.add_nf(NfSpec::new("light", 0, 120));
-            let b = sim.add_nf(NfSpec::new("heavy", 0, 26_000));
-            let chain = sim.add_chain(&[a, b]);
-            sim.set_chain_budget(chain, Duration::from_millis(2));
-            sim.add_udp_with(chain, 400_000.0, 64, |f| f.poisson());
-            sim.run(Duration::from_millis(50))
-        };
-        let hooks = run(nfv_sched::SchedBackend::Hooks);
-        let classic = run(nfv_sched::SchedBackend::Classic);
-        assert_eq!(hooks.trace_digest, classic.trace_digest, "{policy:?}");
+fn sched_policies_keep_their_pinned_runs() {
+    // Each policy's hooks, on a full fig7-style overloaded-chain sim:
+    // the trace digest, delivery counts, wasted drops, chain p99 and
+    // per-NF switch counters are pinned to the values the hook-based and
+    // the classic monolithic scheduler both produced
+    // (crates/sched/tests/differential.rs keeps that monolith as a
+    // reference model). Poisson arrivals so RNG draws depend on event
+    // order.
+    let run = |policy: Policy| {
+        let mut sim = Simulation::new(base_cfg(1, policy, NfvniceConfig::full()));
+        let a = sim.add_nf(NfSpec::new("light", 0, 120));
+        let b = sim.add_nf(NfSpec::new("heavy", 0, 26_000));
+        let chain = sim.add_chain(&[a, b]);
+        sim.set_chain_budget(chain, Duration::from_millis(2));
+        sim.add_udp_with(chain, 400_000.0, 64, |f| f.poisson());
+        let r = sim.run(Duration::from_millis(50));
+        assert_eq!(r.total_wasted_drops, 0, "{policy:?}");
         assert_eq!(
-            hooks.flow(0).delivered,
-            classic.flow(0).delivered,
+            r.chains[0].latency_p99,
+            Duration::from_nanos(35_651_584),
             "{policy:?}"
         );
-        assert_eq!(hooks.flow(0).dropped, classic.flow(0).dropped, "{policy:?}");
+        let nfs: Vec<NfSchedPin> = r
+            .nfs
+            .iter()
+            .map(|n| {
+                let cpu = n.cpu_time.as_nanos();
+                (n.processed, cpu, n.cswch_per_sec, n.nvcswch_per_sec)
+            })
+            .collect();
+        (r.trace_digest, r.flow(0).delivered, r.flow(0).dropped, nfs)
+    };
+    let edf = Policy::Edf {
+        period: Duration::from_millis(1),
+    };
+    let pins: [(Policy, u64, u64, u64, [NfSchedPin; 2]); 6] = [
+        (
+            Policy::CfsNormal,
+            0x7346_180e_fde7_f490,
+            4_905,
+            0,
+            [
+                (17_828, 822_885, 580.0, 20.0),
+                (4_905, 49_050_000, 60.0, 700.0),
+            ],
+        ),
+        (
+            Policy::CfsBatch,
+            0x38d6_50ba_75cf_45ef,
+            4_905,
+            0,
+            [
+                (16_167, 746_212, 160.0, 20.0),
+                (4_905, 49_050_000, 60.0, 280.0),
+            ],
+        ),
+        (
+            Policy::rr_1ms(),
+            0x7872_2e7d_f4f5_e030,
+            4_896,
+            2_034,
+            [
+                (17_749, 819_243, 740.0, 0.0),
+                (4_896, 48_960_000, 40.0, 680.0),
+            ],
+        ),
+        (
+            Policy::Cooperative,
+            0xe036_28cb_f037_b0b9,
+            4_896,
+            0,
+            [
+                (17_354, 800_998, 120.0, 0.0),
+                (4_896, 48_960_000, 100.0, 0.0),
+            ],
+        ),
+        (
+            edf,
+            0xe036_28cb_f037_b0b9,
+            4_896,
+            0,
+            [
+                (17_354, 800_998, 120.0, 0.0),
+                (4_896, 48_960_000, 100.0, 0.0),
+            ],
+        ),
+        (
+            Policy::Slo,
+            0xbc68_5a8d_ad2c_23b1,
+            4_904,
+            2_255,
+            [
+                (17_544, 809_772, 340.0, 0.0),
+                (4_904, 49_040_000, 60.0, 280.0),
+            ],
+        ),
+    ];
+    for (policy, digest, delivered, dropped, nfs) in pins {
         assert_eq!(
-            hooks.total_wasted_drops, classic.total_wasted_drops,
-            "{policy:?}"
+            run(policy),
+            (digest, delivered, dropped, nfs.to_vec()),
+            "{policy:?}: (digest, delivered, dropped, per-NF counters)"
         );
-        for (h, c) in hooks.nfs.iter().zip(classic.nfs.iter()) {
-            assert_eq!(h.processed, c.processed, "{policy:?} {}", h.name);
-            assert_eq!(h.cswch_per_sec, c.cswch_per_sec, "{policy:?} {}", h.name);
-            assert_eq!(
-                h.nvcswch_per_sec, c.nvcswch_per_sec,
-                "{policy:?} {}",
-                h.name
-            );
-            assert_eq!(h.cpu_time, c.cpu_time, "{policy:?} {}", h.name);
-        }
-        for (h, c) in hooks.chains.iter().zip(classic.chains.iter()) {
-            assert_eq!(h.latency_p99, c.latency_p99, "{policy:?}");
-        }
     }
 }
 
@@ -962,11 +1015,9 @@ fn tcp_feedback_runs_replay_the_per_feedback_stream() {
     // same-instant feedback must pop in that order. The tiny NIC queue
     // overflows under their bursts. The digest folds one `(time, tag)`
     // per logical feedback; it and the senders' state are pinned to the
-    // values of the one-event-per-feedback engine, with and without
-    // coalescing.
-    let run = |coalesce: bool| {
+    // values of the one-event-per-feedback engine.
+    let run = || {
         let mut cfg = base_cfg(1, Policy::CfsNormal, NfvniceConfig::full());
-        cfg.coalesce = coalesce;
         cfg.platform.nic_rx_capacity = 48;
         cfg.sanitizer = crate::SanitizerConfig::audit();
         let mut sim = Simulation::new(cfg);
@@ -1002,11 +1053,46 @@ fn tcp_feedback_runs_replay_the_per_feedback_stream() {
         (882, 1, 1, 4631367675458772533, 43, 0),
         (682, 1, 0, 4632676169672216609, 53, 0),
     ];
-    for coalesce in [false, true] {
-        assert_eq!(
-            run(coalesce),
-            (0xa094_f730_2fff_c075, want.clone()),
-            "{coalesce}"
-        );
-    }
+    assert_eq!(run(), (0xa094_f730_2fff_c075, want));
+}
+
+/// Run a one-NF sim whose config was edited by `edit`.
+fn run_with(edit: impl FnOnce(&mut SimConfig)) {
+    let mut cfg = base_cfg(1, Policy::CfsNormal, NfvniceConfig::full());
+    edit(&mut cfg);
+    let mut sim = Simulation::new(cfg);
+    let nf = sim.add_nf(NfSpec::new("fwd", 0, 200));
+    let chain = sim.add_chain(&[nf]);
+    sim.add_udp(chain, 100_000.0, 64);
+    sim.run(Duration::from_millis(1));
+}
+
+#[test]
+#[should_panic(expected = "traffic_poll")]
+fn zero_traffic_poll_is_rejected() {
+    run_with(|c| c.traffic_poll = Duration::ZERO);
+}
+
+#[test]
+#[should_panic(expected = "rx_poll")]
+fn zero_rx_poll_is_rejected() {
+    run_with(|c| c.rx_poll = Duration::ZERO);
+}
+
+#[test]
+#[should_panic(expected = "tx_poll")]
+fn zero_tx_poll_is_rejected() {
+    run_with(|c| c.tx_poll = Duration::ZERO);
+}
+
+#[test]
+#[should_panic(expected = "wakeup_period")]
+fn zero_wakeup_period_is_rejected() {
+    run_with(|c| c.wakeup_period = Duration::ZERO);
+}
+
+#[test]
+#[should_panic(expected = "nfvnice.load.sample_period")]
+fn zero_load_sample_period_is_rejected() {
+    run_with(|c| c.nfvnice.load.sample_period = Duration::ZERO);
 }

@@ -76,7 +76,7 @@ pub use nfv_pkt::{
 pub use nfv_platform::{
     BlockReason, CostModel, IoMode, NfAction, NfIoSpec, NfSpec, PacketHandler, PlatformConfig,
 };
-pub use nfv_sched::{CfsParams, Policy, SchedBackend, SLO_DEFAULT_BUDGET};
+pub use nfv_sched::{CfsParams, Policy, SLO_DEFAULT_BUDGET};
 pub use nfv_traffic::{
     diurnal_windows, heavy_tail_flows, heavy_tail_rates, sweep_index, tenant, CbrFlow,
     CostClassGen, ParetoShape, SweepSource, TcpSource, TenantSet, TenantSpec, TENANT_SPAN,

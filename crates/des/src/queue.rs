@@ -6,25 +6,22 @@
 //! whole-simulation runs bit-for-bit reproducible for a given seed — a
 //! property the experiment harness relies on.
 //!
-//! Three backing structures implement that contract (see [`QueueKind`]):
+//! Two backing structures implement that contract (see [`QueueKind`]):
 //!
 //! - **Arena timer wheel** (the default): a hierarchical timer wheel whose
-//!   entries live in one slab (`Vec` of nodes linked by `u32` indices)
-//!   instead of one `VecDeque` per slot. Slots are `(head, tail)` index
-//!   pairs, so the 704-slot wheel costs ~5.6 KB of slot state plus a
-//!   single recycled node arena — event payloads are bump-allocated into
-//!   the slab once and recycled through a freelist, never freed
-//!   individually (freed wholesale when the `Simulation` drops). Draining
-//!   a level-0 slot — which holds exactly one timestamp, in insertion
-//!   order by construction — is one bitmap probe plus a list walk, which
-//!   is what makes [`EventQueue::pop_batch_before`] (timer coalescing)
-//!   cheap. See DESIGN.md §15.
-//! - **Classic timer wheel**: the previous `VecDeque`-per-slot wheel,
-//!   kept as a differential oracle. The `classic-wheel` cargo feature
-//!   flips the build-wide default back to it.
+//!   entries live in one slab (`Vec` of nodes linked by `u32` indices).
+//!   Slots are `(head, tail)` index pairs, so the 704-slot wheel costs
+//!   ~5.6 KB of slot state plus a single recycled node arena — event
+//!   payloads are bump-allocated into the slab once and recycled through
+//!   a freelist, never freed individually (freed wholesale when the
+//!   `Simulation` drops). Draining a level-0 slot — which holds exactly
+//!   one timestamp, in insertion order by construction — is one bitmap
+//!   probe plus a list walk, which is what makes
+//!   [`EventQueue::pop_batch_before`] (timer coalescing) cheap. See
+//!   DESIGN.md §15.
 //! - **Binary heap**: the original `BinaryHeap<Entry>` implementation,
-//!   kept as a second oracle. The `heap-queue` cargo feature flips the
-//!   build-wide default to it (and wins over `classic-wheel`).
+//!   kept as a differential oracle. The `heap-queue` cargo feature flips
+//!   the build-wide default to it.
 //!
 //! All backends pop identical `(time, seq, event)` streams — the
 //! property tests in `tests/props.rs` and the unit tests below drive them
@@ -39,7 +36,7 @@
 
 use crate::time::SimTime;
 use std::cmp::Ordering;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::BinaryHeap;
 
 /// Bits of time per wheel level: 64 slots per level.
 const SLOT_BITS: u32 = 6;
@@ -50,17 +47,13 @@ const LEVELS: usize = 11;
 /// Null link in the arena wheel's intrusive lists.
 const NIL: u32 = u32::MAX;
 
-/// Which backing structure an [`EventQueue`] uses. All deliver the exact
-/// same `(time, seq)` stream; the arena wheel is fastest on the
+/// Which backing structure an [`EventQueue`] uses. Both deliver the
+/// exact same `(time, seq)` stream; the arena wheel is fastest on the
 /// simulator's event mix.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum QueueKind {
     /// Arena-backed hierarchical timer wheel (the default).
     Wheel,
-    /// `VecDeque`-per-slot timer wheel — the previous implementation,
-    /// kept for differential testing (`classic-wheel` feature makes it
-    /// the build default).
-    WheelClassic,
     /// Binary heap — the reference implementation, kept for differential
     /// testing (`heap-queue` feature makes it the build default).
     Heap,
@@ -68,15 +61,12 @@ pub enum QueueKind {
 
 impl QueueKind {
     /// The build's default backend: the arena timer wheel, unless the
-    /// `classic-wheel` cargo feature flips the workspace to the
-    /// `VecDeque` wheel or `heap-queue` (which wins) flips it to the
-    /// binary heap — how CI byte-diffs the implementations over the full
-    /// quick suite.
+    /// `heap-queue` cargo feature flips the workspace to the binary heap —
+    /// how CI byte-diffs the two implementations over the full quick
+    /// suite.
     pub fn default_kind() -> QueueKind {
         if cfg!(feature = "heap-queue") {
             QueueKind::Heap
-        } else if cfg!(feature = "classic-wheel") {
-            QueueKind::WheelClassic
         } else {
             QueueKind::Wheel
         }
@@ -109,8 +99,7 @@ pub struct QueueStats {
     pub max_len: usize,
     /// Events delivered as the non-first member of a
     /// [`EventQueue::pop_batch_before`] batch — same-instant deliveries
-    /// that cost no extra wheel probe. 0 when the engine's coalescing
-    /// knob is off.
+    /// that cost no extra wheel probe.
     pub coalesced_pops: u64,
     /// Periodic ticks whose handler body was skipped by the engine's
     /// idle skip-ahead (always 0 from the queue itself; the engine
@@ -158,183 +147,6 @@ fn level_of(cur: u64, at: u64) -> usize {
     }
 }
 
-/// The classic hierarchical timer wheel (differential oracle).
-///
-/// Placement: an entry with timestamp `at` lives at the level of the
-/// highest bit in which `at` differs from the cursor `cur` (the timestamp
-/// of the last pop), at slot `(at >> 6·level) & 63`. Because `at ≥ cur`,
-/// the occupied slot index at its level is strictly greater than the
-/// cursor's (equal only at level 0 when `at == cur`), so every occupied
-/// slot at the lowest occupied level is "ahead" of the cursor and the
-/// first set bit of that level's occupancy bitmap is the global minimum's
-/// slot. Level-0 slots hold exactly one timestamp each (`(cur & !63) |
-/// slot`), kept in seq order; higher-level slots hold a time range and
-/// are re-sorted by `(at, seq)` when cascaded, which restores the
-/// insertion-order tie-break exactly.
-struct ClassicWheel<E> {
-    /// `levels[level][slot]` — FIFO of entries; capacity is retained
-    /// across drains, so steady-state operation performs no allocation.
-    levels: Vec<Vec<VecDeque<WheelEntry<E>>>>,
-    /// Per-level slot-occupancy bitmaps.
-    occupied: [u64; LEVELS],
-    /// Cursor: timestamp of the last pop (or a cascaded slot's start,
-    /// transiently inside `pop_before`).
-    cur: u64,
-    len: usize,
-    cascades: u64,
-    cascaded_entries: u64,
-    allocs: u64,
-    /// Reused cascade buffer (drain target), avoiding a per-cascade Vec.
-    scratch: Vec<WheelEntry<E>>,
-}
-
-struct WheelEntry<E> {
-    at: u64,
-    seq: u64,
-    event: E,
-}
-
-impl<E> ClassicWheel<E> {
-    fn new() -> Self {
-        ClassicWheel {
-            levels: (0..LEVELS)
-                .map(|_| (0..SLOTS).map(|_| VecDeque::new()).collect())
-                .collect(),
-            occupied: [0; LEVELS],
-            cur: 0,
-            len: 0,
-            cascades: 0,
-            cascaded_entries: 0,
-            allocs: 0,
-            scratch: Vec::new(),
-        }
-    }
-
-    fn insert(&mut self, e: WheelEntry<E>) {
-        let lvl = level_of(self.cur, e.at);
-        let slot = ((e.at >> (SLOT_BITS * lvl as u32)) & (SLOTS as u64 - 1)) as usize;
-        let q = &mut self.levels[lvl][slot];
-        if q.len() == q.capacity() {
-            self.allocs += 1;
-        }
-        q.push_back(e);
-        self.occupied[lvl] |= 1 << slot;
-        self.len += 1;
-    }
-
-    /// Lowest occupied level and its first occupied slot — the slot
-    /// holding the global minimum (see the placement invariant above).
-    fn first(&self) -> Option<(usize, usize)> {
-        (0..LEVELS)
-            .find(|&k| self.occupied[k] != 0)
-            .map(|k| (k, self.occupied[k].trailing_zeros() as usize))
-    }
-
-    /// Start of `slot` at `lvl`, relative to the cursor's position.
-    fn slot_start(&self, lvl: usize, slot: usize) -> u64 {
-        let shift = SLOT_BITS * lvl as u32;
-        let above = shift + SLOT_BITS;
-        // Bits of `cur` above this level's span (shift-safe at the top
-        // level, where the span runs off the end of the u64).
-        let base = if above >= 64 {
-            0
-        } else {
-            (self.cur >> above) << above
-        };
-        base | ((slot as u64) << shift)
-    }
-
-    fn peek_time(&self) -> Option<u64> {
-        let (lvl, slot) = self.first()?;
-        if lvl == 0 {
-            // A level-0 slot holds exactly one timestamp.
-            Some(self.slot_start(0, slot))
-        } else {
-            self.levels[lvl][slot].iter().map(|e| e.at).min()
-        }
-    }
-
-    /// Pop the earliest entry if its timestamp is `<= limit` and its
-    /// `(time, seq)` key sorts before `bound` (the periodic lanes' head;
-    /// `(u64::MAX, u64::MAX)` when the lanes are empty).
-    ///
-    /// Returns `None` **without mutating the wheel** when the earliest
-    /// entry (if any) is past `limit` or `bound.0`: a cascade is only
-    /// performed once the slot is known to contain an entry `<=
-    /// min(limit, bound.0)`. The call then pops, or refuses on a seq tie
-    /// at exactly `bound.0 <= limit` — in which case the caller pops the
-    /// lane head at that instant. Either way the cursor never outruns the
-    /// delivered timestamp, keeping later `push`es at any `at >= now`
-    /// valid.
-    fn pop_before(&mut self, limit: u64, bound: (u64, u64)) -> Option<(u64, E)> {
-        let due = limit.min(bound.0);
-        loop {
-            let (lvl, slot) = self.first()?;
-            if lvl == 0 {
-                let t = self.slot_start(0, slot);
-                if t > due {
-                    return None;
-                }
-                let q = &mut self.levels[0][slot];
-                let head_seq = q.front().expect("occupied slot is empty").seq;
-                if (t, head_seq) > bound {
-                    return None;
-                }
-                let e = q.pop_front().expect("occupied slot is empty");
-                if q.is_empty() {
-                    self.occupied[0] &= !(1u64 << slot);
-                }
-                self.len -= 1;
-                debug_assert_eq!(e.at, t);
-                self.cur = t;
-                return Some((e.at, e.event));
-            }
-            let min_at = self.levels[lvl][slot]
-                .iter()
-                .map(|e| e.at)
-                .min()
-                .expect("occupied slot is empty");
-            if min_at > due {
-                return None;
-            }
-            // Fast path: a lone entry in a high-level slot is the global
-            // minimum; deliver it directly. Advancing the cursor to its
-            // timestamp is exactly the state a full cascade plus level-0
-            // pop would have produced, minus the re-insertion round trip.
-            // This is the common shape for sparse timelines (timers far
-            // apart), where cascades would otherwise dominate.
-            if self.levels[lvl][slot].len() == 1 {
-                if (min_at, self.levels[lvl][slot][0].seq) > bound {
-                    return None;
-                }
-                let e = self.levels[lvl][slot].pop_front().expect("len checked");
-                self.occupied[lvl] &= !(1u64 << slot);
-                self.len -= 1;
-                self.cur = e.at;
-                return Some((e.at, e.event));
-            }
-            // Cascade: advance the cursor to the slot's start (so re-homed
-            // entries land at strictly lower levels) and re-insert in
-            // (time, seq) order, which keeps every level-0 slot sorted by
-            // insertion sequence.
-            let start = self.slot_start(lvl, slot);
-            debug_assert!(start >= self.cur && start <= min_at);
-            self.occupied[lvl] &= !(1u64 << slot);
-            let mut batch = std::mem::take(&mut self.scratch);
-            batch.extend(self.levels[lvl][slot].drain(..));
-            self.len -= batch.len();
-            self.cur = start;
-            self.cascades += 1;
-            self.cascaded_entries += batch.len() as u64;
-            batch.sort_unstable_by_key(|e| (e.at, e.seq));
-            for e in batch.drain(..) {
-                self.insert(e);
-            }
-            self.scratch = batch;
-        }
-    }
-}
-
 /// One slab node of the arena wheel: the entry plus its intrusive link.
 /// `event` is `Some` while linked into a slot, `None` on the freelist
 /// (`next` then links the freelist instead).
@@ -347,9 +159,20 @@ struct ArenaNode<E> {
 
 /// The arena-backed hierarchical timer wheel (the default backend).
 ///
-/// Same placement/cascade scheme as [`ClassicWheel`] — the determinism
-/// argument (DESIGN.md §10) is unchanged — but entries live in one slab
-/// and slots are `(head, tail)` `u32` pairs linking them intrusively.
+/// Placement: an entry with timestamp `at` lives at the level of the
+/// highest bit in which `at` differs from the cursor `cur` (the timestamp
+/// of the last pop), at slot `(at >> 6·level) & 63`. Because `at ≥ cur`,
+/// the occupied slot index at its level is strictly greater than the
+/// cursor's (equal only at level 0 when `at == cur`), so every occupied
+/// slot at the lowest occupied level is "ahead" of the cursor and the
+/// first set bit of that level's occupancy bitmap is the global minimum's
+/// slot. Level-0 slots hold exactly one timestamp each (`(cur & !63) |
+/// slot`), kept in seq order; higher-level slots hold a time range and
+/// are re-sorted by `(at, seq)` when cascaded, which restores the
+/// insertion-order tie-break exactly (DESIGN.md §10).
+///
+/// Entries live in one slab and slots are `(head, tail)` `u32` pairs
+/// linking them intrusively.
 /// Nodes are recycled through a freelist: the arena grows to the
 /// simulation's peak pending-event count once, then steady-state pushes
 /// and pops touch only the slab (event payloads are dropped wholesale
@@ -400,11 +223,12 @@ impl<E> ArenaWheel<E> {
         lvl * SLOTS + slot
     }
 
-    /// Start of `slot` at `lvl`, relative to the cursor's position
-    /// (identical to [`ClassicWheel::slot_start`]).
+    /// Start of `slot` at `lvl`, relative to the cursor's position.
     fn slot_start(&self, lvl: usize, slot: usize) -> u64 {
         let shift = SLOT_BITS * lvl as u32;
         let above = shift + SLOT_BITS;
+        // Bits of `cur` above this level's span (shift-safe at the top
+        // level, where the span runs off the end of the u64).
         let base = if above >= 64 {
             0
         } else {
@@ -456,8 +280,7 @@ impl<E> ArenaWheel<E> {
     }
 
     /// Append node `id` to the tail of its slot's list (insertion order
-    /// within a slot is therefore `seq` order, same as the classic
-    /// wheel's `push_back`).
+    /// within a slot is therefore `seq` order).
     fn link(&mut self, id: u32) {
         let at = self.nodes[id as usize].at;
         let lvl = level_of(self.cur, at);
@@ -512,8 +335,10 @@ impl<E> ArenaWheel<E> {
         (at, event)
     }
 
-    /// Cascade a multi-entry high-level slot toward level 0 (same scheme
-    /// and determinism argument as [`ClassicWheel::pop_before`]).
+    /// Cascade a multi-entry high-level slot toward level 0: advance the
+    /// cursor to the slot's start (so re-homed entries land at strictly
+    /// lower levels) and re-link them in `(time, seq)` order, which keeps
+    /// every level-0 slot sorted by insertion sequence.
     fn cascade(&mut self, lvl: usize, slot: usize, start: u64) {
         let si = Self::slot_index(lvl, slot);
         let (head, _) = self.slots[si];
@@ -541,8 +366,17 @@ impl<E> ArenaWheel<E> {
     }
 
     /// Pop the earliest entry if its timestamp is `<= limit` and its
-    /// `(time, seq)` key sorts before `bound`; same refusal contract as
-    /// [`ClassicWheel::pop_before`].
+    /// `(time, seq)` key sorts before `bound` (the periodic lanes' head;
+    /// `(u64::MAX, u64::MAX)` when the lanes are empty).
+    ///
+    /// Returns `None` **without mutating the wheel** when the earliest
+    /// entry (if any) is past `limit` or `bound.0`: a cascade is only
+    /// performed once the slot is known to contain an entry `<=
+    /// min(limit, bound.0)`. The call then pops, or refuses on a seq tie
+    /// at exactly `bound.0 <= limit` — in which case the caller pops the
+    /// lane head at that instant. Either way the cursor never outruns the
+    /// delivered timestamp, keeping later `push`es at any `at >= now`
+    /// valid.
     fn pop_before(&mut self, limit: u64, bound: (u64, u64)) -> Option<(u64, E)> {
         let due = limit.min(bound.0);
         loop {
@@ -578,7 +412,12 @@ impl<E> ArenaWheel<E> {
             if min_at > due {
                 return None;
             }
-            // Lone-entry fast path, as in the classic wheel.
+            // Fast path: a lone entry in a high-level slot is the global
+            // minimum; deliver it directly. Advancing the cursor to its
+            // timestamp is exactly the state a full cascade plus level-0
+            // pop would have produced, minus the re-insertion round trip.
+            // This is the common shape for sparse timelines (timers far
+            // apart), where cascades would otherwise dominate.
             if head == tail {
                 if (min_at, self.nodes[head as usize].seq) > bound {
                     return None;
@@ -671,7 +510,6 @@ impl<E> ArenaWheel<E> {
 
 enum Backend<E> {
     Arena(ArenaWheel<E>),
-    Classic(ClassicWheel<E>),
     Heap(BinaryHeap<Entry<E>>),
 }
 
@@ -728,7 +566,6 @@ impl<E> EventQueue<E> {
         EventQueue {
             backend: match kind {
                 QueueKind::Wheel => Backend::Arena(ArenaWheel::new()),
-                QueueKind::WheelClassic => Backend::Classic(ClassicWheel::new()),
                 QueueKind::Heap => Backend::Heap(BinaryHeap::new()),
             },
             lanes: Vec::with_capacity(MAX_LANES),
@@ -747,7 +584,6 @@ impl<E> EventQueue<E> {
     pub fn kind(&self) -> QueueKind {
         match &self.backend {
             Backend::Arena(_) => QueueKind::Wheel,
-            Backend::Classic(_) => QueueKind::WheelClassic,
             Backend::Heap(_) => QueueKind::Heap,
         }
     }
@@ -767,11 +603,6 @@ impl<E> EventQueue<E> {
         let seq = self.admit(at);
         match &mut self.backend {
             Backend::Arena(w) => w.insert(at.as_nanos(), seq, event),
-            Backend::Classic(w) => w.insert(WheelEntry {
-                at: at.as_nanos(),
-                seq,
-                event,
-            }),
             Backend::Heap(h) => {
                 if h.len() == h.capacity() {
                     self.heap_allocs += 1;
@@ -862,7 +693,6 @@ impl<E> EventQueue<E> {
         let bound = self.lane_head();
         let popped = match &mut self.backend {
             Backend::Arena(w) => w.pop_before(limit, bound),
-            Backend::Classic(w) => w.pop_before(limit, bound),
             Backend::Heap(h) => {
                 if h.peek()
                     .is_none_or(|e| e.at.as_nanos() > limit || (e.at.as_nanos(), e.seq) > bound)
@@ -895,7 +725,7 @@ impl<E> EventQueue<E> {
     /// batch at the same instant and are picked up by the next call. On
     /// the arena wheel a batch costs one bitmap probe, and a
     /// single-event batch (the common case) never touches `out`; the
-    /// oracle backends fall back to a peek/pop loop. Periodic lane
+    /// heap falls back to a peek/pop loop. Periodic lane
     /// entries at the batch instant join the batch in seq order (the
     /// [`EventQueue::pop_before`] merge rule); on the arena this costs one
     /// compare against the lanes' head unless a wheel batch lands on that
@@ -923,7 +753,7 @@ impl<E> EventQueue<E> {
             }
             first
         } else {
-            // Oracle backends: peek/pop loop (correct, not optimized).
+            // Heap: peek/pop loop (correct, not optimized).
             let first = self.pop_before(limit);
             if let Some((t, _)) = &first {
                 let t = *t;
@@ -971,7 +801,6 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&self) -> Option<SimTime> {
         let backend = match &self.backend {
             Backend::Arena(w) => w.peek_time(),
-            Backend::Classic(w) => w.peek_time(),
             Backend::Heap(h) => h.peek().map(|e| e.at.as_nanos()),
         };
         let lane = self.lanes.last().map(|e| e.at);
@@ -987,7 +816,6 @@ impl<E> EventQueue<E> {
         self.lanes.len()
             + match &self.backend {
                 Backend::Arena(w) => w.len,
-                Backend::Classic(w) => w.len,
                 Backend::Heap(h) => h.len(),
             }
     }
@@ -1001,7 +829,6 @@ impl<E> EventQueue<E> {
     pub fn stats(&self) -> QueueStats {
         let (cascades, cascaded_entries, allocs) = match &self.backend {
             Backend::Arena(w) => (w.cascades, w.cascaded_entries, w.allocs),
-            Backend::Classic(w) => (w.cascades, w.cascaded_entries, w.allocs),
             Backend::Heap(_) => (0, 0, self.heap_allocs),
         };
         QueueStats {
@@ -1028,7 +855,7 @@ mod tests {
     use super::*;
     use crate::time::Duration;
 
-    const KINDS: [QueueKind; 3] = [QueueKind::Wheel, QueueKind::WheelClassic, QueueKind::Heap];
+    const KINDS: [QueueKind; 2] = [QueueKind::Wheel, QueueKind::Heap];
 
     #[test]
     fn pops_in_time_order() {
@@ -1296,11 +1123,9 @@ mod tests {
     #[test]
     fn backends_agree_on_lcg_stream() {
         // Deterministic pseudo-random interleaving of pushes and pops,
-        // driven in lockstep over all three backends (batched pops
-        // included, so the coalescing primitive is differentially
-        // checked too).
+        // driven in lockstep over both backends (batched pops included,
+        // so the coalescing primitive is differentially checked too).
         let mut arena = EventQueue::with_kind(QueueKind::Wheel);
-        let mut classic = EventQueue::with_kind(QueueKind::WheelClassic);
         let mut heap = EventQueue::with_kind(QueueKind::Heap);
         let mut state = 0x2545_f491_4f6c_dd1du64;
         let mut lcg = move || {
@@ -1310,7 +1135,7 @@ mod tests {
             state >> 33
         };
         let mut n = 0u64;
-        let (mut oa, mut oc, mut oh) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut oa, mut oh) = (Vec::new(), Vec::new());
         for _ in 0..5_000 {
             let r = lcg();
             if r % 3 != 0 || arena.is_empty() {
@@ -1323,75 +1148,61 @@ mod tests {
                 };
                 let at = arena.now() + Duration::from_nanos(off);
                 arena.push(at, n);
-                classic.push(at, n);
                 heap.push(at, n);
                 n += 1;
             } else if r % 5 == 0 {
                 let limit = arena.now() + Duration::from_nanos(lcg() % 10_000);
-                let got = arena.pop_before(limit);
-                assert_eq!(got, classic.pop_before(limit));
-                assert_eq!(got, heap.pop_before(limit));
+                assert_eq!(arena.pop_before(limit), heap.pop_before(limit));
             } else if r % 2 == 0 {
                 let ka = arena.pop_batch_before(SimTime::MAX, &mut oa);
-                let kc = classic.pop_batch_before(SimTime::MAX, &mut oc);
                 let kh = heap.pop_batch_before(SimTime::MAX, &mut oh);
-                assert_eq!(ka, kc);
                 assert_eq!(ka, kh);
-                assert_eq!(oa, oc);
                 assert_eq!(oa, oh);
             } else {
-                let got = arena.pop();
-                assert_eq!(got, classic.pop());
-                assert_eq!(got, heap.pop());
+                assert_eq!(arena.pop(), heap.pop());
             }
         }
         loop {
             let a = arena.pop();
-            assert_eq!(a, classic.pop());
             assert_eq!(a, heap.pop());
             if a.is_none() {
                 break;
             }
         }
-        let (sa, sc, sh) = (arena.stats(), classic.stats(), heap.stats());
-        assert_eq!(sa.pushes, sc.pushes);
+        let (sa, sh) = (arena.stats(), heap.stats());
         assert_eq!(sa.pushes, sh.pushes);
-        assert_eq!(sa.pops, sc.pops);
         assert_eq!(sa.pops, sh.pops);
         assert_eq!(sa.pops, sa.pushes);
         // Batch membership is a property of the (time, seq) stream, not
         // the backend.
-        assert_eq!(sa.coalesced_pops, sc.coalesced_pops);
         assert_eq!(sa.coalesced_pops, sh.coalesced_pops);
     }
 
     #[test]
     fn stats_count_ops_and_recycling() {
-        for kind in [QueueKind::Wheel, QueueKind::WheelClassic] {
-            let mut q = EventQueue::with_kind(kind);
-            for round in 0..3 {
-                for i in 0..100u64 {
-                    q.push(q.now() + Duration::from_nanos(i + 1), i);
-                }
-                while q.pop().is_some() {}
-                if round == 0 {
-                    // Slot/arena storage allocated during the first round...
-                    assert!(q.stats().allocs > 0);
-                }
+        let mut q = EventQueue::with_kind(QueueKind::Wheel);
+        for round in 0..3 {
+            for i in 0..100u64 {
+                q.push(q.now() + Duration::from_nanos(i + 1), i);
             }
-            let s = q.stats();
-            assert_eq!(s.pushes, 300);
-            assert_eq!(s.pops, 300);
-            assert_eq!(s.max_len, 100);
-            // ...is recycled afterwards: warm rounds allocate nothing, so
-            // the count stays well below one per event.
-            assert!(
-                s.allocs < 150,
-                "storage not recycled: {} allocs for {} pushes",
-                s.allocs,
-                s.pushes
-            );
+            while q.pop().is_some() {}
+            if round == 0 {
+                // Slot/arena storage allocated during the first round...
+                assert!(q.stats().allocs > 0);
+            }
         }
+        let s = q.stats();
+        assert_eq!(s.pushes, 300);
+        assert_eq!(s.pops, 300);
+        assert_eq!(s.max_len, 100);
+        // ...is recycled afterwards: warm rounds allocate nothing, so
+        // the count stays well below one per event.
+        assert!(
+            s.allocs < 150,
+            "storage not recycled: {} allocs for {} pushes",
+            s.allocs,
+            s.pushes
+        );
     }
 
     #[test]

@@ -78,21 +78,20 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
 }
 
 proptest! {
-    /// The arena wheel, the classic wheel and the binary heap dequeue
-    /// bit-identical `(time, tag)` streams for arbitrary interleavings of
-    /// scheduling and draining, including same-instant bursts, far-future
-    /// timers and whole-instant batch drains. This is the
-    /// backend-equivalence property the whole-suite differential run (CI
-    /// `consolidated-diff` matrix) checks end to end.
+    /// The arena wheel and the binary heap dequeue bit-identical
+    /// `(time, tag)` streams for arbitrary interleavings of scheduling and
+    /// draining, including same-instant bursts, far-future timers and
+    /// whole-instant batch drains. This is the backend-equivalence
+    /// property CI's `heap-queue` leg checks end to end over the quick
+    /// suite.
     #[test]
     fn queue_backends_dequeue_identically(
         ops in prop::collection::vec(queue_op(), 1..200),
     ) {
         let mut wheel: EventQueue<u32> = EventQueue::with_kind(QueueKind::Wheel);
-        let mut classic: EventQueue<u32> = EventQueue::with_kind(QueueKind::WheelClassic);
         let mut heap: EventQueue<u32> = EventQueue::with_kind(QueueKind::Heap);
         let mut tag = 0u32;
-        let (mut ow, mut oc, mut oh) = (Vec::new(), Vec::new(), Vec::new());
+        let (mut ow, mut oh) = (Vec::new(), Vec::new());
         for op in ops {
             match op {
                 QueueOp::Push { delta, count } => {
@@ -101,41 +100,30 @@ proptest! {
                     let at = SimTime::from_nanos(wheel.now().as_nanos() + delta);
                     for _ in 0..count {
                         wheel.push(at, tag);
-                        classic.push(at, tag);
                         heap.push(at, tag);
                         tag += 1;
                     }
                 }
                 QueueOp::Pop => {
-                    let a = wheel.pop();
-                    prop_assert_eq!(a, classic.pop());
-                    prop_assert_eq!(a, heap.pop());
+                    prop_assert_eq!(wheel.pop(), heap.pop());
                 }
                 QueueOp::PopBefore { horizon } => {
                     let limit = SimTime::from_nanos(wheel.now().as_nanos() + horizon);
-                    let a = wheel.pop_before(limit);
-                    prop_assert_eq!(a, classic.pop_before(limit));
-                    prop_assert_eq!(a, heap.pop_before(limit));
+                    prop_assert_eq!(wheel.pop_before(limit), heap.pop_before(limit));
                 }
                 QueueOp::PopBatch => {
                     let k = wheel.pop_batch_before(SimTime::MAX, &mut ow);
-                    prop_assert_eq!(k, classic.pop_batch_before(SimTime::MAX, &mut oc));
                     prop_assert_eq!(k, heap.pop_batch_before(SimTime::MAX, &mut oh));
-                    prop_assert_eq!(&ow, &oc);
                     prop_assert_eq!(&ow, &oh);
                 }
             }
-            prop_assert_eq!(wheel.now(), classic.now());
             prop_assert_eq!(wheel.now(), heap.now());
-            prop_assert_eq!(wheel.len(), classic.len());
             prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.peek_time(), classic.peek_time());
             prop_assert_eq!(wheel.peek_time(), heap.peek_time());
         }
         // Drain all to the end: every remaining event must match too.
         loop {
             let a = wheel.pop();
-            prop_assert_eq!(a, classic.pop());
             prop_assert_eq!(a, heap.pop());
             if a.is_none() {
                 break;
@@ -155,7 +143,7 @@ proptest! {
         periods in prop::collection::vec(period(), 1..7),
         ops in prop::collection::vec(lane_op(), 1..200),
     ) {
-        let mut qs: Vec<LanePair> = [QueueKind::Wheel, QueueKind::WheelClassic, QueueKind::Heap]
+        let mut qs: Vec<LanePair> = [QueueKind::Wheel, QueueKind::Heap]
             .into_iter()
             .map(|k| LanePair { laned: EventQueue::with_kind(k), plain: EventQueue::with_kind(k) })
             .collect();

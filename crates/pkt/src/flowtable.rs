@@ -72,9 +72,9 @@ pub struct FlowEntry {
     pub bytes: u64,
 }
 
-/// Exact-match index backend selector (mirrors `QueueKind` /
-/// `SchedBackend`): the sharded engine is the default, the flat
-/// single-table survives as a differential oracle.
+/// Exact-match index backend selector (mirrors `QueueKind`): the sharded
+/// engine is the default, the flat single-table survives as a
+/// differential oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FlowTableKind {
     /// Sharded open addressing: 64 shards by tuple-hash high bits.

@@ -20,7 +20,7 @@ use nfv_pkt::{
     ChainId, Ecn, FlowAging, FlowId, FlowTable, FlowTableKind, FrameRun, Mempool, NfId, Nic,
     Packet, PacketRun, PktId, Proto, TuplePattern, WireFrame,
 };
-use nfv_sched::{CfsParams, CgroupCpu, OsScheduler, Policy, SchedBackend};
+use nfv_sched::{CfsParams, CgroupCpu, OsScheduler, Policy};
 use std::collections::BTreeSet;
 
 /// Entry-admission hook for [`Platform::rx_poll`]: the NFVnice selective
@@ -59,9 +59,6 @@ pub struct PlatformConfig {
     pub nf_cores: usize,
     /// Kernel scheduling policy for NF tasks.
     pub policy: Policy,
-    /// Which scheduler implementation drives the run (hook-based driver
-    /// or the classic monolithic oracle — byte-identical by contract).
-    pub sched_backend: SchedBackend,
     /// CFS tunables (ignored by RR).
     pub cfs: CfsParams,
     /// Direct context-switch cost.
@@ -75,7 +72,7 @@ pub struct PlatformConfig {
     /// `libnf` batch size (the paper processes ≤ 32 packets per batch).
     pub batch_size: usize,
     /// Flow-table index backend (sharded engine or the flat oracle —
-    /// byte-identical by contract, like `sched_backend`).
+    /// byte-identical by contract).
     pub flow_table: FlowTableKind,
     /// Flow aging/eviction policy (off by default: `idle_epochs == 0`
     /// keeps default runs byte-identical to the pre-aging engine).
@@ -90,7 +87,6 @@ impl Default for PlatformConfig {
         PlatformConfig {
             nf_cores: 1,
             policy: Policy::CfsNormal,
-            sched_backend: SchedBackend::default_backend(),
             cfs: CfsParams::default(),
             cs_cost: Duration::from_nanos(1_500),
             freq: CpuFreq::PAPER_DEFAULT,
@@ -204,13 +200,7 @@ pub struct Platform {
 impl Platform {
     /// Build an empty platform.
     pub fn new(cfg: PlatformConfig) -> Self {
-        let sched = OsScheduler::with_backend(
-            cfg.nf_cores,
-            cfg.policy,
-            cfg.cfs,
-            cfg.cs_cost,
-            cfg.sched_backend,
-        );
+        let sched = OsScheduler::new(cfg.nf_cores, cfg.policy, cfg.cfs, cfg.cs_cost);
         Platform {
             mempool: Mempool::new(cfg.mempool_capacity),
             nic: Nic::new(cfg.nic_rx_capacity),

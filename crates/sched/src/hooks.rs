@@ -1,19 +1,18 @@
 //! The pluggable scheduling-policy seam: a sched_ext-style [`Scheduler`]
-//! trait, one implementation per policy, and the generic
-//! [`SchedCore`] driver that runs any of them over a [`KernelCtx`].
+//! trait and one implementation per policy, run over a [`KernelCtx`] by
+//! the [`OsScheduler`](crate::OsScheduler) driver.
 //!
 //! The hook set mirrors sched_ext's BPF callbacks (`select_cpu`,
 //! `enqueue`, `tick`, `stopping`), adapted to this model's batch-boundary
 //! granularity — see DESIGN.md §12 for when each hook fires relative to
 //! the platform's dispatch/charge/requeue cycle. Policies are statically
-//! dispatched: the engine-facing [`OsScheduler`](crate::OsScheduler)
-//! instantiates `SchedCore<PolicyDispatch>`, an enum over the concrete
-//! policy impls, so no `dyn Trait` crosses the layering rule.
+//! dispatched: `OsScheduler` holds a [`PolicyDispatch`], an enum over the
+//! concrete policy impls, so no `dyn Trait` crosses the layering rule.
 
 use crate::kernel::KernelCtx;
-use crate::params::{CfsParams, Policy, SLO_DEFAULT_BUDGET};
+use crate::params::{Policy, SLO_DEFAULT_BUDGET};
 use crate::runqueue::RunQueue;
-use crate::task::{SwitchKind, TaskId, TaskState};
+use crate::task::TaskId;
 use nfv_des::{Duration, SimTime};
 
 /// Why a task is being enqueued — the analogue of sched_ext's
@@ -298,8 +297,8 @@ impl Scheduler for EdfSched {
 }
 
 /// Static dispatch over the concrete policy implementations — the enum
-/// the engine-facing [`OsScheduler`](crate::OsScheduler) instantiates
-/// [`SchedCore`] with, keeping the whole stack `dyn`-free.
+/// the engine-facing [`OsScheduler`](crate::OsScheduler) drives, keeping
+/// the whole stack `dyn`-free.
 #[derive(Debug, Clone, Copy)]
 pub enum PolicyDispatch {
     /// CFS Normal / Batch.
@@ -334,32 +333,29 @@ impl PolicyDispatch {
     }
 }
 
+/// Forward one hook call to whichever policy `$self` holds.
+macro_rules! forward {
+    ($self:ident, $s:ident => $call:expr) => {
+        match $self {
+            PolicyDispatch::Cfs($s) => $call,
+            PolicyDispatch::Rr($s) => $call,
+            PolicyDispatch::Coop($s) => $call,
+            PolicyDispatch::Deadline($s) => $call,
+        }
+    };
+}
+
 impl Scheduler for PolicyDispatch {
     fn runqueue(&self) -> RunQueue {
-        match self {
-            PolicyDispatch::Cfs(s) => s.runqueue(),
-            PolicyDispatch::Rr(s) => s.runqueue(),
-            PolicyDispatch::Coop(s) => s.runqueue(),
-            PolicyDispatch::Deadline(s) => s.runqueue(),
-        }
+        forward!(self, s => s.runqueue())
     }
 
     fn task_rel_deadline(&self) -> Duration {
-        match self {
-            PolicyDispatch::Cfs(s) => s.task_rel_deadline(),
-            PolicyDispatch::Rr(s) => s.task_rel_deadline(),
-            PolicyDispatch::Coop(s) => s.task_rel_deadline(),
-            PolicyDispatch::Deadline(s) => s.task_rel_deadline(),
-        }
+        forward!(self, s => s.task_rel_deadline())
     }
 
     fn select_cpu(&self, ctx: &KernelCtx, task: TaskId) -> usize {
-        match self {
-            PolicyDispatch::Cfs(s) => s.select_cpu(ctx, task),
-            PolicyDispatch::Rr(s) => s.select_cpu(ctx, task),
-            PolicyDispatch::Coop(s) => s.select_cpu(ctx, task),
-            PolicyDispatch::Deadline(s) => s.select_cpu(ctx, task),
-        }
+        forward!(self, s => s.select_cpu(ctx, task))
     }
 
     fn enqueue(
@@ -370,160 +366,22 @@ impl Scheduler for PolicyDispatch {
         flags: EnqueueFlags,
         now: SimTime,
     ) {
-        match self {
-            PolicyDispatch::Cfs(s) => s.enqueue(ctx, core, task, flags, now),
-            PolicyDispatch::Rr(s) => s.enqueue(ctx, core, task, flags, now),
-            PolicyDispatch::Coop(s) => s.enqueue(ctx, core, task, flags, now),
-            PolicyDispatch::Deadline(s) => s.enqueue(ctx, core, task, flags, now),
-        }
+        forward!(self, s => s.enqueue(ctx, core, task, flags, now))
     }
 
     fn wakeup_preempt(&self, ctx: &KernelCtx, core: usize, contender: TaskId) -> bool {
-        match self {
-            PolicyDispatch::Cfs(s) => s.wakeup_preempt(ctx, core, contender),
-            PolicyDispatch::Rr(s) => s.wakeup_preempt(ctx, core, contender),
-            PolicyDispatch::Coop(s) => s.wakeup_preempt(ctx, core, contender),
-            PolicyDispatch::Deadline(s) => s.wakeup_preempt(ctx, core, contender),
-        }
+        forward!(self, s => s.wakeup_preempt(ctx, core, contender))
     }
 
     fn slice(&self, ctx: &KernelCtx, core: usize, task: TaskId) -> Duration {
-        match self {
-            PolicyDispatch::Cfs(s) => s.slice(ctx, core, task),
-            PolicyDispatch::Rr(s) => s.slice(ctx, core, task),
-            PolicyDispatch::Coop(s) => s.slice(ctx, core, task),
-            PolicyDispatch::Deadline(s) => s.slice(ctx, core, task),
-        }
+        forward!(self, s => s.slice(ctx, core, task))
     }
 
     fn tick(&self, ctx: &mut KernelCtx, core: usize, task: TaskId, dur: Duration) {
-        match self {
-            PolicyDispatch::Cfs(s) => s.tick(ctx, core, task, dur),
-            PolicyDispatch::Rr(s) => s.tick(ctx, core, task, dur),
-            PolicyDispatch::Coop(s) => s.tick(ctx, core, task, dur),
-            PolicyDispatch::Deadline(s) => s.tick(ctx, core, task, dur),
-        }
+        forward!(self, s => s.tick(ctx, core, task, dur))
     }
 
     fn stopping(&self, ctx: &mut KernelCtx, core: usize, task: TaskId, runnable: bool) {
-        match self {
-            PolicyDispatch::Cfs(s) => s.stopping(ctx, core, task, runnable),
-            PolicyDispatch::Rr(s) => s.stopping(ctx, core, task, runnable),
-            PolicyDispatch::Coop(s) => s.stopping(ctx, core, task, runnable),
-            PolicyDispatch::Deadline(s) => s.stopping(ctx, core, task, runnable),
-        }
-    }
-}
-
-/// The generic driver: one shared control flow running any [`Scheduler`]
-/// over a [`KernelCtx`]. Mirrors the `SchedCore<S>` pattern from
-/// sched_ext userspace models — the driver owns sequencing and state
-/// transitions, the policy owns every decision.
-#[derive(Debug)]
-pub struct SchedCore<S: Scheduler> {
-    /// The neutral kernel state the hooks operate on.
-    pub ctx: KernelCtx,
-    scheduler: S,
-}
-
-impl<S: Scheduler> SchedCore<S> {
-    /// A driver for `num_cores` cores under `scheduler`.
-    pub fn new(num_cores: usize, scheduler: S, cfs: CfsParams, cs_cost: Duration) -> Self {
-        let ctx = KernelCtx::new(num_cores, || scheduler.runqueue(), cfs, cs_cost);
-        SchedCore { ctx, scheduler }
-    }
-
-    /// Register a new task pinned to `core`, initially blocked.
-    pub fn add_task(&mut self, name: impl Into<String>, core: usize) -> TaskId {
-        let rel = self.scheduler.task_rel_deadline();
-        self.ctx.add_task(name, core, rel)
-    }
-
-    /// Make `id` runnable (semaphore post). No-op if already runnable or
-    /// running. Returns `true` if the task's core had been idle.
-    pub fn wake(&mut self, id: TaskId, now: SimTime) -> bool {
-        if self.ctx.tasks[id.index()].state != TaskState::Blocked {
-            return false;
-        }
-        let core = self.scheduler.select_cpu(&self.ctx, id);
-        self.ctx.tasks[id.index()].state = TaskState::Runnable;
-        self.ctx.tasks[id.index()].runnable_since = now;
-        self.scheduler
-            .enqueue(&mut self.ctx, core, id, EnqueueFlags::Wakeup, now);
-        if self.ctx.cores[core].current.is_some()
-            && self.scheduler.wakeup_preempt(&self.ctx, core, id)
-        {
-            self.ctx.cores[core].resched_pending = true;
-        }
-        self.ctx.cores[core].current.is_none()
-    }
-
-    /// Forcibly block a task that is not on the CPU (crash/park). Returns
-    /// `false` — and does nothing — when the task is currently running.
-    pub fn park(&mut self, id: TaskId, _now: SimTime) -> bool {
-        let core = self.ctx.tasks[id.index()].core;
-        match self.ctx.tasks[id.index()].state {
-            TaskState::Running => false,
-            TaskState::Blocked => true,
-            TaskState::Runnable => {
-                let removed = self.ctx.cores[core].rq.remove(id);
-                debug_assert!(removed, "runnable task {id} missing from its runqueue");
-                self.ctx.tasks[id.index()].state = TaskState::Blocked;
-                // The parked task may have been the wakeup-preemption
-                // trigger; a stale flag would involuntarily switch the
-                // current task for a competitor that no longer exists.
-                // Re-evaluate against the strongest remaining candidate
-                // (the queue head) — downgrade only, never upgrade.
-                if self.ctx.cores[core].resched_pending {
-                    let keep = match (self.ctx.cores[core].current, self.ctx.cores[core].rq.head())
-                    {
-                        (Some(_), Some(head)) => {
-                            self.scheduler.wakeup_preempt(&self.ctx, core, head)
-                        }
-                        _ => false,
-                    };
-                    self.ctx.cores[core].resched_pending = keep;
-                }
-                true
-            }
-        }
-    }
-
-    /// Pick the next task to run on an idle `core`. Returns the task and
-    /// the context-switch overhead to charge before useful work starts.
-    ///
-    /// # Panics
-    /// Panics if the core already has a running task.
-    pub fn dispatch(&mut self, core: usize, now: SimTime) -> Option<(TaskId, Duration)> {
-        assert!(
-            self.ctx.cores[core].current.is_none(),
-            "dispatch on busy core {core}"
-        );
-        let id = self.ctx.cores[core].rq.pop_next()?;
-        let slice = self.scheduler.slice(&self.ctx, core, id);
-        Some(self.ctx.account_dispatch(core, id, slice, now))
-    }
-
-    /// Charge `dur` of execution to the running task on `core`.
-    pub fn charge_current(&mut self, core: usize, dur: Duration) {
-        let id = self.ctx.charge(core, dur);
-        self.scheduler.tick(&mut self.ctx, core, id, dur);
-    }
-
-    /// The current task blocks. Voluntary switch.
-    pub fn block_current(&mut self, core: usize, _now: SimTime) -> TaskId {
-        let id = self.ctx.block_current(core);
-        self.scheduler.stopping(&mut self.ctx, core, id, false);
-        id
-    }
-
-    /// The current task leaves the CPU but stays runnable. `kind` selects
-    /// which context-switch counter it lands in.
-    pub fn requeue_current(&mut self, core: usize, now: SimTime, kind: SwitchKind) -> TaskId {
-        let id = self.ctx.begin_requeue(core, now, kind);
-        self.scheduler.stopping(&mut self.ctx, core, id, true);
-        self.scheduler
-            .enqueue(&mut self.ctx, core, id, EnqueueFlags::Requeue, now);
-        id
+        forward!(self, s => s.stopping(ctx, core, task, runnable))
     }
 }

@@ -15,17 +15,14 @@
 //! of the paper's Tables 1, 2 and 4.
 //!
 //! Policies are implemented as sched_ext-style [`Scheduler`] hooks over a
-//! neutral [`KernelCtx`] and driven by the generic [`SchedCore`]
-//! (statically dispatched — no trait objects). The pre-trait monolithic
-//! [`ClassicScheduler`] stays compiled as a differential oracle, selected
-//! per run via [`SchedBackend`] or build-wide with
-//! `--features classic-sched` (DESIGN.md §12).
+//! neutral [`KernelCtx`] and driven by [`OsScheduler`] through the
+//! [`PolicyDispatch`] enum (statically dispatched — no trait objects;
+//! DESIGN.md §12).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cgroup;
-pub mod classic;
 pub mod hooks;
 pub mod kernel;
 pub mod params;
@@ -34,11 +31,8 @@ pub mod scheduler;
 pub mod task;
 
 pub use cgroup::CgroupCpu;
-pub use classic::ClassicScheduler;
-pub use hooks::{
-    CfsSched, CoopSched, EdfSched, EnqueueFlags, PolicyDispatch, RrSched, SchedCore, Scheduler,
-};
+pub use hooks::{CfsSched, CoopSched, EdfSched, EnqueueFlags, PolicyDispatch, RrSched, Scheduler};
 pub use kernel::{CoreCtx, KernelCtx};
 pub use params::{CfsParams, Policy, MAX_SHARES, MIN_SHARES, NICE0_WEIGHT, SLO_DEFAULT_BUDGET};
-pub use scheduler::{OsScheduler, SchedBackend};
+pub use scheduler::OsScheduler;
 pub use task::{SwitchKind, Task, TaskId, TaskState};

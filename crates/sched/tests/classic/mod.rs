@@ -1,22 +1,19 @@
-//! The classic monolithic scheduler, kept compiled as a differential
-//! oracle for the hook-based driver — the same role the binary-heap event
-//! queue plays for the timer wheel (DESIGN.md §10).
+//! The classic monolithic scheduler: a test-only reference model for the
+//! hook-based [`OsScheduler`](nfv_sched::OsScheduler) driver
+//! (`differential.rs` runs both in lockstep).
 //!
 //! [`ClassicScheduler`] is the pre-trait `OsScheduler` shape: one struct,
 //! inline `match policy` at every decision point, no hook seam. It shares
-//! the [`KernelCtx`] *mechanism* (state transitions and accounting are
-//! not what the refactor changed) but makes every *decision* — queue key,
-//! wake placement, preemption, slice — in place. Both bugfixes (the
-//! min_vruntime staleness fix and the stale `resched_pending` clear on
-//! park) and the EDF/SLO policies are implemented here too, so the full
-//! quick suite runs under `--features classic-sched` and CI's
-//! `bench-variants` matrix can byte-compare the two backends.
+//! the [`KernelCtx`] *mechanism* (state transitions and accounting) but
+//! makes every *decision* — queue key, wake placement, preemption, slice —
+//! in place. Both bugfixes (the min_vruntime staleness fix and the stale
+//! `resched_pending` clear on park) and the EDF/SLO policies are
+//! implemented here too.
 
-use crate::kernel::KernelCtx;
-use crate::params::{CfsParams, Policy, SLO_DEFAULT_BUDGET};
-use crate::runqueue::RunQueue;
-use crate::task::{SwitchKind, TaskId, TaskState};
 use nfv_des::{Duration, SimTime};
+use nfv_sched::kernel::KernelCtx;
+use nfv_sched::runqueue::RunQueue;
+use nfv_sched::{CfsParams, Policy, SwitchKind, TaskId, TaskState, SLO_DEFAULT_BUDGET};
 
 /// Effectively infinite slice (one simulated year) for policies whose
 /// tasks only leave the CPU voluntarily or via wakeup preemption.

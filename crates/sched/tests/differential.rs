@@ -1,15 +1,18 @@
-//! Differential testing of the two scheduler backends: random command
-//! streams are applied identically to the hook-based driver and the
-//! classic monolith, and the full observable state must match after
-//! every command. This is the crate-level half of the equivalence
-//! argument; the engine-level half (`sched_backends_produce_identical_runs`)
-//! replays a full fig7-style simulation, and CI's `bench-variants`
-//! matrix byte-diffs the quick suite.
+//! Differential testing of the hook-based [`OsScheduler`] against the
+//! classic monolith kept here as a reference model (`classic/mod.rs`):
+//! random command streams are applied identically to both, and the full
+//! observable state must match after every command. The engine-level
+//! counterpart (`sched_policies_keep_their_pinned_runs`) pins a full
+//! fig7-style simulation per policy.
 
 #![forbid(unsafe_code)]
 
+mod classic;
+
+use classic::ClassicScheduler;
 use nfv_des::{Duration, SimTime};
-use nfv_sched::{CfsParams, OsScheduler, Policy, SchedBackend, SwitchKind, TaskId, TaskState};
+use nfv_sched::kernel::KernelCtx;
+use nfv_sched::{CfsParams, OsScheduler, Policy, SwitchKind, TaskId, TaskState};
 use proptest::prelude::*;
 
 const CORES: usize = 2;
@@ -61,14 +64,87 @@ fn policies() -> impl Strategy<Value = Policy> {
     ]
 }
 
-fn build(policy: Policy, backend: SchedBackend) -> OsScheduler {
-    let mut s = OsScheduler::with_backend(
-        CORES,
-        policy,
-        CfsParams::default(),
-        Duration::from_micros(2),
-        backend,
-    );
+/// The platform-facing calls both schedulers answer.
+trait Driver {
+    fn add_task(&mut self, name: String, core: usize) -> TaskId;
+    fn wake(&mut self, id: TaskId, now: SimTime) -> bool;
+    fn park(&mut self, id: TaskId, now: SimTime) -> bool;
+    fn set_weight(&mut self, id: TaskId, weight: u64);
+    fn set_task_budget(&mut self, id: TaskId, budget: Duration);
+    fn dispatch(&mut self, core: usize, now: SimTime) -> Option<(TaskId, Duration)>;
+    fn charge_current(&mut self, core: usize, dur: Duration);
+    fn block_current(&mut self, core: usize, now: SimTime) -> TaskId;
+    fn requeue_current(&mut self, core: usize, now: SimTime, kind: SwitchKind) -> TaskId;
+    fn kernel(&self) -> &KernelCtx;
+}
+
+impl Driver for OsScheduler {
+    fn add_task(&mut self, name: String, core: usize) -> TaskId {
+        OsScheduler::add_task(self, name, core)
+    }
+    fn wake(&mut self, id: TaskId, now: SimTime) -> bool {
+        OsScheduler::wake(self, id, now)
+    }
+    fn park(&mut self, id: TaskId, now: SimTime) -> bool {
+        OsScheduler::park(self, id, now)
+    }
+    fn set_weight(&mut self, id: TaskId, weight: u64) {
+        OsScheduler::set_weight(self, id, weight)
+    }
+    fn set_task_budget(&mut self, id: TaskId, budget: Duration) {
+        OsScheduler::set_task_budget(self, id, budget)
+    }
+    fn dispatch(&mut self, core: usize, now: SimTime) -> Option<(TaskId, Duration)> {
+        OsScheduler::dispatch(self, core, now)
+    }
+    fn charge_current(&mut self, core: usize, dur: Duration) {
+        OsScheduler::charge_current(self, core, dur)
+    }
+    fn block_current(&mut self, core: usize, now: SimTime) -> TaskId {
+        OsScheduler::block_current(self, core, now)
+    }
+    fn requeue_current(&mut self, core: usize, now: SimTime, kind: SwitchKind) -> TaskId {
+        OsScheduler::requeue_current(self, core, now, kind)
+    }
+    fn kernel(&self) -> &KernelCtx {
+        OsScheduler::kernel(self)
+    }
+}
+
+impl Driver for ClassicScheduler {
+    fn add_task(&mut self, name: String, core: usize) -> TaskId {
+        ClassicScheduler::add_task(self, name, core)
+    }
+    fn wake(&mut self, id: TaskId, now: SimTime) -> bool {
+        ClassicScheduler::wake(self, id, now)
+    }
+    fn park(&mut self, id: TaskId, now: SimTime) -> bool {
+        ClassicScheduler::park(self, id, now)
+    }
+    fn set_weight(&mut self, id: TaskId, weight: u64) {
+        self.ctx.set_weight(id, weight)
+    }
+    fn set_task_budget(&mut self, id: TaskId, budget: Duration) {
+        self.ctx.tasks[id.index()].rel_deadline = budget;
+    }
+    fn dispatch(&mut self, core: usize, now: SimTime) -> Option<(TaskId, Duration)> {
+        ClassicScheduler::dispatch(self, core, now)
+    }
+    fn charge_current(&mut self, core: usize, dur: Duration) {
+        ClassicScheduler::charge_current(self, core, dur)
+    }
+    fn block_current(&mut self, core: usize, now: SimTime) -> TaskId {
+        ClassicScheduler::block_current(self, core, now)
+    }
+    fn requeue_current(&mut self, core: usize, now: SimTime, kind: SwitchKind) -> TaskId {
+        ClassicScheduler::requeue_current(self, core, now, kind)
+    }
+    fn kernel(&self) -> &KernelCtx {
+        &self.ctx
+    }
+}
+
+fn with_tasks<S: Driver>(mut s: S) -> S {
     for i in 0..6 {
         s.add_task(format!("t{i}"), i % CORES);
     }
@@ -76,7 +152,7 @@ fn build(policy: Policy, backend: SchedBackend) -> OsScheduler {
 }
 
 /// Apply one command, advancing `now` identically on both sides.
-fn apply(s: &mut OsScheduler, c: &Cmd, now: &mut SimTime) {
+fn apply(s: &mut impl Driver, c: &Cmd, now: &mut SimTime) {
     match *c {
         Cmd::Wake(t) => {
             s.wake(TaskId(t), *now);
@@ -91,21 +167,21 @@ fn apply(s: &mut OsScheduler, c: &Cmd, now: &mut SimTime) {
             charge_us,
             yield_if_done,
         } => {
-            if s.current(core).is_none() {
+            if s.kernel().current(core).is_none() {
                 s.dispatch(core, *now);
                 return;
             }
             let step = Duration::from_micros(charge_us);
             s.charge_current(core, step);
             *now += step;
-            if s.need_resched(core, *now) {
+            if s.kernel().need_resched(core, *now) {
                 s.requeue_current(core, *now, SwitchKind::Involuntary);
             } else if yield_if_done {
                 s.requeue_current(core, *now, SwitchKind::Voluntary);
             }
         }
         Cmd::Block(core) => {
-            if s.current(core).is_some() {
+            if s.kernel().current(core).is_some() {
                 s.block_current(core, *now);
             }
         }
@@ -119,7 +195,7 @@ struct Fingerprint {
     cores: Vec<(Option<TaskId>, usize, bool, u64)>,
 }
 
-fn fingerprint(s: &OsScheduler, now: SimTime) -> Fingerprint {
+fn fingerprint(s: &KernelCtx, now: SimTime) -> Fingerprint {
     Fingerprint {
         tasks: s
             .task_ids()
@@ -150,23 +226,24 @@ fn fingerprint(s: &OsScheduler, now: SimTime) -> Fingerprint {
 }
 
 proptest! {
-    /// For every policy, the hook-based driver and the classic monolith
-    /// stay in lockstep over arbitrary command streams.
+    /// For every policy, the hook-based driver and the classic reference
+    /// model stay in lockstep over arbitrary command streams.
     #[test]
     fn backends_stay_in_lockstep(
         policy in policies(),
         cmds in prop::collection::vec(cmd(), 1..120),
     ) {
-        let mut hooks = build(policy, SchedBackend::Hooks);
-        let mut classic = build(policy, SchedBackend::Classic);
+        let (cfs, cs_cost) = (CfsParams::default(), Duration::from_micros(2));
+        let mut hooks = with_tasks(OsScheduler::new(CORES, policy, cfs, cs_cost));
+        let mut classic = with_tasks(ClassicScheduler::new(CORES, policy, cfs, cs_cost));
         let mut now_h = SimTime::ZERO;
         let mut now_c = SimTime::ZERO;
         for (i, c) in cmds.iter().enumerate() {
             apply(&mut hooks, c, &mut now_h);
             apply(&mut classic, c, &mut now_c);
             prop_assert_eq!(now_h, now_c);
-            let fh = fingerprint(&hooks, now_h);
-            let fc = fingerprint(&classic, now_c);
+            let fh = fingerprint(hooks.kernel(), now_h);
+            let fc = fingerprint(classic.kernel(), now_c);
             prop_assert_eq!(fh, fc, "divergence after cmd {} = {:?} ({:?})", i, c, policy);
         }
     }
