@@ -84,7 +84,7 @@ fn build(sc: Scenario, steady: Duration) -> Simulation {
     s
 }
 
-/// Run one named cell for the criterion benches and the suite.
+/// Run one named cell for the suite and the integration tests.
 pub fn run_cell(name: &str, sc: Scenario, len: RunLength) -> Report {
     let mut s = build(sc, len.steady);
     run_logged("elastic", name, &mut s, len.steady)

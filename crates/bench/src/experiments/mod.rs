@@ -1,6 +1,6 @@
 //! One module per paper table/figure; each exposes `run(RunLength) ->
 //! String` producing the rows the paper reports, plus `run_cell` entry
-//! points the criterion benches and integration tests reuse.
+//! points the integration tests reuse.
 
 pub mod ablations;
 pub mod coop;

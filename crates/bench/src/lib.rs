@@ -1,9 +1,9 @@
 //! # nfv-bench — experiment harness for the NFVnice reproduction
 //!
 //! Regenerates every table and figure of the paper's evaluation (§4).
-//! The `nfv-bench` binary drives full-fidelity runs; the criterion benches
-//! under `benches/` run compressed versions of the same cells plus
-//! microbenchmarks and design-ablation comparisons.
+//! The `nfv-bench` binary drives full-fidelity runs; `tests/paper_claims.rs`
+//! runs short versions of the same cells and asserts the paper's shape
+//! results (DESIGN.md §3) on them.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

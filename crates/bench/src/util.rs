@@ -437,8 +437,8 @@ impl RunLength {
             timeline_scale: 1,
         }
     }
-    /// Quick mode for CI / criterion: shorter steady state, timelines
-    /// compressed 10×.
+    /// Quick mode for CI: shorter steady state, timelines compressed
+    /// 10×.
     pub fn quick() -> Self {
         RunLength {
             steady: Duration::from_millis(300),

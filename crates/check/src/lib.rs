@@ -36,8 +36,8 @@
 //! directives without one, and directives that no longer match anything.
 //!
 //! Test code is exempt: `#[cfg(test)]` items are skipped, as are
-//! `tests/` and `benches/` directories and the in-tree harness shims
-//! (`crates/check`, `crates/criterion`, `crates/proptest`).
+//! `tests/` directories, this crate and the in-tree `proptest` shim
+//! (`crates/check`, `crates/proptest`).
 
 #![forbid(unsafe_code)]
 
@@ -107,11 +107,11 @@ pub const RULES: [&str; 11] = [
 ];
 
 /// Directory names never scanned (test/bench code and build output).
-pub const SKIP_DIRS: [&str; 5] = ["target", ".git", "tests", "benches", ".github"];
+pub const SKIP_DIRS: [&str; 4] = ["target", ".git", "tests", ".github"];
 
 /// Workspace crates exempt from scanning: this crate itself and the
-/// offline harness shims, whose whole purpose involves wall clocks.
-pub const EXEMPT_CRATES: [&str; 3] = ["crates/check", "crates/criterion", "crates/proptest"];
+/// offline `proptest` shim, both test tooling rather than simulator code.
+pub const EXEMPT_CRATES: [&str; 2] = ["crates/check", "crates/proptest"];
 
 fn is_exempt(rel: &str) -> bool {
     let rel = rel.replace('\\', "/");

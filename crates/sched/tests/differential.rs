@@ -34,25 +34,41 @@ enum Cmd {
     Block(usize),
 }
 
+/// Charges at, and 1 µs either side of, the one whose default-weight
+/// vruntime gap equals `wakeup_granularity`. Uniform draws from 1–3,000 µs
+/// rarely land there, yet that is where a changed comparison or a scaled
+/// granularity in `CfsSched::wakeup_preempt` first shows.
+fn wakeup_band_us() -> impl Strategy<Value = u64> {
+    let gran_us = CfsParams::default().wakeup_granularity.as_nanos() / 1_000;
+    (0u64..3).prop_map(move |i| gran_us - 1 + i)
+}
+
 fn cmd() -> impl Strategy<Value = Cmd> {
     prop_oneof![
         (0u32..6).prop_map(Cmd::Wake),
         (0u32..6).prop_map(Cmd::Park),
         (0u32..6, 1u64..8192).prop_map(|(t, w)| Cmd::SetWeight(t, w)),
         (0u32..6, 10u64..200_000).prop_map(|(t, b)| Cmd::SetBudget(t, b)),
-        (0usize..CORES, 1u64..3000, prop::bool::ANY).prop_map(
-            |(core, charge_us, yield_if_done)| Cmd::Step {
+        (
+            0usize..CORES,
+            prop_oneof![1u64..3000, wakeup_band_us()],
+            prop::bool::ANY
+        )
+            .prop_map(|(core, charge_us, yield_if_done)| Cmd::Step {
                 core,
                 charge_us,
                 yield_if_done
-            }
-        ),
+            }),
         (0usize..CORES).prop_map(Cmd::Block),
     ]
 }
 
+/// CFS Normal is listed three times (the shim's `prop_oneof!` has no
+/// weighted arms): it is the one policy with wakeup preemption.
 fn policies() -> impl Strategy<Value = Policy> {
     prop_oneof![
+        Just(Policy::CfsNormal),
+        Just(Policy::CfsNormal),
         Just(Policy::CfsNormal),
         Just(Policy::CfsBatch),
         Just(Policy::rr_1ms()),
