@@ -78,21 +78,14 @@ pub fn run(len: RunLength) -> String {
         "UDP agg (NFVnice)",
     ]);
     let (d_tcp, n_tcp) = (
-        d.report.series.flow_mbps(d.tcp_flow),
-        n.report.series.flow_mbps(n.tcp_flow),
+        d.report.flow_mbps(d.tcp_flow),
+        n.report.flow_mbps(n.tcp_flow),
     );
     for sec in 0..secs {
         let udp_sum = |r: &Fig13Run| -> f64 {
             r.udp_flows
                 .iter()
-                .map(|&f| {
-                    r.report
-                        .series
-                        .flow_mbps(f)
-                        .get(sec)
-                        .copied()
-                        .unwrap_or(0.0)
-                })
+                .map(|&f| r.report.flow_mbps(f).get(sec).copied().unwrap_or(0.0))
                 .sum()
         };
         t.row(vec![

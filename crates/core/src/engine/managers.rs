@@ -172,7 +172,7 @@ impl Simulation {
         let events = std::mem::take(&mut self.scratch_tcp);
         let mut run = (u32::MAX, 0);
         for ev in &events {
-            let Some(src) = self.tcp_of_flow.get(ev.flow.index()).copied().flatten() else {
+            let Some(src) = self.tcp_source_of(ev.flow) else {
                 continue;
             };
             let fb = match ev.kind {

@@ -64,9 +64,10 @@ pub struct Simulation {
     udp: Vec<CbrFlow>,
     sweeps: Vec<SweepSource>,
     tcp: Vec<TcpSource>,
-    /// Per flow id: the index of its TCP source. TCP flows are pinned
-    /// installs, so a flow id never changes hands.
-    tcp_of_flow: Vec<Option<u32>>,
+    /// `(flow, index of its TCP source)` for every TCP flow, ascending
+    /// by flow. TCP flows are pinned installs, so a flow id never changes
+    /// hands.
+    tcp_of_flow: Vec<(FlowId, u32)>,
     /// Per TCP source: feedback not yet handled, with its due time. An
     /// `Ev::TcpFeedback { src, n }` pops the first `n`. The FIFO is exact
     /// because a source's RTT is constant: its feedback falls due in the
@@ -279,10 +280,9 @@ impl Simulation {
         let tuple = self.fresh_tuple(Proto::Tcp);
         let flow = self.platform.install_flow(tuple, chain);
         let src = customize(TcpSource::new(tuple, frame_size, rtt));
-        if self.tcp_of_flow.len() <= flow.index() {
-            self.tcp_of_flow.resize(flow.index() + 1, None);
-        }
-        self.tcp_of_flow[flow.index()] = Some(self.tcp.len() as u32);
+        // A fresh tuple is a new flow id, never one already listed.
+        let at = self.tcp_of_flow.partition_point(|&(f, _)| f < flow);
+        self.tcp_of_flow.insert(at, (flow, self.tcp.len() as u32));
         self.tcp.push(src);
         self.feedback.push(VecDeque::new());
         flow
@@ -317,8 +317,15 @@ impl Simulation {
 
     /// Read access to a TCP source (for assertions on cwnd etc.).
     pub fn tcp_source(&self, flow: FlowId) -> &TcpSource {
-        let src = self.tcp_of_flow[flow.index()].expect("not a TCP flow");
+        let src = self.tcp_source_of(flow).expect("not a TCP flow");
         &self.tcp[src as usize]
+    }
+
+    /// The index of `flow`'s TCP source, if it is a TCP flow.
+    #[inline]
+    fn tcp_source_of(&self, flow: FlowId) -> Option<u32> {
+        let at = self.tcp_of_flow.binary_search_by_key(&flow, |&(f, _)| f);
+        at.ok().map(|at| self.tcp_of_flow[at].1)
     }
 
     /// Drain the structured trace recorded so far (empty unless
@@ -367,7 +374,7 @@ impl Simulation {
         // Close the final (possibly partial) measurement interval.
         let tail = end.since(self.last_roll).as_secs_f64();
         if tail > 1e-9 {
-            self.snapshot_series(tail);
+            self.snapshot_series(tail, false);
             self.last_roll = end;
         }
         self.build_report(duration)
@@ -560,7 +567,7 @@ impl Simulation {
             }
             Ev::StatsRoll => {
                 self.platform.roll_meters(now);
-                self.snapshot_series(now.since(self.last_roll).as_secs_f64());
+                self.snapshot_series(now.since(self.last_roll).as_secs_f64(), true);
                 self.last_roll = now;
                 self.reschedule(now, Duration::from_secs(1), end, Ev::StatsRoll);
             }

@@ -9,9 +9,13 @@ use nfv_pkt::{FlowId, NfId};
 
 impl Simulation {
     /// Close a measurement interval of `span_secs`: append one column to
-    /// the per-NF CPU% and per-flow Mbit/s series. CPU-time deltas are
-    /// tracked per core domain (each domain snapshots its homed NFs).
-    pub(super) fn snapshot_series(&mut self, span_secs: f64) {
+    /// the per-NF CPU% series and, for a `full` interval, to the per-flow
+    /// delivered-bytes series. The final partial interval takes no
+    /// per-flow column: it would equal the counters that move into the
+    /// report, which [`Report::flow_mbps`](crate::report::Report::flow_mbps)
+    /// reads instead. CPU-time deltas are tracked per core domain (each
+    /// domain snapshots its homed NFs).
+    pub(super) fn snapshot_series(&mut self, span_secs: f64, full: bool) {
         if span_secs <= 0.0 {
             return;
         }
@@ -29,9 +33,11 @@ impl Simulation {
         // Wildcard classification can add flows mid-run: the column
         // covers every flow known now, so a new flow's series starts at
         // the current interval.
-        let flows = &self.platform.stats.flows;
-        let col = flows.iter().map(|fs| fs.delivered_bytes).collect();
-        self.series.flow_bytes.push(col);
+        if full {
+            let flows = &self.platform.stats.flows;
+            let col = flows.iter().map(|fs| fs.delivered_bytes).collect();
+            self.series.flow_bytes.push(col);
+        }
         self.series.spans.push(span_secs);
     }
 

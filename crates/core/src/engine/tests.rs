@@ -390,17 +390,17 @@ fn flow_learned_mid_run_gets_a_series_from_its_first_interval() {
     let r = sim.run(Duration::from_millis(2_500));
     assert_eq!(r.series.intervals(), 3);
     assert_eq!(r.flows.len(), 3);
-    let base = r.series.flow_mbps(pinned.index());
+    let base = r.flow_mbps(pinned.index());
     assert_eq!(base.len(), 3);
     assert!(base.iter().all(|&m| m > 0.0), "{base:?}");
     for learned in 1..3 {
-        let s = r.series.flow_mbps(learned);
+        let s = r.flow_mbps(learned);
         assert_eq!(s.len(), 2, "flow {learned} starts at interval 1: {s:?}");
         assert!(s[0] > 0.0 && s[1] == 0.0, "flow {learned}: {s:?}");
     }
     assert_eq!(r.series.spans(), [1.0, 1.0, 0.5]);
     for f in r.flows.iter() {
-        let series = r.series.flow_mbps(f.flow.index());
+        let series = r.flow_mbps(f.flow.index());
         let late = r.series.intervals() - series.len();
         let spans = &r.series.spans()[late..];
         let bytes: f64 = series
@@ -411,6 +411,49 @@ fn flow_learned_mid_run_gets_a_series_from_its_first_interval() {
         // Every frame is 64 B.
         assert_eq!(bytes.round() as u64, f.delivered * 64, "flow {:?}", f.flow);
     }
+}
+
+#[test]
+fn flow_mbps_keeps_the_values_of_the_per_interval_columns() {
+    // Values recorded when every interval, the final partial one
+    // included, kept its own per-flow column. The final interval is now
+    // read from the report's counters; every value must stay exact, for
+    // pinned flows (one Poisson), flows learned in the second interval
+    // and flows learned inside the final partial one.
+    use nfv_pkt::TuplePattern;
+    use nfv_traffic::SweepSource;
+    let mut sim = Simulation::new(base_cfg(1, Policy::CfsNormal, NfvniceConfig::off()));
+    let nf = sim.add_nf(NfSpec::new("fwd", 0, 120));
+    let chain = sim.add_chain(&[nf]);
+    sim.add_udp(chain, 10_000.0, 64);
+    sim.add_udp_with(chain, 30_000.0, 64, |f| f.poisson());
+    sim.add_wildcard(TuplePattern::any(), chain, 0);
+    for (base, at, dur) in [(1 << 20, 1_200, 300), (2 << 20, 2_100, 200)] {
+        sim.add_sweep(SweepSource::flash(
+            base,
+            2,
+            64,
+            10_000.0,
+            SimTime::from_millis(at),
+            Duration::from_millis(dur),
+        ));
+    }
+    let r = sim.run(Duration::from_millis(2_500));
+    assert_eq!(r.series.intervals(), 3);
+    assert_eq!(r.series.spans(), [1.0, 1.0, 0.5]);
+    let want: [&[f64]; 6] = [
+        &[5.119488, 5.12, 5.12],
+        &[15.312384, 15.404544, 15.193088],
+        &[0.768, 0.0],
+        &[0.768, 0.0],
+        &[1.024],
+        &[1.024],
+    ];
+    assert_eq!(r.flows.len(), want.len());
+    for (f, want) in want.iter().enumerate() {
+        assert_eq!(r.flow_mbps(f), *want, "flow {f}");
+    }
+    assert!(r.flow_mbps(want.len()).is_empty(), "no such flow");
 }
 
 #[test]

@@ -1,7 +1,7 @@
 //! Run reports: every metric the paper's tables and figures need.
 
 use nfv_des::{jain_index, Duration, QueueStats};
-use nfv_pkt::{ChainId, FlowId, FlowTableStats, NfId};
+use nfv_pkt::{ChainId, FlowColumn, FlowId, FlowTableStats, NfId};
 use nfv_platform::FlowStats;
 
 /// Per-NF results (Tables 1–5 columns).
@@ -71,12 +71,12 @@ pub struct FlowReports {
     /// The run's length in seconds (at least 1 ns): the rate divisor.
     pub(crate) secs: f64,
     /// Delivery counters, one per flow.
-    pub(crate) counters: Vec<FlowStats>,
+    pub(crate) counters: FlowColumn<FlowStats>,
     /// The chain each flow rides.
-    pub(crate) chains: Vec<ChainId>,
+    pub(crate) chains: FlowColumn<ChainId>,
     /// `(p50, p99)` end-to-end latency per flow; empty when the platform
     /// kept no per-flow detail.
-    pub(crate) latency: Vec<(Duration, Duration)>,
+    pub(crate) latency: FlowColumn<(Duration, Duration)>,
 }
 
 impl FlowReports {
@@ -141,41 +141,26 @@ pub struct ChainReport {
 pub struct Series {
     /// `cpu_pct[nf][second]`: CPU share of its core, percent.
     pub cpu_pct: Vec<Vec<f64>>,
-    /// Cumulative delivered bytes at the close of each stats interval:
-    /// `flow_bytes[i][f]` for every flow `f` known when interval `i`
-    /// closed. Flows only appear, so column lengths never shrink; read
-    /// through [`Series::flow_mbps`].
-    pub(crate) flow_bytes: Vec<Vec<u64>>,
-    /// Length of each interval in seconds, parallel to `flow_bytes`.
+    /// Cumulative delivered bytes at the close of each full stats
+    /// interval: `flow_bytes[i][f]` for every flow `f` known when
+    /// interval `i` closed. Flows only appear, so column lengths never
+    /// shrink. A final partial interval has no column: its values are
+    /// the report's own counters. Read through [`Report::flow_mbps`].
+    pub(crate) flow_bytes: Vec<FlowColumn<u64>>,
+    /// Length of each interval in seconds, the final partial one
+    /// included.
     pub(crate) spans: Vec<f64>,
 }
 
 impl Series {
     /// Closed stats intervals (seconds, plus a final partial one).
     pub fn intervals(&self) -> usize {
-        self.flow_bytes.len()
+        self.spans.len()
     }
 
     /// Length of each closed interval in seconds.
     pub fn spans(&self) -> &[f64] {
         &self.spans
-    }
-
-    /// `flow`'s delivered Mbit/s per interval, starting at the first
-    /// interval the flow existed in (flows learned mid-run start late);
-    /// empty for a flow no interval saw.
-    pub fn flow_mbps(&self, flow: usize) -> Vec<f64> {
-        let mut prev = 0;
-        self.flow_bytes
-            .iter()
-            .zip(&self.spans)
-            .filter_map(|(col, &span)| {
-                let cur = *col.get(flow)?;
-                let mbps = (cur - prev) as f64 * 8.0 / span / 1e6;
-                prev = cur;
-                Some(mbps)
-            })
-            .collect()
     }
 }
 
@@ -268,6 +253,27 @@ impl Report {
         self.flows.get(i)
     }
 
+    /// Flow `flow`'s delivered Mbit/s per stats interval, starting at the
+    /// first interval the flow existed in (flows learned mid-run start
+    /// late); empty for a flow no interval saw. The final partial
+    /// interval, if any, ends at the flow's delivered-bytes counter.
+    pub fn flow_mbps(&self, flow: usize) -> Vec<f64> {
+        let closed = self.series.flow_bytes.iter().map(|col| col.get(flow));
+        let tail = (self.series.spans.len() > self.series.flow_bytes.len())
+            .then(|| self.flows.counters.get(flow).map(|c| &c.delivered_bytes));
+        let mut prev = 0;
+        closed
+            .chain(tail)
+            .zip(&self.series.spans)
+            .filter_map(|(cur, &span)| {
+                let cur = *cur?;
+                let mbps = (cur - prev) as f64 * 8.0 / span / 1e6;
+                prev = cur;
+                Some(mbps)
+            })
+            .collect()
+    }
+
     /// Jain's fairness index over per-flow delivered rates (Fig 15b).
     pub fn jain_over_flows(&self) -> f64 {
         let rates: Vec<f64> = self.flows.iter().map(|f| f.delivered_pps).collect();
@@ -333,17 +339,16 @@ mod tests {
             nfs: vec![],
             flows: FlowReports {
                 secs: 1.0,
-                counters: vec![
-                    FlowStats {
-                        delivered: 100,
-                        delivered_bytes: 8_000,
-                        dropped: 0,
-                        entry_drops: 0,
-                    };
-                    2
-                ],
-                chains: vec![ChainId(0); 2],
-                latency: Vec::new(),
+                counters: [FlowStats {
+                    delivered: 100,
+                    delivered_bytes: 8_000,
+                    dropped: 0,
+                    entry_drops: 0,
+                }; 2]
+                    .into_iter()
+                    .collect(),
+                chains: [ChainId(0); 2].into_iter().collect(),
+                latency: FlowColumn::new(),
             },
             chains: vec![],
             total_delivered_pps: 200.0,

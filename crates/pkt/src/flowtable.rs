@@ -11,11 +11,13 @@
 //!
 //! The table is built to hold millions of concurrent flows:
 //!
-//! - **SoA layout.** The classify hot path touches three parallel arrays
-//!   indexed by flow id: `keys` (the 5-tuples, compared on probe), `hot`
-//!   (chain + aging stamp, written every packet) and `cold` (packet/byte
-//!   counters). Splitting hot from cold keeps the per-packet working set
-//!   small.
+//! - **SoA layout.** The classify hot path touches two parallel
+//!   [`FlowColumn`]s indexed by flow id: `keys` (the 5-tuples, 16 B,
+//!   compared on probe) and `slots` (chain, aging stamp and packet
+//!   counter, 16 B, written on every classify). A probe that misses on
+//!   the tag never loads a key, and a classify writes one 16-byte slot.
+//!   Chunked columns grow without copying, so the table's per-flow state
+//!   is 32 B per flow plus the index, with no doubling slack.
 //! - **Sharded open addressing.** The exact-match index is a set of
 //!   power-of-two linear-probing shards selected by the *high* bits of a
 //!   seed-free multiply-xor tuple hash (in-shard position uses the low
@@ -36,9 +38,9 @@
 //!   flow-id order, evicting wildcard-learned entries idle for more than
 //!   `idle_epochs` epochs. Explicitly installed entries are pinned and
 //!   never aged out. Freed ids go on a free list (popped LIFO) so the id
-//!   space stays dense at the peak concurrent flow count. Counters of
-//!   evicted flows accumulate into `forgotten_packets`/`forgotten_bytes`
-//!   so packet-conservation ledgers still balance.
+//!   space stays dense at the peak concurrent flow count. Packet counters
+//!   of evicted flows accumulate into `forgotten_packets` so
+//!   packet-conservation ledgers still balance.
 //! - **Run classification.** [`FlowTable::classify_run`] classifies a
 //!   run of frames with one table operation ([`crate::FrameRun`]: one
 //!   tuple, `count` frames). Table state and counters equal classifying
@@ -52,6 +54,7 @@
 //!   changes no state and carries only hashes into pass 2: a mint there
 //!   can grow a shard and move every slot.
 
+use crate::column::FlowColumn;
 use crate::ids::{ChainId, FlowId};
 use crate::nic::FrameRun;
 use crate::packet::FiveTuple;
@@ -68,8 +71,6 @@ pub struct FlowEntry {
     pub chain: ChainId,
     /// Packets classified for this flow (since install or recycle).
     pub packets: u64,
-    /// Bytes classified for this flow (since install or recycle).
-    pub bytes: u64,
 }
 
 /// Exact-match index backend selector (mirrors `QueueKind`): the sharded
@@ -187,18 +188,14 @@ const DEAD: u32 = u32::MAX - 1;
 /// Epochs saturate below the sentinels.
 const MAX_EPOCH: u32 = DEAD - 1;
 
-/// Hot per-flow record: everything the per-packet path writes.
+/// Per-flow record beside the key: everything a classify writes, in
+/// 16 bytes.
 #[derive(Debug, Clone, Copy)]
-struct HotSlot {
+struct FlowSlot {
     chain: ChainId,
     last_seen: u32,
-}
-
-/// Cold per-flow counters: read on the control path only.
-#[derive(Debug, Clone, Copy, Default)]
-struct ColdSlot {
+    /// Packets classified (since install or recycle).
     packets: u64,
-    bytes: u64,
 }
 
 /// Seed-free multiply-xor hash of a 5-tuple (the ports/proto and the two
@@ -260,7 +257,12 @@ impl Shard {
     /// empty slot the probe stopped at, where an insert (without growth)
     /// would place it. Plus the probe length.
     #[inline]
-    fn find(&self, h: u64, tuple: &FiveTuple, keys: &[FiveTuple]) -> (Result<usize, usize>, u64) {
+    fn find(
+        &self,
+        h: u64,
+        tuple: &FiveTuple,
+        keys: &FlowColumn<FiveTuple>,
+    ) -> (Result<usize, usize>, u64) {
         if self.slots.is_empty() {
             return (Err(0), 0);
         }
@@ -340,7 +342,7 @@ impl Shard {
     /// Remove `tuple` with backward-shift deletion (no tombstones: later
     /// entries of the probe cluster are pulled back so lookups stay
     /// correct and probe lengths do not rot as flows churn).
-    fn remove(&mut self, h: u64, tuple: &FiveTuple, keys: &[FiveTuple]) {
+    fn remove(&mut self, h: u64, tuple: &FiveTuple, keys: &FlowColumn<FiveTuple>) {
         let (Ok(mut i), _) = self.find(h, tuple, keys) else {
             return;
         };
@@ -414,6 +416,15 @@ impl Index {
             Index::Sharded(v) => v.iter().map(|s| s.slots.len()).sum(),
         }
     }
+
+    /// Bytes of slot storage allocated across shards.
+    fn heap_bytes(&self) -> usize {
+        let shard = |s: &Shard| s.slots.capacity() * std::mem::size_of::<Slot>();
+        match self {
+            Index::Flat(s) => shard(s),
+            Index::Sharded(v) => v.iter().map(shard).sum(),
+        }
+    }
 }
 
 /// 5-tuple flow table: exact-match entries backed by prioritized wildcard
@@ -423,11 +434,9 @@ impl Index {
 #[derive(Debug)]
 pub struct FlowTable {
     /// Tuple keys by flow id (probed on lookup).
-    keys: Vec<FiveTuple>,
-    /// Hot per-flow records by flow id.
-    hot: Vec<HotSlot>,
-    /// Cold per-flow counters by flow id.
-    cold: Vec<ColdSlot>,
+    keys: FlowColumn<FiveTuple>,
+    /// Per-flow records by flow id.
+    slots: FlowColumn<FlowSlot>,
     /// Freed flow ids, popped LIFO on install.
     free: Vec<u32>,
     /// Live entries (`keys.len()` minus dead slots).
@@ -441,8 +450,6 @@ pub struct FlowTable {
     classified_packets: u64,
     /// Packets classified to since-evicted flows (conservation ledger).
     forgotten_packets: u64,
-    /// Bytes classified to since-evicted flows.
-    forgotten_bytes: u64,
     wildcards: Vec<WildcardRule>,
     index: Index,
     kind: FlowTableKind,
@@ -478,15 +485,13 @@ impl FlowTable {
     /// An empty table on an explicit index backend.
     pub fn with_kind(kind: FlowTableKind) -> Self {
         FlowTable {
-            keys: Vec::new(),
-            hot: Vec::new(),
-            cold: Vec::new(),
+            keys: FlowColumn::new(),
+            slots: FlowColumn::new(),
             free: Vec::new(),
             live: 0,
             epoch: 0,
             classified_packets: 0,
             forgotten_packets: 0,
-            forgotten_bytes: 0,
             wildcards: Vec::new(),
             index: Index::with_kind(kind),
             kind,
@@ -522,9 +527,9 @@ impl FlowTable {
         match found {
             Ok(slot) => {
                 let f = self.index.shard(h).slots[slot].flow - 1;
-                let hs = &mut self.hot[f as usize];
-                hs.chain = chain;
-                hs.last_seen = PINNED;
+                let fs = &mut self.slots[f as usize];
+                fs.chain = chain;
+                fs.last_seen = PINNED;
                 FlowId(f)
             }
             Err(vacant) => FlowId(self.mint(h, tuple, chain, PINNED, vacant)),
@@ -536,9 +541,10 @@ impl FlowTable {
     /// [`FlowTable::install`] (pinned) and the wildcard cache path
     /// (stamped with the current epoch).
     fn mint(&mut self, h: u64, tuple: FiveTuple, chain: ChainId, stamp: u32, vacant: usize) -> u32 {
-        let hot = HotSlot {
+        let slot = FlowSlot {
             chain,
             last_seen: stamp,
+            packets: 0,
         };
         let id = match self.free.pop() {
             Some(id) => {
@@ -549,15 +555,13 @@ impl FlowTable {
                 }
                 self.stats.recycled += 1;
                 self.keys[id as usize] = tuple;
-                self.hot[id as usize] = hot;
-                self.cold[id as usize] = ColdSlot::default();
+                self.slots[id as usize] = slot;
                 id
             }
             None => {
                 let id = self.keys.len() as u32;
                 self.keys.push(tuple);
-                self.hot.push(hot);
-                self.cold.push(ColdSlot::default());
+                self.slots.push(slot);
                 id
             }
         };
@@ -594,27 +598,26 @@ impl FlowTable {
     /// A wildcard hit installs an exact cache entry so subsequent packets
     /// of the flow take the fast path. Returns `None` for unmatched
     /// traffic (the RX thread drops it).
+    ///
+    /// `_bytes` (the frame size) is unused: the table counts packets
+    /// only. It stays in the signature while perfbench's `pkt` replay
+    /// passes it, and goes when that replay is deleted.
     #[inline]
-    pub fn classify(&mut self, tuple: &FiveTuple, bytes: u32) -> Option<(FlowId, ChainId)> {
-        self.classify_run(tuple, 1, bytes as u64)
+    pub fn classify(&mut self, tuple: &FiveTuple, _bytes: u32) -> Option<(FlowId, ChainId)> {
+        self.classify_run(tuple, 1)
     }
 
     /// Classify a run of `packets` (≥ 1) back-to-back packets carrying
-    /// the same tuple and `bytes` in total with one table operation.
-    /// Table state and every counter — per-flow packets/bytes,
+    /// the same tuple with one table operation.
+    /// Table state and every counter — per-flow packets,
     /// `classified_packets`, `exact_hits`, `memo_hits`, `probe_steps` and
     /// the memo — end up exactly as after `packets` [`FlowTable::classify`]
     /// calls: after the first packet the memo is armed, so the rest of a
     /// classified run are memo hits, while an unclassified run repeats its
     /// miss probe per packet.
     #[inline]
-    pub fn classify_run(
-        &mut self,
-        tuple: &FiveTuple,
-        packets: u64,
-        bytes: u64,
-    ) -> Option<(FlowId, ChainId)> {
-        self.classify_hashed(tuple, packets, bytes, || tuple_hash(tuple))
+    pub fn classify_run(&mut self, tuple: &FiveTuple, packets: u64) -> Option<(FlowId, ChainId)> {
+        self.classify_hashed(tuple, packets, || tuple_hash(tuple))
     }
 
     /// Classify each of `runs` in order, appending one result per run to
@@ -635,7 +638,7 @@ impl FlowTable {
         out.reserve(runs.len());
         for (run, &h) in runs.iter().zip(&hashes) {
             let (tuple, packets) = (&run.head.tuple, u64::from(run.count));
-            out.push(self.classify_hashed(tuple, packets, run.bytes(), || h));
+            out.push(self.classify_hashed(tuple, packets, || h));
         }
         self.hashes = hashes;
     }
@@ -647,7 +650,6 @@ impl FlowTable {
         &mut self,
         tuple: &FiveTuple,
         packets: u64,
-        bytes: u64,
         hash: impl FnOnce() -> u64,
     ) -> Option<(FlowId, ChainId)> {
         debug_assert!(packets > 0, "empty run");
@@ -693,16 +695,13 @@ impl FlowTable {
             self.memo_key = *tuple;
             f
         };
-        let hs = &mut self.hot[f as usize];
-        if hs.last_seen != PINNED {
-            hs.last_seen = self.epoch;
+        let fs = &mut self.slots[f as usize];
+        if fs.last_seen != PINNED {
+            fs.last_seen = self.epoch;
         }
-        let chain = hs.chain;
-        let c = &mut self.cold[f as usize];
-        c.packets += packets;
-        c.bytes += bytes;
+        fs.packets += packets;
         self.classified_packets += packets;
-        Some((FlowId(f), chain))
+        Some((FlowId(f), fs.chain))
     }
 
     /// Advance the aging epoch and evict wildcard-learned entries idle
@@ -718,23 +717,22 @@ impl FlowTable {
             self.epoch += 1;
         }
         for id in 0..self.keys.len() as u32 {
-            let seen = self.hot[id as usize].last_seen;
+            let seen = self.slots[id as usize].last_seen;
             if seen >= DEAD || self.epoch - seen <= idle_epochs {
                 continue;
             }
             let tuple = self.keys[id as usize];
             let h = tuple_hash(&tuple);
             self.index.shard_mut(h).remove(h, &tuple, &self.keys);
-            self.hot[id as usize].last_seen = DEAD;
+            let fs = &mut self.slots[id as usize];
+            fs.last_seen = DEAD;
+            self.forgotten_packets += fs.packets;
             // An evicted slot keeps its key; disarm a memo naming it so
             // the next classify goes through the index (which no longer
             // holds the tuple).
             if self.memo == id {
                 self.memo = NO_MEMO;
             }
-            let c = self.cold[id as usize];
-            self.forgotten_packets += c.packets;
-            self.forgotten_bytes += c.bytes;
             self.live -= 1;
             self.stats.evicted += 1;
             self.free.push(id);
@@ -762,11 +760,6 @@ impl FlowTable {
         self.forgotten_packets
     }
 
-    /// Bytes counted for flows that have since been evicted.
-    pub fn forgotten_bytes(&self) -> u64 {
-        self.forgotten_bytes
-    }
-
     /// Look up without mutating counters or aging stamps.
     #[inline]
     pub fn get(&self, tuple: &FiveTuple) -> Option<FlowEntry> {
@@ -779,23 +772,23 @@ impl FlowTable {
     }
 
     fn entry_of(&self, f: u32) -> FlowEntry {
+        let fs = &self.slots[f as usize];
         FlowEntry {
             flow: FlowId(f),
-            chain: self.hot[f as usize].chain,
-            packets: self.cold[f as usize].packets,
-            bytes: self.cold[f as usize].bytes,
+            chain: fs.chain,
+            packets: fs.packets,
         }
     }
 
     /// The chain a flow id is steered onto (for an evicted id awaiting
     /// recycle: the chain it last carried).
     pub fn chain_of(&self, flow: FlowId) -> ChainId {
-        self.hot[flow.index()].chain
+        self.slots[flow.index()].chain
     }
 
     /// The tuple for a given (live) flow id.
     pub fn tuple_of(&self, flow: FlowId) -> FiveTuple {
-        debug_assert!(self.hot[flow.index()].last_seen != DEAD);
+        debug_assert!(self.slots[flow.index()].last_seen != DEAD);
         self.keys[flow.index()]
     }
 
@@ -820,7 +813,7 @@ impl FlowTable {
     /// Iterate over all live entries (deterministic order by flow id).
     pub fn entries(&self) -> impl Iterator<Item = FlowEntry> + '_ {
         (0..self.keys.len() as u32)
-            .filter(|&id| self.hot[id as usize].last_seen != DEAD)
+            .filter(|&id| self.slots[id as usize].last_seen != DEAD)
             .map(|id| self.entry_of(id))
     }
 
@@ -831,8 +824,19 @@ impl FlowTable {
         s.shards = self.index.shard_count() as u64;
         s.slots = self.index.slot_count() as u64;
         s.live = self.live as u64;
-        s.pinned = self.hot.iter().filter(|h| h.last_seen == PINNED).count() as u64;
+        s.pinned = self.slots.iter().filter(|s| s.last_seen == PINNED).count() as u64;
         s
+    }
+
+    /// Bytes of per-flow heap storage, by capacity: the key and slot
+    /// columns, the index slots and the free list. Fixed-size
+    /// bookkeeping (chunk and shard tables, wildcard rules, the bulk
+    /// classification scratch) is left out.
+    pub fn heap_bytes(&self) -> usize {
+        self.keys.heap_bytes()
+            + self.slots.heap_bytes()
+            + self.index.heap_bytes()
+            + self.free.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -848,7 +852,6 @@ mod tests {
         let f = ft.install(t, ChainId(2));
         assert_eq!(ft.classify(&t, 64), Some((f, ChainId(2))));
         assert_eq!(ft.get(&t).unwrap().packets, 1);
-        assert_eq!(ft.get(&t).unwrap().bytes, 64);
     }
 
     #[test]
@@ -981,7 +984,6 @@ mod tests {
         assert_eq!(ft.len(), 0);
         assert!(ft.get(&a).is_none());
         assert_eq!(ft.forgotten_packets(), 2);
-        assert_eq!(ft.forgotten_bytes(), 200);
         assert_eq!(ft.entries().count(), 0);
 
         // Recycle: free list pops LIFO, counters restart from zero.
@@ -1096,6 +1098,29 @@ mod tests {
             assert_eq!(ft.stats().slots, want, "{n} flows");
         }
         assert_eq!(ft.stats().rehashes, 9, "8 → 2048 slots");
+    }
+
+    #[test]
+    fn learned_flows_cost_32_bytes_of_columns_plus_index_slots() {
+        use crate::column::FLOW_CHUNK;
+        assert_eq!(std::mem::size_of::<FiveTuple>(), 16);
+        assert_eq!(std::mem::size_of::<FlowSlot>(), 16);
+        const N: u32 = (1 << 18) + 1;
+        let mut ft = aging_table(FlowTableKind::Sharded);
+        for n in 0..N {
+            ft.classify(&FiveTuple::synthetic(n, Proto::Udp), 64)
+                .unwrap();
+        }
+        assert_eq!(ft.id_space(), N as usize);
+        // Four full chunks and one holding the last flow: the columns
+        // sit less than one chunk above `len`, with no doubling slack.
+        let entries = 5 * FLOW_CHUNK;
+        assert!(entries - (N as usize) < FLOW_CHUNK);
+        let slots = ft.stats().slots as usize;
+        assert_eq!(ft.heap_bytes(), 32 * entries + 8 * slots);
+        // 64 shards of 8,192 or 16,384 slots: ~24.5 B of index per flow.
+        assert_eq!(slots, 802_816);
+        assert_eq!(ft.heap_bytes(), 16_908_288);
     }
 
     #[test]

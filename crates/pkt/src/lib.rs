@@ -5,6 +5,8 @@
 //! bounded descriptor rings whose enqueue reports post-enqueue occupancy
 //! (the overload signal NFVnice's TX threads consume), an exact-match
 //! 5-tuple flow table, and a NIC with a bounded hardware RX queue.
+//! Per-flow state everywhere lives in chunked [`FlowColumn`]s, which grow
+//! without copying.
 //!
 //! Nothing here allocates per packet on the hot path: a run of same-flow
 //! packets is one slot in a slab that grows to the simulation's peak,
@@ -13,6 +15,7 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod column;
 pub mod flowtable;
 pub mod ids;
 pub mod mempool;
@@ -21,6 +24,7 @@ pub mod packet;
 pub mod pattern;
 pub mod ring;
 
+pub use column::{FlowColumn, FLOW_CHUNK};
 pub use flowtable::{FlowAging, FlowEntry, FlowTable, FlowTableKind, FlowTableStats};
 pub use ids::{ChainId, CoreId, FlowId, NfId, PktId};
 pub use mempool::{Mempool, PacketRun};

@@ -62,12 +62,6 @@ impl FrameRun {
         (0..self.count).map(|i| self.frame(i))
     }
 
-    /// Total bytes of the run's frames.
-    #[inline]
-    pub fn bytes(&self) -> u64 {
-        self.head.size as u64 * self.count as u64
-    }
-
     /// Whether `next` is the frame right after the run's last: all but
     /// `seq` equal, and `seq` the next one.
     #[inline]

@@ -6,6 +6,7 @@ use nfv_des::SimTime;
 use nfv_pkt::WireFrame;
 use nfv_pkt::{ChainId, Ecn, FlowId, FlowTableKind, FlowTableStats, FrameRun, Nic, TuplePattern};
 use nfv_pkt::{Enqueue, FiveTuple, FlowTable, Mempool, Packet, PacketRun, PktId, Proto, Ring};
+use nfv_pkt::{FlowColumn, FLOW_CHUNK};
 use proptest::prelude::*;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -161,6 +162,26 @@ fn ft_op() -> impl Strategy<Value = FtOp> {
         (0u16..48).prop_map(|n| FtOp::Classify { n }),
         (0u16..48).prop_map(|n| FtOp::Classify { n }),
         (1u32..3).prop_map(|idle_epochs| FtOp::Age { idle_epochs }),
+    ]
+}
+
+/// One step of the `FlowColumn` script. Positions are fractions of the
+/// current length (of three chunks for a resize, which only grows), so
+/// every case reaches across chunk boundaries.
+#[derive(Debug, Clone)]
+enum ColOp {
+    Push { n: u16 },
+    Resize { frac: u16 },
+    Set { frac: u16, value: u32 },
+    Get { frac: u16 },
+}
+
+fn col_op() -> impl Strategy<Value = ColOp> {
+    prop_oneof![
+        (1u16..300).prop_map(|n| ColOp::Push { n }),
+        (0u16..=1000).prop_map(|frac| ColOp::Resize { frac }),
+        (0u16..=1000, 0u32..1_000_000).prop_map(|(frac, value)| ColOp::Set { frac, value }),
+        (0u16..=1100).prop_map(|frac| ColOp::Get { frac }),
     ]
 }
 
@@ -609,7 +630,7 @@ proptest! {
                             count: count as u32,
                         };
                         let class =
-                            burst.classify_run(&run.head.tuple, count as u64, run.bytes());
+                            burst.classify_run(&run.head.tuple, count as u64);
                         for f in run.frames() {
                             let rp = per_frame.classify(&f.tuple, f.size);
                             let rm = model.classify(n).map(|(id, c)| (FlowId(id), c));
@@ -712,7 +733,7 @@ proptest! {
                         prop_assert_eq!(out.len(), runs.len());
                         for ((run, &n), &class) in runs.iter().zip(&keys).zip(&out) {
                             let packets = run.count as u64;
-                            let rr = per_run.classify_run(&run.head.tuple, packets, run.bytes());
+                            let rr = per_run.classify_run(&run.head.tuple, packets);
                             prop_assert_eq!(class, rr, "tuple {}", n);
                             for _ in 0..run.count {
                                 let matched = !BULK_TCP.contains(&n);
@@ -826,6 +847,49 @@ proptest! {
             prop_assert_eq!(d as u64, nic.rx_overflow_drops);
         }
         prop_assert_eq!(nics[0].rx_frames, out[0].len() as u64);
+    }
+
+    /// `FlowColumn` reads and writes like a `Vec` through pushes,
+    /// resizes and random-access writes across chunks.
+    #[test]
+    fn flow_column_matches_the_vec_model(ops in prop::collection::vec(col_op(), 1..24)) {
+        let mut col = FlowColumn::new();
+        let mut model: Vec<u32> = Vec::new();
+        let at = |frac: u16, len: usize| len * frac as usize / 1000;
+        for op in &ops {
+            match *op {
+                ColOp::Push { n } => {
+                    for _ in 0..n {
+                        let v = model.len() as u32;
+                        col.push(v);
+                        model.push(v);
+                    }
+                }
+                ColOp::Resize { frac } => {
+                    let n = at(frac, 3 * FLOW_CHUNK + 7).max(model.len());
+                    col.resize(n, 9);
+                    model.resize(n, 9);
+                }
+                ColOp::Set { frac, value } => {
+                    if !model.is_empty() {
+                        let i = at(frac, model.len() - 1);
+                        col[i] = value;
+                        model[i] = value;
+                    }
+                }
+                ColOp::Get { frac } => {
+                    // Up to 10% past the end: `get` answers `None` there.
+                    let i = at(frac, model.len());
+                    prop_assert_eq!(col.get(i), model.get(i));
+                }
+            }
+            prop_assert_eq!(col.len(), model.len());
+            // Less than one chunk above `len`, and within a `Vec`'s
+            // doubling while the first chunk is filling.
+            prop_assert!(col.capacity() < model.len() + FLOW_CHUNK);
+            prop_assert!(col.capacity() <= (2 * model.len()).max(4));
+        }
+        prop_assert!(col.iter().eq(model.iter()), "id order");
     }
 
     /// Watermark comparison is exact integer arithmetic at all fill levels.

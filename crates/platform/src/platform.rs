@@ -167,10 +167,10 @@ pub struct Platform {
     /// Per-NF: handler is the stock [`ForwardAll`] (stateless, always
     /// forwards), letting `finish_batch` skip the dynamic dispatch.
     trivial_handler: Vec<bool>,
-    /// Per flow id: installed as a TCP flow, so its deliveries and drops
-    /// feed back to the sender. Only explicit installs set it, and those
-    /// are pinned, so a flagged id is never recycled.
-    tcp_flow: Vec<bool>,
+    /// Flows installed as TCP flows, ascending: their deliveries and
+    /// drops feed back to the sender. Only explicit installs add one,
+    /// and those are pinned, so a listed id is never recycled.
+    tcp_flows: Vec<FlowId>,
     /// The NIC's RX queue of the current poll and the classification
     /// of each run (both reused across polls).
     scratch_runs: Vec<FrameRun>,
@@ -215,7 +215,7 @@ impl Platform {
             trace: TraceSink::off(),
             handlers: Vec::new(),
             trivial_handler: Vec::new(),
-            tcp_flow: Vec::new(),
+            tcp_flows: Vec::new(),
             scratch_runs: Vec::new(),
             scratch_classes: Vec::new(),
             scratch_fwd: Vec::new(),
@@ -264,7 +264,9 @@ impl Platform {
         let flow = self.flow_table.install(tuple, chain);
         self.grow_flow_stats(flow);
         if tuple.proto == Proto::Tcp {
-            self.tcp_flow[flow.index()] = true;
+            if let Err(at) = self.tcp_flows.binary_search(&flow) {
+                self.tcp_flows.insert(at, flow);
+            }
         }
         flow
     }
@@ -287,19 +289,27 @@ impl Platform {
         self.flow_table.age(idle_epochs, evicted);
     }
 
-    /// Size per-flow stats and flags up to `flow`, honoring the detail
-    /// knob.
+    /// Size per-flow stats up to `flow`, honoring the detail knob. Flow
+    /// ids are dense, so a new id grows each column by one entry.
+    #[inline]
     fn grow_flow_stats(&mut self, flow: FlowId) {
+        if flow.index() < self.stats.flows.len() {
+            return;
+        }
         let n = flow.index() + 1;
-        if self.tcp_flow.len() < n {
-            self.tcp_flow.resize(n, false);
+        self.stats.flows.resize(n, FlowStats::default());
+        if self.cfg.flow_detail {
+            self.stats.flow_detail.resize_with(n, FlowDetail::default);
         }
-        if self.stats.flows.len() < n {
-            self.stats.flows.resize(n, FlowStats::default());
-            if self.cfg.flow_detail {
-                self.stats.flow_detail.resize_with(n, FlowDetail::default);
-            }
-        }
+    }
+
+    /// Bytes of per-flow heap storage, by capacity: the counter and
+    /// detail columns' entries and the TCP flow list. A detail entry's
+    /// meters and histogram own more heap that is not counted.
+    pub fn flow_heap_bytes(&self) -> usize {
+        self.stats.flows.heap_bytes()
+            + self.stats.flow_detail.heap_bytes()
+            + self.tcp_flows.capacity() * std::mem::size_of::<FlowId>()
     }
 
     /// Mark a flow as triggering storage I/O at NFs with I/O profiles.
@@ -520,7 +530,7 @@ impl Platform {
     /// Whether `flow` was installed as a TCP flow.
     #[inline]
     fn is_tcp(&self, flow: FlowId) -> bool {
-        self.tcp_flow.get(flow.index()) == Some(&true)
+        self.tcp_flows.binary_search(&flow).is_ok()
     }
 
     // ------------------------------------------------------------------
@@ -1315,6 +1325,34 @@ mod tests {
     }
 
     #[test]
+    fn compact_flow_counters_cost_32_bytes_per_flow() {
+        use nfv_pkt::FLOW_CHUNK;
+        let mut p = Platform::new(PlatformConfig {
+            flow_detail: false,
+            ..test_cfg()
+        });
+        let nf = p.add_nf(NfSpec::new("a", 0, 100));
+        let chain = p.install_chain(&[nf]);
+        let tcp = p.install_flow(FiveTuple::synthetic(0, Proto::Tcp), chain);
+        p.install_wildcard(TuplePattern::any(), chain, 0);
+        const N: u32 = (1 << 18) + 1;
+        for n in 1..N {
+            let tuple = FiveTuple::synthetic(n, Proto::Udp);
+            let (flow, _) = p.flow_table.classify(&tuple, 64).unwrap();
+            p.grow_flow_stats(flow);
+        }
+        assert_eq!(p.stats.flows.len(), N as usize);
+        assert!(p.stats.flow_detail.is_empty());
+        assert_eq!(p.tcp_flows, [tcp]);
+        // Four full chunks and one holding the last flow; no per-flow
+        // TCP flag, no detail entries, no doubling slack.
+        assert_eq!(p.stats.flows.heap_bytes(), 32 * 5 * FLOW_CHUNK);
+        assert_eq!(p.stats.flows.heap_bytes(), 10_485_760);
+        let tcp_list = p.tcp_flows.capacity() * std::mem::size_of::<FlowId>();
+        assert_eq!(p.flow_heap_bytes(), 10_485_760 + tcp_list);
+    }
+
+    #[test]
     fn admission_denial_drops_at_entry() {
         let (mut p, chain, flow) = mini_platform();
         inject(&mut p, 5, SimTime::ZERO);
@@ -1372,7 +1410,7 @@ mod tests {
         assert_eq!(p.nfs[na.index()].arrivals, 3);
         assert_eq!(p.nfs[nb.index()].arrivals, 2);
         assert_eq!(p.flow_table.classified_packets(), 5);
-        assert_eq!(p.flow_table.get(&ta).unwrap().bytes, 300);
+        assert_eq!(p.flow_table.get(&ta).unwrap().packets, 3);
         let st = p.flow_table.stats();
         // Per-frame semantics: a probe per run start (a, b, a) and per
         // unknown frame, memo hits for the repeats inside runs.

@@ -1,7 +1,7 @@
 //! Platform-wide statistics and the TCP feedback channel.
 
 use nfv_des::{Duration, DurationHistogram, RateMeter};
-use nfv_pkt::{ChainId, FlowId, NfId};
+use nfv_pkt::{ChainId, FlowColumn, FlowId, NfId};
 
 /// Where a packet died. Locations early in the pipeline wasted no work;
 /// drops at a downstream NF's full ring wasted the processing of every NF
@@ -115,11 +115,11 @@ pub struct PlatformStats {
     /// See [`PlatformStats::delivered_total`].
     pub dropped_total: u64,
     /// Per-flow counters, indexed by `FlowId`.
-    pub flows: Vec<FlowStats>,
+    pub flows: FlowColumn<FlowStats>,
     /// Per-flow meters and latency histograms, indexed by `FlowId`: as
     /// long as [`PlatformStats::flows`] on a detailed platform, empty on
     /// a compact one.
-    pub flow_detail: Vec<FlowDetail>,
+    pub flow_detail: FlowColumn<FlowDetail>,
     /// Per-chain stats, indexed by `ChainId`.
     pub chains: Vec<ChainStats>,
 }
@@ -180,7 +180,7 @@ impl PlatformStats {
 
     /// Close the per-second measurement interval on every meter.
     pub fn roll(&mut self, now: nfv_des::SimTime) {
-        for d in &mut self.flow_detail {
+        for d in self.flow_detail.iter_mut() {
             d.pps_meter.roll(now);
             d.bytes_meter.roll(now);
         }

@@ -61,12 +61,7 @@ fn describe(title: &str, sim: &mut Simulation, r: &Report) {
     );
     // Per-second goodput from the report series shows the dip and the
     // recovery (crash lands in second 0).
-    let chain_mbps: Vec<String> = r
-        .series
-        .flow_mbps(0)
-        .iter()
-        .map(|m| format!("{m:.0}"))
-        .collect();
+    let chain_mbps: Vec<String> = r.flow_mbps(0).iter().map(|m| format!("{m:.0}")).collect();
     println!("  per-second goodput (Mbit/s): [{}]", chain_mbps.join(", "));
     let events = sim.take_trace();
     for e in &events {

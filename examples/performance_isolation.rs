@@ -50,12 +50,12 @@ fn main() {
     println!(
         "sec   TCP Mbps (Default)  UDP Mbps (Default)  TCP Mbps (NFVnice)  UDP Mbps (NFVnice)"
     );
-    let (d_tcp, n_tcp) = (d.series.flow_mbps(dtcp), n.series.flow_mbps(ntcp));
+    let (d_tcp, n_tcp) = (d.flow_mbps(dtcp), n.flow_mbps(ntcp));
     for sec in 0..d_tcp.len() {
         let sum = |r: &nfvnice::Report, flows: &[usize]| -> f64 {
             flows
                 .iter()
-                .map(|&f| r.series.flow_mbps(f).get(sec).copied().unwrap_or(0.0))
+                .map(|&f| r.flow_mbps(f).get(sec).copied().unwrap_or(0.0))
                 .sum()
         };
         println!(

@@ -120,7 +120,7 @@ fn scheduled_action_changes_throughput_mid_run() {
         Action::SetCost(nf, CostModel::Fixed(2_000)),
     );
     let r = sim.run(Duration::from_secs(2));
-    let mbps = r.series.flow_mbps(0);
+    let mbps = r.flow_mbps(0);
     let (first, second) = (mbps[0], mbps[1]);
     // capacity 5.2 Mpps then 1.3 Mpps: second interval ~4x slower
     let ratio = first / second;
