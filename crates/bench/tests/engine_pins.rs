@@ -207,8 +207,8 @@ fn flow_learning_cells_keep_their_digest_and_counts() {
             pinned: 0,
             ..FlowTableStats::default()
         },
-        (2_239_399, 37, 864, 64, 3_145_728),
-        (2_252_943, 37, 19, 1, 2_097_152),
+        (2_396_056, 21, 832, 64, 2_097_152),
+        (2_401_005, 19, 19, 1, 2_097_152),
     );
     assert_eq!((m.flows_active, m.flows_evicted), (1_048_576, 0));
     assert_eq!((m.nic_overflow, m.entry_drops), (0, 0));
@@ -234,8 +234,8 @@ fn flow_learning_cells_keep_their_digest_and_counts() {
             pinned: 0,
             ..FlowTableStats::default()
         },
-        (1_319_511, 35, 640, 64, 262_144),
-        (1_311_599, 31, 16, 1, 262_144),
+        (1_236_788, 16, 640, 64, 262_144),
+        (1_232_029, 17, 16, 1, 262_144),
     );
     assert_eq!((t.flows_active, t.flows_evicted), (110_168, 428_008));
     assert_eq!((t.nic_overflow, t.entry_drops), (0, 0));

@@ -5,7 +5,7 @@
 use super::Simulation;
 use crate::report::{ChainReport, FlowReports, NfReport, Report};
 use nfv_des::Duration;
-use nfv_pkt::{FlowId, NfId};
+use nfv_pkt::NfId;
 
 impl Simulation {
     /// Close a measurement interval of `span_secs`: append one column to
@@ -71,9 +71,6 @@ impl Simulation {
         let detail = std::mem::take(&mut stats.flow_detail);
         let flows = FlowReports {
             secs,
-            chains: (0..stats.flows.len())
-                .map(|f| self.platform.flow_table.chain_of(FlowId(f as u32)))
-                .collect(),
             counters: std::mem::take(&mut stats.flows),
             latency: detail
                 .iter()

@@ -335,8 +335,9 @@ fn flow_backends_produce_identical_runs() {
 
 #[test]
 fn wildcard_learned_flows_report_their_table_chain() {
-    // Two tenants' wildcards steer onto chains 0 and 1: every learned
-    // flow's report must carry the chain its flow-table entry holds.
+    // Two tenants' wildcards steer onto chains 0 and 1: every flow the
+    // report lists must be a live flow-table entry, and the table (which
+    // owns the chains; the report keeps none) splits them 64/64.
     use nfv_traffic::{tenant, TenantSpec};
     let mut sim = Simulation::new(base_cfg(1, Policy::CfsNormal, NfvniceConfig::off()));
     let a = sim.add_nf(NfSpec::new("a", 0, 120));
@@ -359,8 +360,9 @@ fn wildcard_learned_flows_report_their_table_chain() {
     for f in r.flows.iter() {
         let entry = table.get(&table.tuple_of(f.flow)).unwrap();
         assert_eq!(entry.flow, f.flow);
-        assert_eq!(f.chain, entry.chain, "flow {:?}", f.flow);
-        per_chain[f.chain.index()] += 1;
+        let chain = table.chain_of(f.flow);
+        assert_eq!(chain, entry.chain, "flow {:?}", f.flow);
+        per_chain[chain.index()] += 1;
     }
     assert_eq!(per_chain, [64, 64]);
 }
@@ -457,6 +459,27 @@ fn flow_mbps_keeps_the_values_of_the_per_interval_columns() {
 }
 
 #[test]
+fn compact_report_keeps_only_the_32_byte_counter_column() {
+    // Without per-flow detail, the report's per-flow storage is the
+    // counter column moved in from the platform: no latency column and
+    // no copy of the flow table's chains.
+    use nfv_pkt::TuplePattern;
+    use nfv_traffic::SweepSource;
+    const FLOWS: u32 = 3_000;
+    let mut cfg = base_cfg(1, Policy::CfsNormal, NfvniceConfig::off());
+    cfg.platform.flow_detail = false;
+    let mut sim = Simulation::new(cfg);
+    let nf = sim.add_nf(NfSpec::new("fwd", 0, 120));
+    let chain = sim.add_chain(&[nf]);
+    sim.add_wildcard(TuplePattern::any(), chain, 0);
+    sim.add_sweep(SweepSource::new(1 << 20, FLOWS, 64, 1_000_000.0));
+    let r = sim.run(Duration::from_millis(10));
+    assert_eq!(r.flows.len(), FLOWS as usize);
+    assert_eq!(r.flows.heap_bytes(), 32 * r.flows.counters.capacity());
+    assert_eq!(r.flows.heap_bytes(), 131_072);
+}
+
+#[test]
 fn flow_reports_match_the_per_flow_truth() {
     // Pinned flows on two single-NF chains, plus two flash crowds learned
     // through a wildcard onto chain 1, the second arriving after aging
@@ -515,10 +538,8 @@ fn flow_reports_match_the_per_flow_truth() {
             );
             let mbps = (f.delivered * 64) as f64 * 8.0 / secs / 1e6;
             assert_eq!(f.mbps.to_bits(), mbps.to_bits(), "flow {i}");
-            assert_eq!(f.chain, table.chain_of(f.flow));
-            if f.flow != pinned {
-                assert_eq!(f.chain, shared, "flow {i}");
-            }
+            let want = if f.flow == pinned { alone } else { shared };
+            assert_eq!(table.chain_of(f.flow), want, "flow {i}");
         }
         // The pinned flow is its chain's only traffic.
         let (flow, chain) = (r.flow(pinned.index()), &r.chains[alone.index()]);

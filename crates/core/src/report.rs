@@ -43,8 +43,6 @@ pub struct NfReport {
 pub struct FlowReport {
     /// Flow id.
     pub flow: FlowId,
-    /// Chain the flow rides.
-    pub chain: ChainId,
     /// Packets delivered end-to-end.
     pub delivered: u64,
     /// Mean delivered rate (pps).
@@ -65,15 +63,14 @@ pub struct FlowReport {
 /// Per-flow results of a run, indexed by flow id, stored as the
 /// platform's own columns: the counters move in from the platform at the
 /// end of the run, and each [`FlowReport`] is computed when it is read
-/// ([`FlowReports::get`], [`Report::flow`]).
+/// ([`FlowReports::get`], [`Report::flow`]). A flow's chain stays with
+/// the flow table (`sim.platform.flow_table.chain_of(flow)`).
 #[derive(Debug, Clone, Default)]
 pub struct FlowReports {
     /// The run's length in seconds (at least 1 ns): the rate divisor.
     pub(crate) secs: f64,
     /// Delivery counters, one per flow.
     pub(crate) counters: FlowColumn<FlowStats>,
-    /// The chain each flow rides.
-    pub(crate) chains: FlowColumn<ChainId>,
     /// `(p50, p99)` end-to-end latency per flow; empty when the platform
     /// kept no per-flow detail.
     pub(crate) latency: FlowColumn<(Duration, Duration)>,
@@ -100,7 +97,6 @@ impl FlowReports {
             .unwrap_or((Duration::ZERO, Duration::ZERO));
         FlowReport {
             flow: FlowId(i as u32),
-            chain: self.chains[i],
             delivered: c.delivered,
             delivered_pps: c.delivered as f64 / self.secs,
             mbps: c.delivered_bytes as f64 * 8.0 / self.secs / 1e6,
@@ -114,6 +110,12 @@ impl FlowReports {
     /// Every flow's report, in flow-id order.
     pub fn iter(&self) -> impl Iterator<Item = FlowReport> + '_ {
         (0..self.len()).map(|i| self.get(i))
+    }
+
+    /// Bytes of per-flow heap storage, by capacity: the counter and
+    /// latency columns.
+    pub fn heap_bytes(&self) -> usize {
+        self.counters.heap_bytes() + self.latency.heap_bytes()
     }
 }
 
@@ -319,8 +321,8 @@ impl Report {
         for f in self.flows.iter() {
             let _ = writeln!(
                 s,
-                "  flow{:<3} chain{:<2} delivered={:>10} ({:>10.0}pps, {:>8.1}Mbps) dropped={} entry={}",
-                f.flow.0, f.chain.0, f.delivered, f.delivered_pps, f.mbps, f.dropped, f.entry_drops
+                "  flow{:<3} delivered={:>10} ({:>10.0}pps, {:>8.1}Mbps) dropped={} entry={}",
+                f.flow.0, f.delivered, f.delivered_pps, f.mbps, f.dropped, f.entry_drops
             );
         }
         s
@@ -347,7 +349,6 @@ mod tests {
                 }; 2]
                     .into_iter()
                     .collect(),
-                chains: [ChainId(0); 2].into_iter().collect(),
                 latency: FlowColumn::new(),
             },
             chains: vec![],

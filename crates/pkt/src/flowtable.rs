@@ -19,14 +19,17 @@
 //!   Chunked columns grow without copying, so the table's per-flow state
 //!   is 32 B per flow plus the index, with no doubling slack.
 //! - **Sharded open addressing.** The exact-match index is a set of
-//!   power-of-two linear-probing shards selected by the *high* bits of a
-//!   seed-free multiply-xor tuple hash (in-shard position uses the low
-//!   bits). Each 8-byte slot holds the hash's low 32 bits as a tag beside
-//!   `flow + 1`, so probe mismatches, rehash and deletion work from the
-//!   slot alone; only a tag match loads the flow's key. A shard doubles
-//!   when an insert would pass 1/2 occupancy and rehashes alone, so the
+//!   power-of-two Robin Hood linear-probing shards selected by the
+//!   *high* bits of a seed-free multiply-xor tuple hash (in-shard home
+//!   position uses the low bits). Each 8-byte slot holds the hash's low
+//!   32 bits as a tag beside `flow + 1`, so probe mismatches, rehash and
+//!   deletion work from the slot alone; only a tag match loads the
+//!   flow's key. Slots along a cluster stay sorted by home, so a miss
+//!   probe stops at the first slot displaced less than itself, and an
+//!   insert shifts the rest of its cluster right by one. A shard doubles
+//!   when an insert would pass 3/4 occupancy and rehashes alone, so the
 //!   amortized rehash spike is 1/64th of a monolithic table's. The
-//!   pre-shard flat table
+//!   pre-shard flat table (the same shard code, one shard)
 //!   survives as a differential oracle: select per table via
 //!   [`FlowTable::with_kind`] / [`FlowTableKind`], or build flat-default
 //!   with `--features flat-flowtable`. Ids, classification results and
@@ -44,15 +47,16 @@
 //! - **Run classification.** [`FlowTable::classify_run`] classifies a
 //!   run of frames with one table operation ([`crate::FrameRun`]: one
 //!   tuple, `count` frames). Table state and counters equal classifying
-//!   frame by frame. A wildcard miss installs into the empty slot its
-//!   miss probe stopped at instead of probing again.
+//!   frame by frame. A wildcard miss installs at the slot its miss
+//!   probe stopped at instead of probing again.
 //! - **Bulk classification.** [`FlowTable::classify_runs`] classifies an
 //!   RX poll's runs in two passes, the way DPDK's bulk hash lookup does:
-//!   pass 1 hashes every run and prefetches its home slot, pass 2
-//!   classifies them in order with the saved hashes. The slot misses of a
-//!   large table overlap instead of being waited out one by one. Pass 1
-//!   changes no state and carries only hashes into pass 2: a mint there
-//!   can grow a shard and move every slot.
+//!   pass 1 hashes every run and prefetches its home slot and the cache
+//!   line after it, pass 2 classifies them in order with the saved
+//!   hashes. The slot misses of a large table overlap instead of being
+//!   waited out one by one. Pass 1 changes no state and carries only
+//!   hashes into pass 2: a mint there shifts a cluster, or grows a shard
+//!   and moves every slot.
 
 use crate::column::FlowColumn;
 use crate::ids::{ChainId, FlowId};
@@ -152,7 +156,7 @@ pub struct FlowTableStats {
     pub wildcard_hits: u64,
     /// Cumulative index slots visited by lookups, plus the re-probe of an
     /// install that grew its shard (an install without growth takes the
-    /// empty slot its miss probe already found).
+    /// slot its miss probe stopped at).
     pub probe_steps: u64,
     /// Longest single probe sequence observed.
     pub max_probe: u64,
@@ -243,9 +247,21 @@ struct Slot {
     flow: u32,
 }
 
-/// One open-addressing region: power-of-two slot array, linear probing,
-/// grown at 1/2 occupancy to keep probes short. In-shard position comes
-/// from the hash's low bits (the slot tag).
+impl Slot {
+    /// Distance from this slot's home to position `i` of a shard with
+    /// position mask `mask`.
+    #[inline]
+    fn displacement(self, i: usize, mask: usize) -> usize {
+        i.wrapping_sub(self.tag as usize) & mask
+    }
+}
+
+/// One open-addressing region: a power-of-two slot array probed with
+/// Robin Hood linear probing, grown past 3/4 occupancy. A slot's home is
+/// `tag & mask`, and its displacement is its distance from home. Along
+/// each cluster the slots stay sorted by home, so a probe stops at the
+/// first slot displaced less than the probe has travelled: the tuple
+/// would sit there, so it is absent.
 #[derive(Debug, Default)]
 struct Shard {
     slots: Vec<Slot>,
@@ -254,8 +270,8 @@ struct Shard {
 
 impl Shard {
     /// Probe for `tuple`: `Ok(slot)` holding it, or `Err(slot)` — the
-    /// empty slot the probe stopped at, where an insert (without growth)
-    /// would place it. Plus the probe length.
+    /// empty or less displaced slot the probe stopped at, where an
+    /// insert (without growth) would place it. Plus the probe length.
     #[inline]
     fn find(
         &self,
@@ -269,102 +285,120 @@ impl Shard {
         let tag = h as u32;
         let mask = self.slots.len() - 1;
         let mut i = tag as usize & mask;
-        let mut steps = 1u64;
+        let mut dist = 0;
         loop {
             let s = self.slots[i];
-            if s.flow == 0 {
-                return (Err(i), steps);
+            if s.flow == 0 || s.displacement(i, mask) < dist {
+                return (Err(i), dist as u64 + 1);
             }
             if s.tag == tag && keys[(s.flow - 1) as usize] == *tuple {
-                return (Ok(i), steps);
+                return (Ok(i), dist as u64 + 1);
             }
             i = (i + 1) & mask;
-            steps += 1;
+            dist += 1;
         }
     }
 
-    /// Prefetch the home slot a probe for hash `h` starts at.
+    /// Prefetch the home slot a probe for hash `h` starts at, and the
+    /// slot one cache line (8 slots) on: at 3/4 load a probe, and the
+    /// cluster shift of the insert that may follow it, often run past
+    /// the home slot's line.
     #[inline]
     fn prefetch_home(&self, h: u64) {
         if !self.slots.is_empty() {
-            prefetch(&self.slots[h as u32 as usize & (self.slots.len() - 1)]);
+            let mask = self.slots.len() - 1;
+            let i = h as u32 as usize & mask;
+            prefetch(&self.slots[i]);
+            prefetch(&self.slots[(i + 8) & mask]);
         }
     }
 
-    /// Insert a flow known to be absent; `vacant` is the empty slot its
-    /// miss probe ([`Shard::find`]) stopped at. Only a grow re-probes.
+    /// Insert a flow known to be absent; `at` is the slot its miss probe
+    /// ([`Shard::find`]) stopped at. Only a grow re-probes.
     /// Returns `(rehashes, probe steps)`.
-    fn insert(&mut self, h: u64, flow: u32, vacant: usize) -> (u64, u64) {
+    fn insert(&mut self, h: u64, flow: u32, at: usize) -> (u64, u64) {
         let slot = Slot {
             tag: h as u32,
             flow: flow + 1,
         };
         self.used += 1;
-        // Keep occupancy at or below 1/2 so probe sequences stay short
-        // even under adversarial tuple mixes.
-        if self.slots.len() < 2 * self.used {
+        // Keep occupancy at or below 3/4: Robin Hood ordering keeps
+        // probes short at that load, and the early exit bounds misses.
+        if 4 * self.used > 3 * self.slots.len() {
             self.grow();
             let steps = self.place(slot);
             return (1, steps);
         }
-        self.slots[vacant] = slot;
+        self.shift_in(at, slot);
         (0, 0)
     }
 
-    /// Put `slot` into the first empty slot from its home position.
+    /// Put `slot` at position `i`, shifting the rest of the cluster right
+    /// by one up to its first empty slot.
+    fn shift_in(&mut self, mut i: usize, mut slot: Slot) {
+        let mask = self.slots.len() - 1;
+        loop {
+            slot = std::mem::replace(&mut self.slots[i], slot);
+            if slot.flow == 0 {
+                return;
+            }
+            i = (i + 1) & mask;
+        }
+    }
+
+    /// Robin Hood insert of an absent `slot`: probe from its home to the
+    /// first empty or less displaced slot and shift it in there.
     /// Returns the probe length.
     fn place(&mut self, slot: Slot) -> u64 {
         let mask = self.slots.len() - 1;
         let mut i = slot.tag as usize & mask;
-        let mut steps = 1u64;
-        while self.slots[i].flow != 0 {
+        let mut dist = 0;
+        while self.slots[i].flow != 0 && self.slots[i].displacement(i, mask) >= dist {
             i = (i + 1) & mask;
-            steps += 1;
+            dist += 1;
         }
-        self.slots[i] = slot;
-        steps
+        self.shift_in(i, slot);
+        dist as u64 + 1
     }
 
     /// Double the capacity (8 slots when empty) and rehash this shard
-    /// only, from the tags alone. Iterating the old slot array keeps the
-    /// layout a pure function of the table's install/evict history.
+    /// only, from the tags alone. The old array is walked from an empty
+    /// slot, so every cluster is read from its start and slots arrive in
+    /// home order; the layout stays a pure function of the table's
+    /// install/evict history.
     fn grow(&mut self) {
         let cap = (2 * self.slots.len()).max(8);
         let old = std::mem::take(&mut self.slots);
         self.slots.resize(cap, Slot::default());
-        for s in old {
+        let start = old.iter().position(|s| s.flow == 0).unwrap_or(0);
+        let (tail, head) = old.split_at(start);
+        for &s in head.iter().chain(tail) {
             if s.flow != 0 {
                 self.place(s);
             }
         }
     }
 
-    /// Remove `tuple` with backward-shift deletion (no tombstones: later
-    /// entries of the probe cluster are pulled back so lookups stay
-    /// correct and probe lengths do not rot as flows churn).
+    /// Remove `tuple` with backward-shift deletion (no tombstones): the
+    /// rest of the cluster moves back one slot, up to an empty slot or a
+    /// slot at its home, so lookups stay correct and probe lengths do
+    /// not rot as flows churn.
     fn remove(&mut self, h: u64, tuple: &FiveTuple, keys: &FlowColumn<FiveTuple>) {
         let (Ok(mut i), _) = self.find(h, tuple, keys) else {
             return;
         };
         let mask = self.slots.len() - 1;
-        self.slots[i] = Slot::default();
         self.used -= 1;
-        let mut j = i;
         loop {
-            j = (j + 1) & mask;
+            let j = (i + 1) & mask;
             let s = self.slots[j];
-            if s.flow == 0 {
-                return;
+            if s.flow == 0 || s.displacement(j, mask) == 0 {
+                break;
             }
-            let home = s.tag as usize & mask;
-            // `s` may move into the hole iff its home slot is at or
-            // before the hole in cyclic probe order.
-            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(i) & mask) {
-                self.slots[i] = s;
-                self.slots[j] = Slot::default();
-                i = j;
-            }
+            self.slots[i] = s;
+            i = j;
         }
+        self.slots[i] = Slot::default();
     }
 }
 
@@ -532,15 +566,15 @@ impl FlowTable {
                 fs.last_seen = PINNED;
                 FlowId(f)
             }
-            Err(vacant) => FlowId(self.mint(h, tuple, chain, PINNED, vacant)),
+            Err(at) => FlowId(self.mint(h, tuple, chain, PINNED, at)),
         }
     }
 
-    /// Mint an entry for `tuple`, known absent from the index: `vacant`
-    /// is the empty slot its miss probe stopped at. Shared by
+    /// Mint an entry for `tuple`, known absent from the index: `at` is
+    /// the slot its miss probe stopped at. Shared by
     /// [`FlowTable::install`] (pinned) and the wildcard cache path
     /// (stamped with the current epoch).
-    fn mint(&mut self, h: u64, tuple: FiveTuple, chain: ChainId, stamp: u32, vacant: usize) -> u32 {
+    fn mint(&mut self, h: u64, tuple: FiveTuple, chain: ChainId, stamp: u32, at: usize) -> u32 {
         let slot = FlowSlot {
             chain,
             last_seen: stamp,
@@ -565,7 +599,7 @@ impl FlowTable {
                 id
             }
         };
-        let (rehashes, steps) = self.index.shard_mut(h).insert(h, id, vacant);
+        let (rehashes, steps) = self.index.shard_mut(h).insert(h, id, at);
         self.stats.rehashes += rehashes;
         self.note_probe(steps);
         self.live += 1;
@@ -623,8 +657,9 @@ impl FlowTable {
     /// Classify each of `runs` in order, appending one result per run to
     /// `out`: results, table state and every counter end up exactly as
     /// after one [`FlowTable::classify_run`] per run. Pass 1 hashes each
-    /// run's tuple and prefetches its home slot; pass 2 classifies with
-    /// the saved hashes, so the slot misses of a large table overlap.
+    /// run's tuple and prefetches its first index slots; pass 2
+    /// classifies with the saved hashes, so the slot misses of a large
+    /// table overlap.
     pub fn classify_runs(&mut self, runs: &[FrameRun], out: &mut Vec<Option<(FlowId, ChainId)>>) {
         let mut hashes = std::mem::take(&mut self.hashes);
         hashes.clear();
@@ -675,7 +710,7 @@ impl FlowTable {
                     self.stats.memo_hits += packets - 1;
                     f
                 }
-                Err(vacant) => {
+                Err(at) => {
                     let rule = self.wildcards.iter().find(|r| r.pattern.matches(tuple));
                     let Some(chain) = rule.map(|r| r.chain) else {
                         // Nothing is cached for unmatched traffic: every
@@ -688,7 +723,7 @@ impl FlowTable {
                     self.stats.wildcard_hits += 1;
                     self.stats.exact_hits += packets - 1;
                     self.stats.memo_hits += packets - 1;
-                    self.mint(h, *tuple, chain, self.epoch, vacant)
+                    self.mint(h, *tuple, chain, self.epoch, at)
                 }
             };
             self.memo = f;
@@ -1088,15 +1123,16 @@ mod tests {
     }
 
     #[test]
-    fn shards_double_at_half_occupancy() {
-        // Growth keeps live ≤ capacity/2 with the smallest power of two:
-        // capacity stays within 2×–4× live, never more.
+    fn shards_double_past_three_quarter_occupancy() {
+        // Growth keeps live ≤ 3/4 capacity with the smallest power of
+        // two: capacity is the smallest power of two ≥ 4n/3 (8 at least).
         let mut ft = FlowTable::with_kind(FlowTableKind::Flat);
-        for n in 1..=1000u32 {
-            ft.install(FiveTuple::synthetic(n, Proto::Udp), ChainId(0));
-            let want = (2 * n as u64).next_power_of_two().max(8);
+        for n in 1..=1536u64 {
+            ft.install(FiveTuple::synthetic(n as u32, Proto::Udp), ChainId(0));
+            let want = (4 * n).div_ceil(3).next_power_of_two().max(8);
             assert_eq!(ft.stats().slots, want, "{n} flows");
         }
+        // 1,536 flows fill 2,048 slots to exactly 3/4.
         assert_eq!(ft.stats().rehashes, 9, "8 → 2048 slots");
     }
 
@@ -1118,9 +1154,129 @@ mod tests {
         assert!(entries - (N as usize) < FLOW_CHUNK);
         let slots = ft.stats().slots as usize;
         assert_eq!(ft.heap_bytes(), 32 * entries + 8 * slots);
-        // 64 shards of 8,192 or 16,384 slots: ~24.5 B of index per flow.
-        assert_eq!(slots, 802_816);
-        assert_eq!(ft.heap_bytes(), 16_908_288);
+        // 64 shards of 8,192 slots: 16 B of index per flow.
+        assert_eq!(slots, 524_288);
+        assert_eq!(ft.heap_bytes(), 14_680_064);
+    }
+
+    /// Check one shard's Robin Hood invariants: `used` counts the
+    /// occupied slots, load is at most 3/4, no empty slot lies between a
+    /// slot's home and its position, and along a cluster displacement
+    /// rises by at most one per slot. Returns the shard's longest hit
+    /// probe (its largest displacement + 1).
+    fn check_shard(s: &Shard) -> u64 {
+        let n = s.slots.len();
+        let disp = |i: usize| s.slots[i].displacement(i, n.wrapping_sub(1));
+        let occupied = s.slots.iter().filter(|x| x.flow != 0).count();
+        assert_eq!(s.used, occupied, "`used` counts the occupied slots");
+        assert!(4 * s.used <= 3 * n, "load {}/{n} is over 3/4", s.used);
+        let mut longest = 1;
+        for i in (0..n).filter(|&i| s.slots[i].flow != 0) {
+            let d = disp(i);
+            longest = longest.max(d as u64 + 1);
+            for k in 1..=d {
+                let between = (i + n - k) % n;
+                assert_ne!(s.slots[between].flow, 0, "hole at {between} before {i}");
+            }
+            let next = (i + 1) % n;
+            if s.slots[next].flow != 0 {
+                assert!(
+                    disp(next) <= d + 1,
+                    "displacement jumps from {d} at {i} to {} at {next}",
+                    disp(next)
+                );
+            }
+        }
+        longest
+    }
+
+    /// Check every shard of `ft`, then probe each of `misses` (tuples
+    /// absent from it): a miss probe may visit at most one slot more
+    /// than its shard's longest hit probe.
+    fn check_index(ft: &FlowTable, misses: &[FiveTuple]) {
+        let longest: Vec<u64> = match &ft.index {
+            Index::Flat(s) => vec![check_shard(s)],
+            Index::Sharded(v) => v.iter().map(check_shard).collect(),
+        };
+        for t in misses {
+            let h = tuple_hash(t);
+            let (found, steps) = ft.index.shard(h).find(h, t, &ft.keys);
+            assert!(found.is_err(), "{t:?} is not in the table");
+            let k = match ft.index {
+                Index::Flat(_) => 0,
+                Index::Sharded(_) => (h >> (64 - SHARD_BITS)) as usize,
+            };
+            assert!(
+                steps <= longest[k] + 1,
+                "miss probe of {steps} slots, longest hit {}",
+                longest[k]
+            );
+        }
+    }
+
+    #[test]
+    fn index_keeps_its_robin_hood_invariants_under_churn() {
+        // Only UDP tuples are ever installed or classified.
+        let misses: Vec<FiveTuple> = (0..64)
+            .map(|n| FiveTuple::synthetic(n * 7, Proto::Tcp))
+            .collect();
+        for kind in [FlowTableKind::Sharded, FlowTableKind::Flat] {
+            let mut ft = aging_table(kind);
+            let mut ev = Vec::new();
+            for round in 0..8u32 {
+                for n in 0..300u32 {
+                    let t = FiveTuple::synthetic(round * 131 + n, Proto::Udp);
+                    if n % 16 == 0 {
+                        ft.install(t, ChainId(1));
+                    } else {
+                        ft.classify(&t, 64).unwrap();
+                    }
+                    check_index(&ft, &misses);
+                }
+                ft.age(1, &mut ev);
+                check_index(&ft, &misses);
+            }
+            let s = ft.stats();
+            assert!(s.evicted > 0 && s.recycled > 0, "{kind:?}: {s:?}");
+        }
+    }
+
+    #[test]
+    fn one_tag_cluster_of_300_slots_finds_and_removes_every_flow() {
+        const N: u32 = 300;
+        let h = 0x0123_4567_89ab_cdef;
+        let keys: FlowColumn<FiveTuple> = (0..N)
+            .map(|n| FiveTuple::synthetic(n, Proto::Udp))
+            .collect();
+        let mut shard = Shard::default();
+        for f in 0..N {
+            let (Err(at), _) = shard.find(h, &keys[f as usize], &keys) else {
+                panic!("flow {f} found before its insert");
+            };
+            shard.insert(h, f, at);
+            check_shard(&shard);
+        }
+        assert_eq!(shard.slots.len(), 512);
+        // Equal homes keep insertion order, through every grow too.
+        for f in 0..N {
+            let (found, steps) = shard.find(h, &keys[f as usize], &keys);
+            assert_eq!(found.map(|i| shard.slots[i].flow), Ok(f + 1));
+            assert_eq!(steps, u64::from(f) + 1);
+        }
+        // Odd flows first (holes inside the cluster), then the even ones
+        // from the front.
+        let order: Vec<u32> = (1..N).step_by(2).chain((0..N).step_by(2)).collect();
+        for (k, &f) in order.iter().enumerate() {
+            shard.remove(h, &keys[f as usize], &keys);
+            check_shard(&shard);
+            assert!(shard.find(h, &keys[f as usize], &keys).0.is_err());
+            for &g in &order[k + 1..] {
+                let (found, _) = shard.find(h, &keys[g as usize], &keys);
+                assert_eq!(found.map(|i| shard.slots[i].flow), Ok(g + 1));
+            }
+        }
+        assert_eq!(shard.used, 0);
+        assert!(shard.slots.iter().all(|s| s.flow == 0));
     }
 
     #[test]

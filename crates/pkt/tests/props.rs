@@ -229,7 +229,7 @@ enum RunTuple {
     /// The previous run's tuple again: a memo hit when that one classified.
     Again,
     /// A UDP tuple never seen before: a wildcard mint, growing its shard
-    /// whenever the mint passes half occupancy.
+    /// whenever the mint passes 3/4 occupancy.
     Fresh,
     /// A TCP tuple, which the UDP-only wildcard rules never match:
     /// unclassified unless installed.
