@@ -1,300 +1,73 @@
-//! The elastic scaling controller: scale-out, cross-core migration, and
-//! scale-in decisions, run on the monitor tick (no new event variants —
-//! like weight updates and flow aging, elasticity is manager work).
+//! Elastic scaling, engine half: apply the [`ElasticAction`] the
+//! [`ElasticController`](crate::elastic::ElasticController) decided on
+//! the monitor tick (no event variants of its own — like weight updates
+//! and flow aging, elasticity is manager work).
 //!
-//! Policy lives in [`crate::elastic`] (the config and its cost gates);
-//! mechanism lives in the platform (`add_replica`, `migrate_nf`,
-//! `retire_replica`). This module is the glue: it watches deterministic
-//! signals (backpressure state, per-core scheduler busy time, the load
-//! estimator), applies the gates, and on every topology change grows or
-//! resets the engine-side per-NF state exactly the way the fault path
-//! does — ending with an immediate share recompute on every affected
-//! domain so no NF runs on a stale weight until the next weight tick.
-//!
-//! At most one action fires per check, followed by a cooldown: shares,
-//! estimators and the watermark machine get to settle before the
-//! controller judges the new layout.
+//! The controller decides; the platform moves instances (`add_replica`,
+//! `migrate_nf`, `retire_replica`); this module grows or resets the
+//! engine-side per-NF state and the domain rosters to match, ending with
+//! an immediate share recompute on every affected domain so no NF runs
+//! on a stale weight until the next weight tick.
 
 use super::Simulation;
-use crate::backpressure::BpState;
+use crate::elastic::ElasticAction;
 use nfv_des::{Duration, SimTime};
 use nfv_pkt::NfId;
-use nfv_platform::BlockReason;
 
 impl Simulation {
-    /// One controller check: refresh the streak counters, then try (in
-    /// priority order) scale-out, migration, scale-in. Called from
-    /// `do_monitor` every `check_period_ticks` monitor ticks when any
+    /// One controller check, and the action it returns, if any. Called
+    /// from `do_monitor` every `check_period_ticks` monitor ticks when any
     /// elastic direction is enabled.
     pub(super) fn run_elastic(&mut self, now: SimTime) {
-        self.elastic_observe();
-        if self.elastic_cooldown > 0 {
-            self.elastic_cooldown -= 1;
+        let Some(action) = self.elastic.decide(&self.platform, &self.bp, &self.load) else {
             return;
-        }
-        let cfg = self.cfg.elastic;
-        let acted = (cfg.scale_out && self.try_scale_out(now))
-            || (cfg.migration && self.try_migrate(now))
-            || (cfg.scale_in && self.try_scale_in(now));
-        if acted {
-            self.elastic_cooldown = cfg.cooldown_checks;
-        }
-    }
-
-    /// Refresh the deterministic inputs: per-core busy time over the last
-    /// check period, per-base-NF throttle streaks (scale-out dwell), and
-    /// per-replica idle streaks (scale-in hysteresis).
-    fn elastic_observe(&mut self) {
-        let cfg = self.cfg.elastic;
-        for core in 0..self.domains.len() {
-            let busy = self.platform.sched.core_busy(core);
-            self.elastic_busy_delta[core] = busy.saturating_sub(self.elastic_busy_snapshot[core]);
-            self.elastic_busy_snapshot[core] = busy;
-        }
-        debug_assert_eq!(self.throttle_streak.len(), self.platform.nfs.len());
-        for idx in 0..self.throttle_streak.len() {
-            let id = NfId(idx as u32);
-            let nf = &self.platform.nfs[idx];
-            match nf.replica_of {
-                // Dwell is judged at the base NF: replicas share its flows
-                // and its chain placement, so the base's throttle state is
-                // the group's demand signal.
-                None => {
-                    let throttled = nf.is_up() && matches!(self.bp.state(id), BpState::Throttle);
-                    self.throttle_streak[idx] = if throttled {
-                        self.throttle_streak[idx] + 1
-                    } else {
-                        0
-                    };
-                }
-                Some(base) => {
-                    let lam_r = self.load.arrival_rate_pps(idx);
-                    let lam_b = self.load.arrival_rate_pps(base.index());
-                    // Idle: drained, and arrivals fell below the configured
-                    // fraction of the base's rate — with a 1 pps absolute
-                    // floor so a fully quiesced pair still converges.
-                    let idle = nf.is_up()
-                        && nf.pending() == 0
-                        && lam_r * 100.0 < (lam_b * f64::from(cfg.idle_load_pct)).max(100.0);
-                    self.idle_streak[idx] = if idle { self.idle_streak[idx] + 1 } else { 0 };
-                }
+        };
+        match action {
+            ElasticAction::ScaleOut { base, core } => self.spawn_replica(base, core, now),
+            ElasticAction::Migrate { nf, from, to } => {
+                self.platform.migrate_nf(nf, to, now);
+                self.move_domain(nf.index(), from, to);
+                // Marks, estimator history and watermark state are
+                // per-placement artifacts; the new core re-derives them
+                // from live signals within a few ticks.
+                self.reset_nf_policy(nf, &[from, to], now);
+            }
+            ElasticAction::ScaleIn { replica } => {
+                // Marks first: retire parks the task for good, so any
+                // watermark state it holds must not outlive it (the same
+                // rule as `kill_nf`, which a dead replica never revisits).
+                // The reset's own clear is then a no-op. The replica keeps
+                // its domain slot, as a crashed NF does.
+                self.bp.clear_nf(now, replica);
+                self.platform.retire_replica(replica, now);
+                self.reset_nf_policy(replica, &[self.platform.core_of(replica)], now);
             }
         }
     }
 
-    /// Scale-out: the lowest-id base NF that has stayed an active
-    /// bottleneck past the dwell (and past the deploy cost) gets a
-    /// replica on the least-loaded *other* core. Flow-consistent
-    /// sharding is the platform's job ([`nfv_platform::Platform::add_replica`]).
-    fn try_scale_out(&mut self, now: SimTime) -> bool {
-        let cfg = self.cfg.elastic;
-        if self.domains.len() < 2 {
-            return false; // a same-core replica adds no capacity
-        }
-        for idx in 0..self.platform.nfs.len() {
-            let id = NfId(idx as u32);
-            if self.platform.nfs[idx].replica_of.is_some() || !self.platform.nfs[idx].is_up() {
-                continue;
-            }
-            if !cfg.deploy_worthwhile(self.throttle_streak[idx]) {
-                continue;
-            }
-            if self.platform.replica_group(id).len() >= cfg.max_replicas as usize {
-                continue;
-            }
-            let home = self.platform.core_of(id);
-            let Some(core) = self.quietest_core_except(home) else {
-                continue;
-            };
-            self.spawn_replica(id, core, now);
-            self.throttle_streak[idx] = 0; // re-arm the dwell for the next replica
-            return true;
-        }
-        false
-    }
-
-    /// Least-busy core over the last check period, excluding `except`.
-    /// Ties break to the lowest core id (deterministic).
-    fn quietest_core_except(&self, except: usize) -> Option<usize> {
-        let mut best: Option<usize> = None;
-        for core in 0..self.elastic_busy_delta.len() {
-            if core == except {
-                continue;
-            }
-            match best {
-                Some(b) if self.elastic_busy_delta[core] >= self.elastic_busy_delta[b] => {}
-                _ => best = Some(core),
-            }
-        }
-        best
-    }
-
-    /// Deploy a replica of `base` on `core` and grow every engine-side
-    /// per-NF structure in lockstep with the platform's NF vector — the
-    /// mirror image of what `prime` sizes up front.
+    /// Deploy a replica of `base` on `core`: size its per-NF state as
+    /// `prime` does for deployed NFs, and append it to the domain roster
+    /// (a fresh NF id is the highest yet, so the roster stays in id
+    /// order).
     fn spawn_replica(&mut self, base: NfId, core: usize, now: SimTime) {
-        let replica = self.platform.add_replica(base, core, now);
-        let idx = replica.index();
+        let idx = self.platform.add_replica(base, core, now).index();
         debug_assert_eq!(idx, self.platform.nfs.len() - 1);
-        self.bp.grow();
-        self.load.grow();
-        self.ecn.grow(self.platform.nfs[idx].rx.capacity());
-        self.watchdog.push((0, 0));
-        self.throttle_streak.push(0);
-        self.idle_streak.push(0);
-        // nfv-lint: allow(hot-alloc) -- one-time growth per scale-out action, not per packet
-        self.series.cpu_pct.push(Vec::new());
-        self.metrics
-            .add_nf_series(&self.platform.nfs[idx].spec.name);
-        // A fresh NF id is the highest yet, so pushing keeps the domain
-        // roster in deployment order.
+        self.grow_nf(idx);
         self.domains[core].nfs.push(idx);
         self.domains[core].cpu_snapshot.push(Duration::ZERO);
         self.recompute_domain_shares(core, now);
-        self.scale_outs += 1;
-    }
-
-    /// Migration: if the busiest core is saturated and hosts at least two
-    /// live NFs, move its cheapest parkable NF to the quietest core —
-    /// provided the spread gate says the gap is worth the move. A Running
-    /// candidate defers the whole decision to the next check (park never
-    /// preempts), keeping the controller deterministic without yanking a
-    /// task mid-batch.
-    fn try_migrate(&mut self, now: SimTime) -> bool {
-        let cfg = self.cfg.elastic;
-        let ncores = self.domains.len();
-        if ncores < 2 {
-            return false;
-        }
-        let period_ns = self.cfg.nfvnice.load.sample_period.as_nanos()
-            * u64::from(cfg.check_period_ticks.max(1));
-        let mut hot = 0;
-        for core in 1..ncores {
-            if self.elastic_busy_delta[core] > self.elastic_busy_delta[hot] {
-                hot = core;
-            }
-        }
-        let hot_ns = self.elastic_busy_delta[hot].as_nanos();
-        // Saturation, compared multiplicatively (no truncating division).
-        if hot_ns * 100 < period_ns * u64::from(cfg.saturation_pct) {
-            return false;
-        }
-        let Some(quiet) = self.quietest_core_except(hot) else {
-            return false;
-        };
-        if !cfg.spread_worthwhile(hot_ns, self.elastic_busy_delta[quiet].as_nanos()) {
-            return false;
-        }
-        let live_on_hot = self.domains[hot]
-            .nfs
-            .iter()
-            .filter(|&&i| self.platform.nfs[i].is_up())
-            .count();
-        if live_on_hot < 2 {
-            return false; // a lone NF's load moves with it: nothing to spread
-        }
-        // Cheapest parkable candidate: lowest estimator load, ties to the
-        // lowest NF id. Running tasks and NFs mid-I/O or TX-blocked are
-        // skipped — their block reason must not be overwritten.
-        let mut pick: Option<(usize, f64)> = None;
-        for slot in 0..self.domains[hot].nfs.len() {
-            let i = self.domains[hot].nfs[slot];
-            let nf = &self.platform.nfs[i];
-            if !nf.is_up() {
-                continue;
-            }
-            if self.platform.sched.current(hot) == Some(nf.task) {
-                continue;
-            }
-            if !matches!(
-                nf.blocked,
-                None | Some(BlockReason::EmptyRx) | Some(BlockReason::Backpressure)
-            ) {
-                continue;
-            }
-            let load = self.load.load(i);
-            if pick.is_none_or(|(_, best)| load < best) {
-                pick = Some((i, load));
-            }
-        }
-        let Some((idx, _)) = pick else {
-            return false;
-        };
-        let nf = NfId(idx as u32);
-        self.platform.migrate_nf(nf, quiet, now);
-        // Same policy-state reset as kill/respawn: marks, estimator
-        // history and watermark state are per-placement artifacts; the
-        // new core re-derives them from live signals within a few ticks.
-        self.bp.clear_nf(now, nf);
-        self.load.reset(idx, self.platform.nfs[idx].arrivals);
-        self.ecn.reset(idx);
-        self.watchdog[idx] = (self.platform.nfs[idx].processed, 0);
-        self.move_domain(idx, hot, quiet);
-        self.recompute_domain_shares(hot, now);
-        self.recompute_domain_shares(quiet, now);
-        self.migrations += 1;
-        true
     }
 
     /// Move NF `idx` between domain rosters, carrying its CPU-time
     /// snapshot (cumulative per task, so the per-second series stays
     /// correct across the move) and keeping both rosters in id order.
     fn move_domain(&mut self, idx: usize, from: usize, to: usize) {
-        let slot = self.domains[from]
-            .nfs
-            .iter()
-            .position(|&i| i == idx)
-            .expect("migrating NF not in its source domain");
+        let slot = self.domains[from].nfs.binary_search(&idx);
+        let slot = slot.expect("migrating NF not in its source domain");
         self.domains[from].nfs.remove(slot);
         let snap = self.domains[from].cpu_snapshot.remove(slot);
-        let at = self.domains[to]
-            .nfs
-            .iter()
-            .position(|&i| i > idx)
-            .unwrap_or(self.domains[to].nfs.len());
+        let at = self.domains[to].nfs.binary_search(&idx).unwrap_err();
         self.domains[to].nfs.insert(at, idx);
         self.domains[to].cpu_snapshot.insert(at, snap);
-    }
-
-    /// Scale-in: retire the lowest-id replica that has been idle past the
-    /// hysteresis floor and is fully drained and off-CPU. Its domain slot
-    /// stays (dead NFs keep their roster entry, as after a crash); only
-    /// the shares are recomputed immediately.
-    fn try_scale_in(&mut self, now: SimTime) -> bool {
-        let cfg = self.cfg.elastic;
-        for idx in 0..self.platform.nfs.len() {
-            let id = NfId(idx as u32);
-            let nf = &self.platform.nfs[idx];
-            if nf.replica_of.is_none() || !nf.is_up() {
-                continue;
-            }
-            if !cfg.retire_worthwhile(self.idle_streak[idx]) {
-                continue;
-            }
-            let core = nf.spec.core;
-            if self.platform.sched.current(core) == Some(nf.task) {
-                continue; // on CPU right now: next check
-            }
-            if nf.pending() > 0
-                || !nf.tx.is_empty()
-                || !nf.outbox.is_empty()
-                || !nf.in_progress.is_empty()
-            {
-                continue; // not drained
-            }
-            // Marks first: retire parks the task for good, so any
-            // watermark state it holds must not outlive it (the same
-            // rule as `kill_nf`, which a dead replica never revisits).
-            self.bp.clear_nf(now, id);
-            self.platform.retire_replica(id, now);
-            self.load.reset(idx, self.platform.nfs[idx].arrivals);
-            self.ecn.reset(idx);
-            self.watchdog[idx] = (self.platform.nfs[idx].processed, 0);
-            self.idle_streak[idx] = 0;
-            self.recompute_domain_shares(core, now);
-            self.scale_ins += 1;
-            return true;
-        }
-        false
     }
 }

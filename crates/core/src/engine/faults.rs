@@ -1,8 +1,11 @@
 //! Fault application and failure recovery: the engine half of the
 //! deterministic fault-injection subsystem ([`crate::faults`] holds the
-//! plan types). Crashes drain the victim's packets and park its task;
-//! the recovery policy respawns it after a delay; the liveness watchdog
-//! converts detected stalls into crash + restart.
+//! plan types and the [`Watchdog`](crate::faults::Watchdog)). Crashes
+//! drain the victim's packets and park its task; the recovery policy
+//! respawns it after a delay; the watchdog's hung NFs are killed here.
+//!
+//! [`Simulation::reset_nf_policy`] is the one per-NF policy reset every
+//! lifecycle path (crash, respawn, migration, scale-in) goes through.
 
 use super::events::Ev;
 use super::Simulation;
@@ -39,12 +42,27 @@ impl Simulation {
         }
     }
 
+    /// Reset NF `nf`'s per-NF policy state after a lifecycle change:
+    /// drop its backpressure marks (a dead or moved NF never drains its
+    /// own watermark state), restart its load estimator, ECN average and
+    /// watchdog count from the current counters, then recompute the
+    /// shares of every domain in `cores` at once — survivors must not
+    /// keep splitting a core as if the departed NF still claimed its
+    /// share, and a returning NF must not carry a stale weight until the
+    /// next weight tick.
+    pub(super) fn reset_nf_policy(&mut self, nf: NfId, cores: &[usize], now: SimTime) {
+        let idx = nf.index();
+        self.bp.clear_nf(now, nf);
+        self.load.reset(idx, self.platform.nfs[idx].arrivals);
+        self.ecn.reset(idx);
+        self.watchdog.rebase(idx, self.platform.nfs[idx].processed);
+        for &core in cores {
+            self.recompute_domain_shares(core, now);
+        }
+    }
+
     /// Kill `nf` (injected crash or watchdog verdict): drain its packets
-    /// back to the mempool, park its task, and clear every piece of
-    /// policy state that would otherwise outlive the process. Critically
-    /// that includes its backpressure marks — a dead NF never drains
-    /// below the LOW watermark, so the chains it throttled would shed at
-    /// entry forever.
+    /// back to the mempool, park its task, and reset its policy state.
     pub(super) fn kill_nf(&mut self, nf: NfId, now: SimTime) {
         if self.platform.nfs[nf.index()].health == NfHealth::Down {
             self.stale_pops += 1;
@@ -58,16 +76,8 @@ impl Simulation {
         scratch_tcp.clear();
         platform.crash_nf(nf, now, scratch_tcp);
         self.dispatch_tcp_events(now);
-        self.crashes += 1;
-        self.bp.clear_nf(now, nf);
-        self.load
-            .reset(nf.index(), self.platform.nfs[nf.index()].arrivals);
-        self.ecn.reset(nf.index());
-        self.watchdog[nf.index()] = (self.platform.nfs[nf.index()].processed, 0);
-        // Survivors on the core must not keep splitting the core as if
-        // the victim still claimed its share: recompute immediately
-        // instead of waiting out the weight tick.
-        self.recompute_domain_shares(self.platform.core_of(nf), now);
+        self.watchdog.crashes += 1;
+        self.reset_nf_policy(nf, &[self.platform.core_of(nf)], now);
         if self.cfg.faults.recovery {
             let t = now + self.cfg.faults.respawn_delay;
             if t <= self.run_end {
@@ -78,55 +88,28 @@ impl Simulation {
 
     /// The recovery policy's respawn: bring the NF back up, blocked on an
     /// empty ring; the wakeup thread re-admits it to the CPU once packets
-    /// arrive. Estimator state was already reset at crash time, so the
-    /// fresh incarnation's CPU shares are computed from post-restart
-    /// samples only.
+    /// arrive. The fresh incarnation rejoins its domain with a reset
+    /// estimator. (Its marks and ECN average were already reset at crash
+    /// time and stay untouched while it is down, so resetting them again
+    /// is a no-op.)
     pub(super) fn do_respawn(&mut self, nf: NfId, now: SimTime) {
         if self.platform.nfs[nf.index()].health != NfHealth::Down {
             self.stale_pops += 1;
             return;
         }
         self.platform.restart_nf(nf, now);
-        self.restarts += 1;
-        self.load
-            .reset(nf.index(), self.platform.nfs[nf.index()].arrivals);
-        self.watchdog[nf.index()] = (self.platform.nfs[nf.index()].processed, 0);
-        // The fresh incarnation rejoins its domain with a reset estimator:
-        // fold it back into the split now, not at the next weight tick
-        // (its neighbors were just re-weighted without it at crash time).
-        self.recompute_domain_shares(self.platform.core_of(nf), now);
+        self.watchdog.restarts += 1;
+        self.reset_nf_policy(nf, &[self.platform.core_of(nf)], now);
     }
 
-    /// Manager-side liveness watchdog, run on the monitor tick: a
-    /// runnable NF holding pending work whose progress counter has been
-    /// frozen for [`stall_ticks`](crate::faults::FaultConfig::stall_ticks)
-    /// consecutive ticks is declared hung and crash-restarted. Blocked or
-    /// deliberately-yielding NFs are never suspect — only one that should
-    /// be making progress and isn't.
+    /// Kill every NF the liveness watchdog declares hung this tick.
     pub(super) fn run_watchdog(&mut self, now: SimTime) {
-        let ticks = self.cfg.faults.stall_ticks;
-        if ticks == 0 {
-            return;
-        }
-        for idx in 0..self.platform.nfs.len() {
-            let nf = &self.platform.nfs[idx];
-            if nf.health == NfHealth::Down || nf.blocked.is_some() || nf.yield_flag {
-                self.watchdog[idx] = (nf.processed, 0);
-                continue;
-            }
-            let (last, streak) = self.watchdog[idx];
-            if nf.processed == last && nf.pending() > 0 {
-                if streak + 1 >= ticks {
-                    self.stalls_detected += 1;
-                    self.trace
-                        .record(now, TraceKind::NfStallDetect { nf: idx as u32 });
-                    self.kill_nf(NfId(idx as u32), now);
-                } else {
-                    self.watchdog[idx] = (last, streak + 1);
-                }
-            } else {
-                self.watchdog[idx] = (nf.processed, 0);
-            }
+        let mut from = 0;
+        while let Some(nf) = self.watchdog.next_hung(&self.platform.nfs, from) {
+            self.trace
+                .record(now, TraceKind::NfStallDetect { nf: nf.0 });
+            self.kill_nf(nf, now);
+            from = nf.index() + 1;
         }
     }
 }

@@ -39,7 +39,8 @@ use events::{ev_tag, feedback_tag, Ev};
 use crate::backpressure::Backpressure;
 use crate::config::SimConfig;
 use crate::ecn::EcnMarker;
-use crate::faults::{FaultEvent, FaultKind};
+use crate::elastic::ElasticController;
+use crate::faults::Watchdog;
 use crate::invariants;
 use crate::load::LoadMonitor;
 use crate::report::{Report, Series};
@@ -90,35 +91,10 @@ pub struct Simulation {
     last_roll: SimTime,
     /// End of the current run; events scheduled past it are dropped.
     run_end: SimTime,
-    /// Liveness watchdog state per NF: (progress counter at the last
-    /// tick, consecutive no-progress ticks with pending work).
-    watchdog: Vec<(u64, u32)>,
-    /// Per-core cumulative busy time at the last elastic check.
-    elastic_busy_snapshot: Vec<Duration>,
-    /// Per-core busy time over the last check period (scratch derived
-    /// from the snapshots each check — kept on the struct so the
-    /// controller allocates nothing on the dispatch path).
-    elastic_busy_delta: Vec<Duration>,
-    /// Consecutive elastic checks each base NF spent throttled
-    /// (scale-out dwell); zero and unread for replicas.
-    throttle_streak: Vec<u32>,
-    /// Consecutive elastic checks each replica spent idle (scale-in
-    /// hysteresis); zero and unread for base NFs.
-    idle_streak: Vec<u32>,
-    /// Elastic checks to skip before the next action may fire.
-    elastic_cooldown: u32,
-    /// Scale-out replicas deployed.
-    scale_outs: u64,
-    /// Cross-core migrations performed.
-    migrations: u64,
-    /// Replicas retired by scale-in.
-    scale_ins: u64,
-    /// NF crashes applied (injected + watchdog-declared).
-    crashes: u64,
-    /// NF restarts performed by the recovery policy.
-    restarts: u64,
-    /// Stalls the liveness watchdog detected.
-    stalls_detected: u64,
+    /// Liveness watchdog and the fault counters.
+    watchdog: Watchdog,
+    /// Elastic scaling controller and its action counters.
+    elastic: ElasticController,
     /// Events popped and discarded because lazy invalidation made them
     /// stale (dead-NF batch events, no-op respawns/crashes/slowdown
     /// ends). Counted at the discard site, so both queue backends agree
@@ -179,18 +155,12 @@ impl Simulation {
             tuple_counter: 0,
             last_roll: SimTime::ZERO,
             run_end: SimTime::ZERO,
-            watchdog: Vec::new(),
-            elastic_busy_snapshot: Vec::new(),
-            elastic_busy_delta: Vec::new(),
-            throttle_streak: Vec::new(),
-            idle_streak: Vec::new(),
-            elastic_cooldown: 0,
-            scale_outs: 0,
-            migrations: 0,
-            scale_ins: 0,
-            crashes: 0,
-            restarts: 0,
-            stalls_detected: 0,
+            watchdog: Watchdog::new(cfg.faults.stall_ticks),
+            elastic: ElasticController::new(
+                cfg.elastic,
+                cfg.nfvnice.load.sample_period,
+                cfg.platform.nf_cores,
+            ),
             stale_pops: 0,
             skipped_ticks: 0,
             seen_desync: 0,
@@ -308,13 +278,6 @@ impl Simulation {
         self.actions.push((t, action));
     }
 
-    /// Schedule a fault: at `t`, `nf` suffers `kind`. Convenience wrapper
-    /// over [`FaultConfig::events`](crate::faults::FaultConfig) for
-    /// experiments that build the plan alongside the topology.
-    pub fn inject_fault(&mut self, t: SimTime, nf: NfId, kind: FaultKind) {
-        self.cfg.faults.events.push(FaultEvent { at: t, nf, kind });
-    }
-
     /// Read access to a TCP source (for assertions on cwnd etc.).
     pub fn tcp_source(&self, flow: FlowId) -> &TcpSource {
         let src = self.tcp_source_of(flow).expect("not a TCP flow");
@@ -396,42 +359,26 @@ impl Simulation {
             assert!(period > Duration::ZERO, "SimConfig.{field} must be > 0");
         }
         self.run_end = end;
-        let n_nfs = self.platform.nfs.len();
-        self.watchdog = vec![(0, 0); n_nfs];
         let n_chains = self.platform.chains.count();
-        self.bp = Backpressure::new(self.cfg.nfvnice.bp, n_nfs, n_chains);
-        self.load = LoadMonitor::new(self.cfg.nfvnice.load, n_nfs);
-        self.ecn = EcnMarker::new(
-            self.cfg.nfvnice.ecn_cfg,
-            self.platform
-                .nfs
-                .iter()
-                .map(|nf| nf.rx.capacity())
-                .collect(),
-        );
+        self.bp = Backpressure::new(self.cfg.nfvnice.bp, 0, n_chains);
         // Hand every subsystem the shared trace handle; recording is
         // observation only and never feeds back into any decision, so the
         // event-trace digest is unchanged whether or not it is on.
         self.bp.set_trace(self.trace.clone());
         self.platform.trace = self.trace.clone();
         self.platform.sched.set_trace(self.trace.clone());
-        self.metrics.init(
-            self.platform.nfs.iter().map(|nf| nf.spec.name.as_str()),
-            n_chains,
-        );
-        // The *deployed* NF population is final now: carve it into
-        // per-core domains. (Elastic scale-out may still append replicas
-        // mid-run; every per-NF structure sized here grows in lockstep
-        // via `spawn_replica`.)
+        self.metrics.init(std::iter::empty(), n_chains);
+        // The *deployed* NF population is final now: size the per-NF
+        // state and carve the NFs into per-core domains. (Elastic
+        // scale-out may still append replicas mid-run, through the same
+        // `grow_nf`.)
+        for idx in 0..self.platform.nfs.len() {
+            self.grow_nf(idx);
+        }
         self.domains = CoreDomain::build_all(&self.platform);
-        self.elastic_busy_snapshot = vec![Duration::ZERO; self.domains.len()];
-        self.elastic_busy_delta = vec![Duration::ZERO; self.domains.len()];
-        self.throttle_streak = vec![0; n_nfs];
-        self.idle_streak = vec![0; n_nfs];
         if matches!(self.cfg.platform.policy, Policy::Slo) {
             self.derive_slo_deadlines();
         }
-        self.series.cpu_pct = vec![Vec::new(); n_nfs];
 
         // The six self-rescheduling manager ticks wait in the queue's
         // periodic lanes, beside the timer wheel (DESIGN.md §15).
@@ -461,6 +408,20 @@ impl Simulation {
         for src in 0..self.tcp.len() as u32 {
             self.pump_tcp(src, SimTime::ZERO);
         }
+    }
+
+    /// Size every engine-side per-NF structure for NF `idx`, the newest
+    /// deployed: at `prime` for each NF, and for each scale-out replica.
+    fn grow_nf(&mut self, idx: usize) {
+        let nf = &self.platform.nfs[idx];
+        self.bp.grow();
+        self.load.grow();
+        self.ecn.grow(nf.rx.capacity());
+        self.watchdog.grow();
+        self.elastic.grow();
+        // nfv-lint: allow(hot-alloc) -- one-time growth per deployed NF or scale-out action, not per packet
+        self.series.cpu_pct.push(Vec::new());
+        self.metrics.add_nf_series(&nf.spec.name);
     }
 
     /// Convert per-chain latency budgets into per-task relative

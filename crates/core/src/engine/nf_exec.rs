@@ -8,7 +8,7 @@ use super::events::Ev;
 use super::Simulation;
 use nfv_des::SimTime;
 use nfv_pkt::NfId;
-use nfv_platform::BatchPlan;
+use nfv_platform::{BatchPlan, BlockReason};
 use nfv_sched::SwitchKind;
 
 impl Simulation {
@@ -70,15 +70,19 @@ impl Simulation {
             .platform
             .running_nf(core)
             .expect("BatchDone with no current task");
-        // Crashed mid-batch: the batch's packets were already freed by the
-        // crash drain, so skip `finish_batch` and retire the task.
-        if !self.platform.nfs[nf.index()].is_up() {
+        // Crashed mid-batch: the crash drain already freed the batch, so
+        // skip `finish_batch` and retire the task. The NF may be up again
+        // by now (a respawn delay shorter than the batch), so the missing
+        // batch is the test, not the NF's health; a respawned NF goes back
+        // to where `restart_nf` put it, blocked on its RX ring, so the
+        // wakeup thread re-admits it.
+        let Some((dur, _)) = self.platform.nfs[nf.index()].current_batch else {
+            if self.platform.nfs[nf.index()].is_up() {
+                self.platform.nfs[nf.index()].blocked = Some(BlockReason::EmptyRx);
+            }
             self.retire_dead(core, now);
             return;
-        }
-        let (dur, _) = self.platform.nfs[nf.index()]
-            .current_batch
-            .expect("BatchDone without a batch");
+        };
         self.platform.sched.charge_current(core, dur);
         let fx = self.platform.finish_batch(nf, now);
         for c in fx.flush_completions {

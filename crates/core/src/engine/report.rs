@@ -115,13 +115,13 @@ impl Simulation {
             cgroup_write_time: self.mgr_cgroup_time,
             throttle_events: self.bp.throttle_events,
             ecn_marks: self.ecn.marks,
-            nf_crashes: self.crashes,
-            nf_restarts: self.restarts,
-            nf_stalls_detected: self.stalls_detected,
+            nf_crashes: self.watchdog.crashes,
+            nf_restarts: self.watchdog.restarts,
+            nf_stalls_detected: self.watchdog.stalls_detected,
             nf_down_drops: self.platform.stats.nf_down_drops,
-            nf_scale_outs: self.scale_outs,
-            nf_migrations: self.migrations,
-            nf_scale_ins: self.scale_ins,
+            nf_scale_outs: self.elastic.scale_outs,
+            nf_migrations: self.elastic.migrations,
+            nf_scale_ins: self.elastic.scale_ins,
             trace_digest: self.sanitizer.digest(),
             stale_pops: self.stale_pops,
             queue: {

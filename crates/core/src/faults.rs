@@ -7,24 +7,13 @@
 //! marks are cleared only by the marker draining below the LOW watermark,
 //! which a dead NF never does).
 //!
-//! Faults are *scheduled*, not sampled: a [`FaultPlan`] is a list of
-//! `(time, nf, kind)` triples carried in [`SimConfig`](crate::SimConfig),
-//! so a faulted run is exactly as deterministic as a healthy one — two
-//! same-seed runs with the same plan produce identical trace digests.
-//!
-//! Three fault kinds model the common failure shapes:
-//!
-//! - [`FaultKind::Crash`] — the NF process dies. Every packet it holds
-//!   (RX/TX rings, outbox, in-flight batch) is freed back to the mempool
-//!   as an `NfDown` drop, its scheduler task is parked, its backpressure
-//!   marks are cleared, and entry admission sheds packets for chains
-//!   routed through it (graceful degradation instead of a mempool leak).
-//! - [`FaultKind::Stall`] — the NF stays schedulable but makes no
-//!   progress (an infinite loop): it burns CPU while its queue grows.
-//!   The manager's liveness watchdog detects the frozen progress counter
-//!   and converts the stall into a crash + restart.
-//! - [`FaultKind::Slowdown`] — a transient per-packet cost multiplier
-//!   (cache pollution, a noisy neighbor), reverted after a duration.
+//! Faults are *scheduled*, not sampled: the plan
+//! ([`FaultConfig::events`]) is a list of `(time, nf, kind)` triples
+//! carried in [`SimConfig`](crate::SimConfig), so a faulted run is exactly
+//! as deterministic as a healthy one. The three [`FaultKind`]s model the
+//! common failure shapes: a crash, a stall (an infinite loop, caught by
+//! the liveness [`Watchdog`] and turned into crash + restart) and a
+//! transient slowdown.
 //!
 //! Recovery is manager policy: when enabled, a crashed (or watchdog-
 //! killed) NF is restarted after [`FaultConfig::respawn_delay`], with its
@@ -33,6 +22,7 @@
 
 use nfv_des::{Duration, SimTime};
 use nfv_pkt::NfId;
+use nfv_platform::{NfHealth, NfRuntime};
 
 /// What goes wrong with an NF.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -106,6 +96,68 @@ impl FaultConfig {
     pub fn with_fault(mut self, at: SimTime, nf: NfId, kind: FaultKind) -> Self {
         self.events.push(FaultEvent { at, nf, kind });
         self
+    }
+}
+
+/// The manager's liveness watchdog, scanned on the monitor tick, and the
+/// fault counters. A runnable NF holding pending work whose progress
+/// counter stays frozen for [`FaultConfig::stall_ticks`] consecutive
+/// scans is declared hung. Blocked or deliberately-yielding NFs are never
+/// suspect — only one that should be making progress and isn't.
+#[derive(Debug, Default)]
+pub(crate) struct Watchdog {
+    stall_ticks: u32,
+    /// Per NF: (progress counter at the last scan, consecutive
+    /// no-progress scans with pending work).
+    table: Vec<(u64, u32)>,
+    /// NF crashes applied (injected + watchdog-declared).
+    pub(crate) crashes: u64,
+    /// NF restarts performed by the recovery policy.
+    pub(crate) restarts: u64,
+    pub(crate) stalls_detected: u64,
+}
+
+impl Watchdog {
+    /// A watchdog that declares an NF hung after `stall_ticks` frozen
+    /// scans (`0` disables it).
+    pub(crate) fn new(stall_ticks: u32) -> Self {
+        Watchdog {
+            stall_ticks,
+            ..Watchdog::default()
+        }
+    }
+
+    /// Track one more NF.
+    pub(crate) fn grow(&mut self) {
+        self.table.push((0, 0));
+    }
+
+    /// Restart NF `idx`'s count from its progress counter `processed`.
+    pub(crate) fn rebase(&mut self, idx: usize, processed: u64) {
+        self.table[idx] = (processed, 0);
+    }
+
+    /// Continue this tick's scan at NF index `from`: the next NF declared
+    /// hung, or `None` once every NF is scanned. The hung NF's entry is
+    /// left for the caller's kill to rebase.
+    pub(crate) fn next_hung(&mut self, nfs: &[NfRuntime], from: usize) -> Option<NfId> {
+        if self.stall_ticks == 0 {
+            return None;
+        }
+        for (idx, nf) in nfs.iter().enumerate().skip(from) {
+            let (last, streak) = self.table[idx];
+            let suspect = nf.health != NfHealth::Down && nf.blocked.is_none() && !nf.yield_flag;
+            if suspect && nf.processed == last && nf.pending() > 0 {
+                if streak + 1 >= self.stall_ticks {
+                    self.stalls_detected += 1;
+                    return Some(NfId(idx as u32));
+                }
+                self.table[idx] = (last, streak + 1);
+            } else {
+                self.table[idx] = (nf.processed, 0);
+            }
+        }
+        None
     }
 }
 

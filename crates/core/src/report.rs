@@ -282,11 +282,6 @@ impl Report {
         jain_index(&rates)
     }
 
-    /// Per-NF throughput of a standalone NF (Fig 1): output rate in Mpps.
-    pub fn nf_output_mpps(&self, nf: NfId) -> f64 {
-        self.nfs[nf.index()].output_rate_pps / 1e6
-    }
-
     /// Render a compact human-readable summary (used by examples and the
     /// bench harness).
     pub fn summary(&self) -> String {

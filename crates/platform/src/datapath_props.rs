@@ -9,8 +9,12 @@
 //! step must leave identical state, with rings, outboxes and batches
 //! compared packet by packet (slot ids differ by design).
 
+use super::datapath::admitted;
 use super::*;
-use nfv_pkt::{Enqueue, FiveTuple, Mempool};
+use crate::nf::{NfAction, NfHealth};
+use crate::stats::{DropLocation, TcpEvent, TcpEventKind};
+use nfv_obs::{DropCause, TraceKind, NO_ID};
+use nfv_pkt::{Ecn, Enqueue, FiveTuple, Mempool, Packet, WireFrame};
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 

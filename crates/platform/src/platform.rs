@@ -1,26 +1,31 @@
 //! The NFV platform: shared mempool, NIC, flow table, NF runtimes, chains,
-//! OS scheduler and storage — plus the *mechanism* halves of the manager's
-//! RX and TX threads.
-//!
-//! Policy stays out of this file by design (mirroring the OpenNetVM /
-//! NFVnice split): admission control, ECN marking, wakeup classification
-//! and weight assignment are injected by the engine (the `nfvnice` crate)
-//! through closures and explicit calls. Everything here is bookkeeping
-//! that would exist on any run of the platform, NFVnice or not.
+//! OS scheduler and storage — the [`Platform`] struct, its configuration,
+//! construction, installs and accessors. Its mechanisms sit beside it:
+//! the RX/TX threads and the batch loop (`datapath.rs`), NF lifecycle
+//! (`lifecycle.rs`) and replica routing (`replicas.rs`). Policy
+//! (admission, ECN marking, wakeup classification, weights) is injected
+//! by the engine through closures and explicit calls, mirroring the
+//! OpenNetVM / NFVnice split.
+
+#[path = "datapath.rs"]
+mod datapath;
+#[path = "lifecycle.rs"]
+mod lifecycle;
+#[path = "replicas.rs"]
+mod replicas;
 
 use crate::chain::ChainRegistry;
-use crate::nf::{
-    BlockReason, ForwardAll, IoMode, NfAction, NfHealth, NfRuntime, NfSpec, PacketHandler,
-};
-use crate::stats::{DropLocation, FlowDetail, FlowStats, PlatformStats, TcpEvent, TcpEventKind};
+use crate::nf::{BlockReason, ForwardAll, NfRuntime, NfSpec, PacketHandler};
+use crate::stats::{FlowDetail, FlowStats, PlatformStats};
 use nfv_des::{CpuFreq, Duration, SimTime};
-use nfv_io::{StorageDevice, WriteOutcome};
-use nfv_obs::{DropCause, SleepReason, TraceKind, TraceSink, NO_ID};
+use nfv_io::StorageDevice;
+use nfv_obs::TraceSink;
 use nfv_pkt::{
-    ChainId, Ecn, FlowAging, FlowId, FlowTable, FlowTableKind, FrameRun, Mempool, NfId, Nic,
-    Packet, PacketRun, PktId, Proto, TuplePattern, WireFrame,
+    ChainId, FlowAging, FlowId, FlowTable, FlowTableKind, FrameRun, Mempool, NfId, Nic, PktId,
+    Proto, TuplePattern,
 };
 use nfv_sched::{CfsParams, CgroupCpu, OsScheduler, Policy};
+use replicas::Replicas;
 use std::collections::BTreeSet;
 
 /// Entry-admission hook for [`Platform::rx_poll`]: the NFVnice selective
@@ -33,23 +38,6 @@ use std::collections::BTreeSet;
 /// instance is on every path and the hook degenerates to the classic
 /// per-chain check.
 pub type AdmitFn<'a> = dyn FnMut(ChainId, FlowId, &mut dyn FnMut(NfId) -> bool) -> bool + 'a;
-
-/// The packet an admitted frame of `flow` becomes at its entry NF.
-#[inline]
-fn admitted(frame: WireFrame, flow: FlowId, chain: ChainId, now: SimTime) -> Packet {
-    Packet {
-        tuple: frame.tuple,
-        flow,
-        chain,
-        size: frame.size,
-        arrival: frame.arrival,
-        enqueued_at: now,
-        hops_done: 0,
-        ecn: frame.ecn,
-        seq: frame.seq,
-        cost_class: frame.cost_class,
-    }
-}
 
 /// Static platform configuration.
 #[derive(Debug, Clone)]
@@ -180,21 +168,12 @@ pub struct Platform {
     /// Number of NFs currently `Down` — lets the per-frame dead-chain
     /// check in `rx_poll` short-circuit to nothing in fault-free runs.
     down_nfs: usize,
-    /// Live replica instances per base NF, in spawn order. Chains always
-    /// name base NFs; [`Platform::resolve_instance`] routes each packet
-    /// to an instance of the group at the enqueue sites. Empty (and
-    /// O(1)-skipped everywhere) unless elastic scale-out spawned one.
-    replicas_of: std::collections::BTreeMap<NfId, Vec<NfId>>,
-    /// Per replica group: flows minted *before* the first replica existed
-    /// (`flow.0 < floor`) stay pinned to the base instance, so per-flow
-    /// state never splits mid-flow. Only flows classified after scale-out
-    /// are RSS-sharded.
-    replica_floor: std::collections::BTreeMap<NfId, u32>,
-    /// RSS consistency across group-size changes: the instance a (post-
-    /// floor) flow was first sharded to, pinned for the flow's lifetime.
-    /// Pins to a retired replica are dropped at scale-in; those flows
-    /// re-shard over the remaining group on their next packet.
-    flow_pins: std::collections::BTreeMap<(NfId, FlowId), NfId>,
+    /// Replica groups, established-flow floors and per-flow instance pins
+    /// of elastic scale-out. Chains always name base NFs;
+    /// [`Platform::resolve_instance`] routes each packet to an instance
+    /// of the group at the enqueue sites. Empty (and O(1)-skipped
+    /// everywhere) unless scale-out spawned a replica.
+    replicas: Replicas,
 }
 
 impl Platform {
@@ -220,9 +199,7 @@ impl Platform {
             scratch_classes: Vec::new(),
             scratch_fwd: Vec::new(),
             down_nfs: 0,
-            replicas_of: std::collections::BTreeMap::new(),
-            replica_floor: std::collections::BTreeMap::new(),
-            flow_pins: std::collections::BTreeMap::new(),
+            replicas: Replicas::default(),
             cfg,
         }
     }
@@ -312,6 +289,12 @@ impl Platform {
             + self.tcp_flows.capacity() * std::mem::size_of::<FlowId>()
     }
 
+    /// Whether `flow` was installed as a TCP flow.
+    #[inline]
+    fn is_tcp(&self, flow: FlowId) -> bool {
+        self.tcp_flows.binary_search(&flow).is_ok()
+    }
+
     /// Mark a flow as triggering storage I/O at NFs with I/O profiles.
     pub fn set_io_flow(&mut self, flow: FlowId) {
         self.io_flows.insert(flow);
@@ -337,877 +320,6 @@ impl Platform {
         let task = self.sched.current(core)?;
         // Task ids and NF ids are created in lockstep.
         Some(NfId(task.0))
-    }
-
-    // ------------------------------------------------------------------
-    // RX thread mechanism
-    // ------------------------------------------------------------------
-
-    /// Poll every pending NIC frame, classify, apply entry admission and
-    /// enqueue to each chain's first NF (see [`AdmitFn`] for the
-    /// admission hook contract). TCP congestion feedback is appended to
-    /// `tcp_out`.
-    ///
-    /// The NIC queue holds frame runs. Each run is classified with one
-    /// flow-table operation, and a run dropped at entry (unclassified,
-    /// dead chain or throttled) is counted in O(1); drop traces and TCP
-    /// feedback stay per frame, in frame order. An admitted run enters
-    /// the entry ring as one packet run — one mempool slot, one ring
-    /// entry — cut where the ring or the pool runs out of room. Every
-    /// counter ends up as if each frame had been handled on its own.
-    pub fn rx_poll(&mut self, now: SimTime, admit: &mut AdmitFn<'_>, tcp_out: &mut Vec<TcpEvent>) {
-        let mut runs = std::mem::take(&mut self.scratch_runs);
-        let mut classes = std::mem::take(&mut self.scratch_classes);
-        runs.clear();
-        self.nic.take_rx(&mut runs);
-        // Classification pass: one flow-table operation per run, with the
-        // per-frame counter semantics intact, and the slot misses of cold
-        // lookups overlapped (`FlowTable::classify_runs`). Nothing below
-        // touches the flow table, so classifying up front is the same as
-        // classifying run by run, and a pass of its own keeps admission
-        // work from splitting up the overlapped misses.
-        classes.clear();
-        self.flow_table.classify_runs(&runs, &mut classes);
-        // Per-poll decision cache: within one poll nothing a frame's
-        // admission depends on can change (NF health, backpressure marks
-        // and replica pins are only mutated by other events), so the
-        // chain-health check, entry resolution and admission callback run
-        // once per flow run; the cache survives unclassified runs.
-        let mut cached_flow = FlowId(u32::MAX);
-        let mut cached_entry = NfId(0);
-        let mut cached_admit = false;
-        for (run, &class) in runs.iter().zip(&classes) {
-            let n = run.count as u64;
-            let Some((flow, chain)) = class else {
-                self.stats.unclassified += n;
-                if self.trace.is_on() {
-                    for _ in 0..n {
-                        self.trace_drop(now, DropCause::Unclassified, NO_ID, NO_ID, NO_ID);
-                    }
-                }
-                continue;
-            };
-            let pkts = PacketRun {
-                head: admitted(run.head, flow, chain, now),
-                count: run.count,
-            };
-            if flow != cached_flow {
-                // Wildcard rules can mint new flows at runtime; keep
-                // per-flow stats sized accordingly.
-                self.grow_flow_stats(flow);
-                // Graceful degradation: a chain routed through a dead NF
-                // can never deliver, so shed at entry rather than filling
-                // rings and the mempool with doomed packets. Shed before
-                // the λ accounting — this traffic is not offered load for
-                // the (live) entry NF, and counting it would inflate its
-                // weight for the duration of the outage.
-                if let Some(dead) = self.chain_down_nf(chain) {
-                    self.drop_run(now, &pkts, DropCause::NfDown, dead, false, tcp_out);
-                    continue;
-                }
-                // With replicas, the flow is first sharded to its
-                // instance so each instance's estimator sees only its own
-                // demand.
-                cached_flow = flow;
-                cached_entry = {
-                    let e = self.chains.entry(chain);
-                    self.resolve_instance(e, flow)
-                };
-                cached_admit = {
-                    let this = &mut *self;
-                    let mut on_path = |t: NfId| {
-                        let base = this.canonical_of(t);
-                        this.resolve_instance(base, flow) == t
-                    };
-                    admit(chain, flow, &mut on_path)
-                };
-            }
-            let entry = cached_entry;
-            // The entry NF's offered load (λ) is measured pre-admission:
-            // the RX thread sees every classified frame, and rate-cost
-            // shares must reflect demand, not the post-throttle trickle.
-            self.nfs[entry.index()].note_arrivals(n);
-            if !cached_admit {
-                let cause = DropCause::EntryThrottle;
-                self.drop_run(now, &pkts, cause, entry, false, tcp_out);
-                continue;
-            }
-            // Entry: the prefix that fits both the entry ring and the
-            // mempool takes one slot and one ring entry. A frame takes its
-            // slot before it meets the ring, so the tail drops where the
-            // per-frame path runs out first: at an empty pool (no slot),
-            // or at a full ring (each frame bounces through a slot).
-            let room = self.nfs[entry.index()].rx.room();
-            let avail = self.mempool.available();
-            let take = (run.count as usize).min(room).min(avail) as u32;
-            if take > 0 {
-                let prefix = PacketRun {
-                    count: take,
-                    ..pkts
-                };
-                let id = self.mempool.alloc_run(prefix).expect("sized to the pool");
-                let nf = &mut self.nfs[entry.index()];
-                let rest = nf.rx.enqueue_run(id, &mut self.mempool);
-                debug_assert!(rest.is_none(), "sized to the ring");
-                nf.pending_by_chain.add_n(chain, take);
-            }
-            if take < run.count {
-                let tail = pkts.after(take);
-                let n = u64::from(tail.count);
-                let cause = if avail <= room {
-                    self.mempool.alloc_failures += n;
-                    self.stats.mempool_fail += n;
-                    DropCause::MempoolExhausted
-                } else {
-                    self.mempool.bounce();
-                    self.nfs[entry.index()].rx.refuse(n);
-                    DropCause::RingFull
-                };
-                self.drop_run(now, &tail, cause, entry, false, tcp_out);
-            }
-        }
-        self.scratch_runs = runs;
-        self.scratch_classes = classes;
-    }
-
-    /// Count the packets of `run` dropped for `cause` at NF `nf`: the
-    /// counters move once for the run, and only a traced or TCP run walks
-    /// its packets — a drop trace each (after an ECN mark trace when the
-    /// TX thread `marked` them on the way to `nf`) and a `TcpEvent` each,
-    /// in packet order. The run's slot, if any, is the caller's to free.
-    fn drop_run(
-        &mut self,
-        now: SimTime,
-        run: &PacketRun,
-        cause: DropCause,
-        nf: NfId,
-        marked: bool,
-        tcp_out: &mut Vec<TcpEvent>,
-    ) {
-        let (flow, chain) = (run.head.flow, run.head.chain);
-        let loc = match cause {
-            DropCause::EntryThrottle => DropLocation::EntryThrottle,
-            DropCause::NfDown => DropLocation::NfDown(nf),
-            DropCause::RingFull => DropLocation::RingFull(nf),
-            DropCause::MempoolExhausted => DropLocation::MempoolExhausted,
-            DropCause::Handler => DropLocation::Handler(nf),
-            DropCause::Unclassified | DropCause::NicOverflow => {
-                unreachable!("{cause:?} drops a frame before it has a flow")
-            }
-        };
-        self.stats.dropped_n(flow, chain, loc, u64::from(run.count));
-        let tcp = self.is_tcp(flow);
-        if !tcp && !self.trace.is_on() {
-            return;
-        }
-        for i in 0..u64::from(run.count) {
-            if marked {
-                self.trace.record(now, TraceKind::EcnMark { nf: nf.0 });
-            }
-            self.trace_drop(now, cause, flow.0, chain.0, nf.0);
-            if tcp {
-                tcp_out.push(TcpEvent {
-                    flow,
-                    seq: run.head.seq + i,
-                    kind: TcpEventKind::Dropped,
-                });
-            }
-        }
-    }
-
-    fn trace_drop(&self, now: SimTime, cause: DropCause, flow: u32, chain: u32, nf: u32) {
-        self.trace.record(
-            now,
-            TraceKind::PacketDrop {
-                cause,
-                flow,
-                chain,
-                nf,
-            },
-        );
-    }
-
-    /// Whether `flow` was installed as a TCP flow.
-    #[inline]
-    fn is_tcp(&self, flow: FlowId) -> bool {
-        self.tcp_flows.binary_search(&flow).is_ok()
-    }
-
-    // ------------------------------------------------------------------
-    // TX thread mechanism
-    // ------------------------------------------------------------------
-
-    /// Drain every NF's TX ring: forward packets to the next NF in their
-    /// chain (marking ECN via `mark_ce` when the policy says so) or out the
-    /// NIC at chain end. Returns, via `woken_tx`, NFs whose full TX ring
-    /// gained room (local backpressure release).
-    ///
-    /// Each ring entry is a run of packets that share (flow, chain,
-    /// hops): the next hop is resolved once per run of entries with the
-    /// same key, and a run moves to the next RX ring as one entry, split
-    /// only where the ring runs out of room. `mark_ce` is called once per
-    /// ECT packet and must give the same answer for an NF throughout one
-    /// drain, so a run shares its ECN decision. Drops, traces and
-    /// `TcpEvent`s stay per packet, in ring order, so every counter ends
-    /// as if each packet had been forwarded on its own.
-    pub fn tx_drain(
-        &mut self,
-        now: SimTime,
-        mark_ce: &mut dyn FnMut(NfId) -> bool,
-        tcp_out: &mut Vec<TcpEvent>,
-        woken_tx: &mut Vec<NfId>,
-    ) {
-        for i in 0..self.nfs.len() {
-            if !self.nfs[i].tx.is_empty() {
-                self.forward(NfId(i as u32), now, mark_ce, tcp_out);
-            }
-        }
-        // Local backpressure release: wake NFs that were stalled on a full
-        // TX ring and now have room for their whole outbox.
-        for i in 0..self.nfs.len() {
-            let nf = &self.nfs[i];
-            if nf.blocked == Some(BlockReason::TxFull)
-                && nf.tx.room() >= self.mempool.packets_in(&nf.outbox).max(1)
-            {
-                woken_tx.push(NfId(i as u32));
-            }
-        }
-    }
-
-    /// Drain `from`'s TX ring, forwarding its runs in order (see
-    /// [`Platform::tx_drain`]).
-    fn forward(
-        &mut self,
-        from: NfId,
-        now: SimTime,
-        mark_ce: &mut dyn FnMut(NfId) -> bool,
-        tcp_out: &mut Vec<TcpEvent>,
-    ) {
-        // The current key and its resolved hop: `None` at chain end.
-        let mut key = (FlowId(u32::MAX), ChainId(u32::MAX), u8::MAX);
-        let mut hop: Option<NfId> = None;
-        let mut hop_down = false;
-        let mut tcp = false;
-        while let Some(id) = self.nfs[from.index()]
-            .tx
-            .dequeue_run(u32::MAX, &mut self.mempool)
-        {
-            let run = self.mempool.get(id);
-            let (p, n) = (&run.head, run.count);
-            if (p.flow, p.chain, p.hops_done) != key {
-                key = (p.flow, p.chain, p.hops_done);
-                // Chains name base NFs; shard the flow across the hop's
-                // replica group (no-op without replicas). Nothing in a
-                // drain changes health or pins, so once per key is exact.
-                hop = self
-                    .chains
-                    .nf_at(p.chain, p.hops_done as usize)
-                    .map(|next| self.resolve_instance(next, p.flow));
-                hop_down = hop.is_some_and(|n| self.nfs[n.index()].health == NfHealth::Down);
-                tcp = self.is_tcp(p.flow);
-            }
-            let Some(next) = hop else {
-                // Chain complete: out the wire.
-                self.mempool.free(id);
-                self.nic.transmit_n(p.size, n);
-                let latency = now.since(p.arrival);
-                self.stats
-                    .delivered_n(p.flow, p.chain, p.size, latency, u64::from(n));
-                if tcp {
-                    let kind = TcpEventKind::Delivered {
-                        ce: p.ecn == Ecn::Ce,
-                    };
-                    tcp_out.extend((0..u64::from(n)).map(|i| TcpEvent {
-                        flow: p.flow,
-                        seq: p.seq + i,
-                        kind,
-                    }));
-                }
-                continue;
-            };
-            if hop_down {
-                // A dead next hop cannot accept the packets; the upstream
-                // NF's processing is wasted, same as a full-ring drop.
-                // (Transient: entry shedding stops new traffic for the
-                // chain the moment the NF dies.)
-                self.mempool.free(id);
-                self.drop_run(now, &run, DropCause::NfDown, next, false, tcp_out);
-                self.nfs[from.index()].note_wasted(u64::from(n));
-                continue;
-            }
-            let marked = p.ecn == Ecn::Ect0 && {
-                let mark = mark_ce(next);
-                for _ in 1..n {
-                    let again = mark_ce(next);
-                    debug_assert_eq!(again, mark, "mark_ce changed its answer within a drain");
-                }
-                mark
-            };
-            let head = self.mempool.get_mut(id);
-            head.enqueued_at = now;
-            if marked {
-                head.ecn = Ecn::Ce;
-            }
-            let nf = &mut self.nfs[next.index()];
-            nf.note_arrivals(u64::from(n));
-            let rest = nf.rx.enqueue_run(id, &mut self.mempool);
-            let refused = rest.map_or(0, |r| self.mempool.count(r));
-            nf.rx.refuse(u64::from(refused));
-            nf.pending_by_chain.add_n(p.chain, n - refused);
-            if marked && self.trace.is_on() {
-                for _ in 0..n - refused {
-                    self.trace.record(now, TraceKind::EcnMark { nf: next.0 });
-                }
-            }
-            if let Some(rest) = rest {
-                // The tail met a full ring. The previous NF's work is
-                // wasted.
-                let tail = self.mempool.get(rest);
-                self.mempool.free(rest);
-                self.drop_run(now, &tail, DropCause::RingFull, next, marked, tcp_out);
-                self.nfs[from.index()].note_wasted(u64::from(refused));
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
-    // NF execution mechanism (libnf batch loop)
-    // ------------------------------------------------------------------
-
-    /// Begin a batch for `nf` (the current task on its core). Flushes the
-    /// outbox, honors the yield flag, and dequeues up to `batch_size`
-    /// packets, computing the batch's CPU cost from the NF's cost model.
-    /// The batch holds one row per run; a run longer than the batch's
-    /// remaining room is split, and its tail stays at the head of the RX
-    /// ring.
-    pub fn plan_batch(&mut self, nf_id: NfId) -> BatchPlan {
-        let batch = self.cfg.batch_size;
-        let nf = &mut self.nfs[nf_id.index()];
-        debug_assert!(nf.health != NfHealth::Down, "plan_batch for dead NF");
-        if nf.health == NfHealth::Stalled {
-            // Wedged process: it keeps its task runnable and burns a
-            // batch's worth of CPU without touching its rings — no
-            // dequeues, no outbox flush, no yield cooperation, and the
-            // progress counters stay flat for the watchdog to notice.
-            let spin = nf.spec.cost.mean_cycles().max(1) * batch as u64;
-            let duration = self
-                .cfg
-                .freq
-                .cycles_to_duration(spin)
-                .max(Duration::from_nanos(1));
-            nf.current_batch = Some((duration, 0));
-            return BatchPlan::Run { duration, n: 0 };
-        }
-        // Flush previously processed packets that did not fit in TX, in
-        // order, until the first refusal (which counts once, as the
-        // failed single enqueue that stops a per-packet flush).
-        while let Some(&id) = nf.outbox.front() {
-            match nf.tx.enqueue_run(id, &mut self.mempool) {
-                None => {
-                    nf.outbox.pop_front();
-                }
-                Some(rest) => {
-                    nf.outbox[0] = rest;
-                    nf.tx.refuse(1);
-                    break;
-                }
-            }
-        }
-        if !nf.outbox.is_empty() {
-            return BatchPlan::Block(BlockReason::TxFull);
-        }
-        if nf.yield_flag {
-            nf.yield_flag = false;
-            return BatchPlan::Block(BlockReason::Backpressure);
-        }
-        if nf.rx.is_empty() {
-            return BatchPlan::Block(BlockReason::EmptyRx);
-        }
-        debug_assert!(nf.in_progress.is_empty(), "batch already in progress");
-        // Cost is per packet, and a run's packets share their cost class.
-        // Pending counts move once per run of same-chain rows; `sub_n`
-        // reports exactly the desyncs single `sub`s would.
-        let mut left = batch as u32;
-        let mut cycles = 0u64;
-        let mut run = (ChainId(u32::MAX), 0u32);
-        let mut desync = 0u64;
-        while left > 0 {
-            let Some(id) = nf.rx.dequeue_run(left, &mut self.mempool) else {
-                break;
-            };
-            let PacketRun { head, count } = self.mempool.get(id);
-            // `cost_factor` is the transient slowdown fault (1 = nominal).
-            cycles += nf.spec.cost.cycles(head.cost_class) * u64::from(count) * nf.cost_factor;
-            if head.chain != run.0 {
-                desync += u64::from(nf.pending_by_chain.sub_n(run.0, run.1));
-                run = (head.chain, 0);
-            }
-            run.1 += count;
-            left -= count;
-            nf.in_progress.push(id);
-        }
-        desync += u64::from(nf.pending_by_chain.sub_n(run.0, run.1));
-        self.stats.pending_desync += desync;
-        let n = batch - left as usize;
-        let duration = self
-            .cfg
-            .freq
-            .cycles_to_duration(cycles)
-            .max(Duration::from_nanos(1));
-        nf.current_batch = Some((duration, n));
-        nf.last_ppp = Duration::from_nanos(duration.as_nanos() / n as u64);
-        BatchPlan::Run { duration, n }
-    }
-
-    /// Complete the batch started by [`Platform::plan_batch`]: run the
-    /// handler, perform storage writes, and push survivors toward the TX
-    /// ring (overflow goes to the outbox, in order). The stock
-    /// [`ForwardAll`] handler forwards whole runs; any other handler is
-    /// handed its packets one at a time, each split off into a run of one.
-    pub fn finish_batch(&mut self, nf_id: NfId, now: SimTime) -> BatchEffects {
-        let mut fx = BatchEffects::default();
-        let idx = nf_id.index();
-        // Take the batch vec so the handler can borrow `self`, but hand it
-        // back (cleared) afterwards — its capacity is reused every batch.
-        let mut rows = std::mem::take(&mut self.nfs[idx].in_progress);
-        let (_, n) = self.nfs[idx]
-            .current_batch
-            .take()
-            .expect("finish without plan");
-        debug_assert_eq!(n, self.mempool.packets_in(&rows));
-        let mut handler = self.handlers[idx].take().expect("handler re-entry");
-        let trivial = self.trivial_handler[idx];
-        let io_on = self.nfs[idx].spec.io.is_some() && !self.io_flows.is_empty();
-        let mut sync_bytes = 0u64;
-        // Forwarded runs, in order.
-        let mut fwd = std::mem::take(&mut self.scratch_fwd);
-        for &row in &rows {
-            if trivial {
-                // A stateless forward: skip the dynamic dispatch and move
-                // the whole run on.
-                let p = self.mempool.get_mut(row);
-                p.hops_done += 1;
-                let flow = p.flow;
-                if io_on && self.io_flows.contains(&flow) {
-                    let count = self.mempool.count(row);
-                    self.storage_writes(idx, count, now, &mut sync_bytes, &mut fx);
-                }
-                fwd.push(row);
-                continue;
-            }
-            let mut id = row;
-            loop {
-                let rest = (self.mempool.count(id) > 1).then(|| self.mempool.split(id, 1));
-                let p = self.mempool.get_mut(id);
-                let action = handler.handle(&mut *p, now);
-                let (flow, chain) = (p.flow, p.chain);
-                if action == NfAction::Forward {
-                    p.hops_done += 1;
-                }
-                if io_on && self.io_flows.contains(&flow) {
-                    self.storage_writes(idx, 1, now, &mut sync_bytes, &mut fx);
-                }
-                match action {
-                    NfAction::Drop => {
-                        self.mempool.free(id);
-                        self.stats
-                            .dropped(flow, chain, DropLocation::Handler(nf_id));
-                        self.trace_drop(now, DropCause::Handler, flow.0, chain.0, nf_id.0);
-                    }
-                    NfAction::Forward => fwd.push(id),
-                }
-                match rest {
-                    Some(next) => id = next,
-                    None => break,
-                }
-            }
-        }
-        let nf = &mut self.nfs[idx];
-        nf.processed += n as u64;
-        nf.processed_meter.add(n as u64);
-        for &id in &fwd {
-            if let Some(rest) = nf.tx.enqueue_run(id, &mut self.mempool) {
-                nf.tx.refuse(u64::from(self.mempool.count(rest)));
-                nf.outbox.push_back(rest);
-            }
-        }
-        self.handlers[idx] = Some(handler);
-        rows.clear();
-        self.nfs[idx].in_progress = rows;
-        fwd.clear();
-        self.scratch_fwd = fwd;
-        if sync_bytes > 0 {
-            // Blocking write: the NF sleeps until the device finishes.
-            let completion = self.storage.submit_write(now, sync_bytes);
-            fx.block = Some(BlockReason::Io);
-            fx.io_wake_at = Some(completion);
-        }
-        fx
-    }
-
-    /// Storage writes of `n` processed packets of an I/O flow at NF
-    /// `idx`, one per packet: synchronous bytes add up for one blocking
-    /// write after the batch; asynchronous writes go through the double
-    /// buffer.
-    fn storage_writes(
-        &mut self,
-        idx: usize,
-        n: u32,
-        now: SimTime,
-        sync_bytes: &mut u64,
-        fx: &mut BatchEffects,
-    ) {
-        let io = self.nfs[idx]
-            .spec
-            .io
-            .expect("storage writes without io spec");
-        match io.mode {
-            IoMode::Sync => *sync_bytes += io.bytes_per_packet * u64::from(n),
-            IoMode::Async { .. } => {
-                let dbuf = self.nfs[idx].dbuf.as_mut().expect("async io w/o dbuf");
-                for _ in 0..n {
-                    match dbuf.write(now, io.bytes_per_packet, &mut self.storage) {
-                        WriteOutcome::Buffered => {}
-                        WriteOutcome::Flushing { completion } => {
-                            fx.flush_completions.push(completion);
-                        }
-                        WriteOutcome::Blocked => {
-                            // Both buffers busy: the NF suspends after
-                            // this batch; it is woken by the in-flight
-                            // flush's completion event.
-                            fx.block = Some(BlockReason::Io);
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    /// Deliver a storage-flush completion to `nf`.
-    pub fn on_io_complete(&mut self, nf_id: NfId, now: SimTime) -> IoCompleteOutcome {
-        let idx = nf_id.index();
-        let next_completion = match self.nfs[idx].dbuf.as_mut() {
-            Some(dbuf) => dbuf.on_flush_complete(now, &mut self.storage),
-            None => None, // synchronous write completion
-        };
-        IoCompleteOutcome {
-            next_completion,
-            wake: self.nfs[idx].blocked == Some(BlockReason::Io),
-        }
-    }
-
-    /// Wake a blocked NF: clears its block reason and marks its task
-    /// runnable. Returns `true` if the NF was indeed blocked. A dead NF
-    /// is never woken — its task stays parked until respawn.
-    pub fn wake_nf(&mut self, nf_id: NfId, now: SimTime) -> bool {
-        let nf = &mut self.nfs[nf_id.index()];
-        if nf.health == NfHealth::Down || nf.blocked.is_none() {
-            return false;
-        }
-        nf.blocked = None;
-        let task = nf.task;
-        self.sched.wake(task, now);
-        self.trace.record(now, TraceKind::NfWake { nf: nf_id.0 });
-        true
-    }
-
-    /// Record that the NF on `core` blocked for `reason` (after the engine
-    /// has told the scheduler).
-    pub fn mark_blocked(&mut self, nf_id: NfId, reason: BlockReason, now: SimTime) {
-        self.nfs[nf_id.index()].blocked = Some(reason);
-        let reason = match reason {
-            BlockReason::EmptyRx => SleepReason::EmptyRx,
-            BlockReason::Backpressure => SleepReason::Backpressure,
-            BlockReason::TxFull => SleepReason::TxFull,
-            BlockReason::Io => SleepReason::Io,
-        };
-        self.trace.record(
-            now,
-            TraceKind::NfSleep {
-                nf: nf_id.0,
-                reason,
-            },
-        );
-    }
-
-    // ------------------------------------------------------------------
-    // NF lifecycle (fault injection + recovery mechanism)
-    // ------------------------------------------------------------------
-
-    /// The first dead NF on `chain`'s path, if any. O(1) in fault-free
-    /// runs (no NF is down), O(path length) during an outage.
-    pub fn chain_down_nf(&self, chain: ChainId) -> Option<NfId> {
-        if self.down_nfs == 0 {
-            return None;
-        }
-        self.chains
-            .path(chain)
-            .iter()
-            .copied()
-            .find(|nf| self.nfs[nf.index()].health == NfHealth::Down)
-    }
-
-    /// True when at least one NF is dead.
-    pub fn any_nf_down(&self) -> bool {
-        self.down_nfs > 0
-    }
-
-    /// Kill an NF: every packet it holds (RX/TX rings, outbox, in-flight
-    /// batch) is freed back to the mempool as an `NfDown` drop, its
-    /// control state is cleared, and its scheduler task is parked. TCP
-    /// loss feedback for drained segments is appended to `tcp_out`.
-    ///
-    /// If the NF is mid-batch on its core (task `Running`, a `BatchDone`
-    /// in flight), the task cannot be parked here; the engine blocks it
-    /// at the batch boundary, where `finish_batch` is skipped because the
-    /// batch was already freed. Returns the number of packets freed.
-    pub fn crash_nf(&mut self, nf_id: NfId, now: SimTime, tcp_out: &mut Vec<TcpEvent>) -> usize {
-        let idx = nf_id.index();
-        debug_assert!(self.nfs[idx].health != NfHealth::Down, "crash of dead NF");
-        self.nfs[idx].health = NfHealth::Down;
-        self.down_nfs += 1;
-        self.nfs[idx].blocked = None;
-        self.nfs[idx].yield_flag = false;
-        self.nfs[idx].current_batch = None;
-        self.nfs[idx].cost_factor = 1;
-        self.nfs[idx].pending_by_chain.clear();
-        // nfv-lint: allow(hot-alloc) -- crash drain runs once per injected fault
-        let mut ids: Vec<PktId> = Vec::new();
-        let nf = &mut self.nfs[idx];
-        nf.rx.drain_all(&mut ids);
-        nf.tx.drain_all(&mut ids);
-        ids.extend(nf.outbox.drain(..));
-        ids.append(&mut nf.in_progress);
-        let mut freed = 0;
-        for id in ids {
-            let run = self.mempool.get(id);
-            self.mempool.free(id);
-            freed += run.count as usize;
-            self.drop_run(now, &run, DropCause::NfDown, nf_id, false, tcp_out);
-        }
-        let task = self.nfs[idx].task;
-        self.sched.park(task, now);
-        self.trace.record(now, TraceKind::NfCrash { nf: nf_id.0 });
-        freed
-    }
-
-    /// Respawn a dead NF: the process comes back with empty rings,
-    /// blocked on its (empty) RX ring until the wakeup thread sees new
-    /// pending work. The scheduler task is re-armed in place, keeping the
-    /// task-id/NF-id lockstep invariant.
-    pub fn restart_nf(&mut self, nf_id: NfId, now: SimTime) {
-        let idx = nf_id.index();
-        debug_assert_eq!(self.nfs[idx].health, NfHealth::Down, "restart of live NF");
-        self.nfs[idx].health = NfHealth::Up;
-        self.down_nfs -= 1;
-        self.nfs[idx].cost_factor = 1;
-        self.nfs[idx].last_ppp = Duration::ZERO;
-        self.nfs[idx].blocked = Some(BlockReason::EmptyRx);
-        self.trace.record(now, TraceKind::NfRestart { nf: nf_id.0 });
-    }
-
-    /// Wedge an NF: it stays schedulable but stops making progress (see
-    /// [`Platform::plan_batch`]'s spin path). The caller wakes it if it
-    /// was blocked, so the wedged process visibly burns its core.
-    pub fn stall_nf(&mut self, nf_id: NfId) {
-        let nf = &mut self.nfs[nf_id.index()];
-        debug_assert_eq!(nf.health, NfHealth::Up, "stall of non-running NF");
-        nf.health = NfHealth::Stalled;
-    }
-
-    // ------------------------------------------------------------------
-    // Elastic scaling mechanism (replica spawn / migration / retire)
-    // ------------------------------------------------------------------
-
-    /// The base NF an instance stands in for: itself for ordinary NFs,
-    /// its `replica_of` for scale-out replicas. Chain-position logic
-    /// (suppression, audits) always compares canonical ids.
-    pub fn canonical_of(&self, nf: NfId) -> NfId {
-        self.nfs[nf.index()].replica_of.unwrap_or(nf)
-    }
-
-    /// True when `nf` is a scale-out replica (never named on a chain).
-    pub fn is_replica(&self, nf: NfId) -> bool {
-        self.nfs[nf.index()].replica_of.is_some()
-    }
-
-    /// Live replicas of `base`, in spawn order (empty for unreplicated
-    /// NFs).
-    pub fn replica_group(&self, base: NfId) -> &[NfId] {
-        self.replicas_of.get(&base).map_or(&[], |g| g.as_slice())
-    }
-
-    /// Base NFs that currently have at least one live replica.
-    pub fn replicated_bases(&self) -> impl Iterator<Item = NfId> + '_ {
-        self.replicas_of.keys().copied()
-    }
-
-    /// Spawn a replica of `of` on `core`: a fresh NF runtime with the
-    /// base's spec (fresh rings, default forward handler — per-flow state
-    /// never splits because established flows stay pinned to their
-    /// original instance) and a fresh scheduler task, registered at the
-    /// end of the NF table so the task-id/NF-id lockstep invariant holds.
-    /// The first spawn for a base records the established-flow floor:
-    /// every flow minted before it stays on the base.
-    pub fn add_replica(&mut self, of: NfId, core: usize, now: SimTime) -> NfId {
-        assert!(core < self.cfg.nf_cores, "replica pinned to missing core");
-        assert!(
-            self.nfs[of.index()].replica_of.is_none(),
-            "replica of a replica"
-        );
-        let nth = self.replica_group(of).len() + 1;
-        let mut spec = self.nfs[of.index()].spec.clone();
-        spec.core = core;
-        spec.name = format!("{}~{nth}", spec.name); // nfv-lint: allow(hot-alloc) -- one-time per scale-out action, not per packet
-        let id = self.add_nf_with_handler(spec, Box::new(ForwardAll)); // nfv-lint: allow(hot-alloc) -- one-time per scale-out action, not per packet
-        self.trivial_handler[id.index()] = true;
-        self.nfs[id.index()].replica_of = Some(of);
-        self.replica_floor
-            .entry(of)
-            .or_insert(self.stats.flows.len() as u32);
-        self.replicas_of.entry(of).or_default().push(id);
-        self.trace.record(
-            now,
-            TraceKind::NfScaleOut {
-                nf: of.0,
-                replica: id.0,
-                core: core as u32,
-            },
-        );
-        id
-    }
-
-    /// Re-pin an off-CPU NF to `to_core`: park (a no-op if already
-    /// blocked), re-home the scheduler task, and leave the NF blocked on
-    /// its rings — which move with it untouched — until the wakeup thread
-    /// sees its pending work. The caller must not call this for the task
-    /// currently running on its core (the engine defers to a batch
-    /// boundary); rings, estimator and shares are the engine's to fix up.
-    pub fn migrate_nf(&mut self, nf_id: NfId, to_core: usize, now: SimTime) {
-        assert!(to_core < self.cfg.nf_cores, "migration to missing core");
-        let idx = nf_id.index();
-        let from = self.nfs[idx].spec.core;
-        debug_assert_ne!(from, to_core, "migration to the same core");
-        let task = self.nfs[idx].task;
-        let parked = self.sched.park(task, now);
-        debug_assert!(parked, "migrate_nf of a Running task");
-        self.sched.rehome_task(task, to_core);
-        self.nfs[idx].spec.core = to_core;
-        // Blocked-on-empty-RX is the wakeup thread's cue to re-admit the
-        // NF (on its new core) as soon as it has pending packets.
-        self.nfs[idx].blocked = Some(BlockReason::EmptyRx);
-        self.nfs[idx].yield_flag = false;
-        self.trace.record(
-            now,
-            TraceKind::NfMigrate {
-                nf: nf_id.0,
-                from: from as u32,
-                to: to_core as u32,
-            },
-        );
-    }
-
-    /// Retire a drained replica (scale-in): remove it from its group so
-    /// no further packets route to it, drop its flow pins (those flows
-    /// re-shard over the remaining group), and park its task for good.
-    /// The instance must be empty — the elastic controller only retires
-    /// replicas whose rings and batch are idle, so nothing is dropped.
-    ///
-    /// The runtime slot is marked `Down` but deliberately *not* counted
-    /// in `down_nfs`: replicas never appear on chain paths, so the
-    /// dead-chain scan has nothing to find and fault-free runs keep their
-    /// O(1) short-circuit.
-    pub fn retire_replica(&mut self, replica: NfId, now: SimTime) {
-        let idx = replica.index();
-        let base = self.nfs[idx].replica_of.expect("retire of a base NF");
-        debug_assert!(
-            self.nfs[idx].rx.is_empty()
-                && self.nfs[idx].tx.is_empty()
-                && self.nfs[idx].outbox.is_empty()
-                && self.nfs[idx].in_progress.is_empty(),
-            "retire of a non-drained replica"
-        );
-        self.nfs[idx].health = NfHealth::Down;
-        self.nfs[idx].blocked = None;
-        self.nfs[idx].yield_flag = false;
-        self.nfs[idx].pending_by_chain.clear();
-        let group = self.replicas_of.get_mut(&base).expect("orphan replica");
-        group.retain(|&r| r != replica);
-        if group.is_empty() {
-            self.replicas_of.remove(&base);
-            self.replica_floor.remove(&base);
-        }
-        self.flow_pins.retain(|_, &mut inst| inst != replica);
-        let task = self.nfs[idx].task;
-        self.sched.park(task, now);
-        self.trace.record(
-            now,
-            TraceKind::NfScaleIn {
-                nf: base.0,
-                replica: replica.0,
-            },
-        );
-    }
-
-    /// Route a packet of `flow` bound for chain hop `target` (always a
-    /// base NF) to an instance of the target's replica group:
-    ///
-    /// - no replicas → the base itself (the O(1) fast path for every run
-    ///   without elastic scale-out);
-    /// - flows older than the group (minted before the first replica
-    ///   existed) → the base, always: per-flow state never splits;
-    /// - younger flows → RSS-style tuple-hash modulo the instance count,
-    ///   pinned on first resolution so a later group-size change cannot
-    ///   re-shard an active flow;
-    /// - a pin to an instance that has since died falls back to the base
-    ///   (without re-pinning, so the instance resumes service on respawn).
-    #[inline]
-    pub fn resolve_instance(&mut self, target: NfId, flow: FlowId) -> NfId {
-        // Fast path kept inlinable: replica-free runs (the default) pay
-        // one emptiness branch per resolution, not an outlined call.
-        if self.replicas_of.is_empty() {
-            return target;
-        }
-        self.resolve_instance_sharded(target, flow)
-    }
-
-    /// Replica-sharding slow path of [`Platform::resolve_instance`].
-    fn resolve_instance_sharded(&mut self, target: NfId, flow: FlowId) -> NfId {
-        let Some(group) = self.replicas_of.get(&target) else {
-            return target;
-        };
-        if flow.0 < self.replica_floor[&target] {
-            return target;
-        }
-        let inst = match self.flow_pins.get(&(target, flow)) {
-            Some(&pinned) => pinned,
-            None => {
-                let n = group.len() + 1;
-                let shard = Self::rss_hash(flow) % n as u64;
-                let inst = if shard == 0 {
-                    target
-                } else {
-                    group[shard as usize - 1]
-                };
-                self.flow_pins.insert((target, flow), inst);
-                inst
-            }
-        };
-        if self.nfs[inst.index()].health == NfHealth::Down {
-            return target;
-        }
-        inst
-    }
-
-    /// FNV-1a over the flow key — the sim's stand-in for an RSS tuple
-    /// hash (a flow id is minted per distinct 5-tuple). Cheap,
-    /// deterministic, and spreads consecutive ids across shards.
-    fn rss_hash(flow: FlowId) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for b in flow.0.to_le_bytes() {
-            h = (h ^ u64::from(b)).wrapping_mul(0x100_0000_01b3);
-        }
-        h
     }
 
     /// Age of the packet at the head of `nf`'s RX ring (how long it has
@@ -1251,7 +363,10 @@ impl Platform {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nfv_pkt::{FiveTuple, WireFrame};
+    use crate::nf::{IoMode, NfAction, NfHealth};
+    use crate::stats::{TcpEvent, TcpEventKind};
+    use nfv_obs::{DropCause, TraceKind, NO_ID};
+    use nfv_pkt::{Ecn, FiveTuple, Packet, WireFrame};
 
     /// The single-core config every platform unit test runs on. One
     /// fixture instead of a hand-rolled `PlatformConfig` literal per test.
@@ -2041,11 +1156,11 @@ mod tests {
             let f = p.install_flow(FiveTuple::synthetic(i, Proto::Udp), chain);
             p.resolve_instance(b, f);
         }
-        assert!(!p.flow_pins.is_empty());
+        assert!(!p.replicas.pins().is_empty());
         p.retire_replica(r, SimTime::from_micros(1));
         assert!(p.replica_group(b).is_empty());
         assert!(
-            p.flow_pins.values().all(|&inst| inst != r),
+            p.replicas.pins().values().all(|&inst| inst != r),
             "no pin may survive to the retired instance"
         );
         assert_eq!(p.nfs[r.index()].health, NfHealth::Down);

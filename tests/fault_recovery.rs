@@ -196,3 +196,48 @@ fn watchdog_detects_stall_and_restarts() {
     let r2 = run();
     assert_eq!(r.trace_digest, r2.trace_digest, "watchdog path diverged");
 }
+
+/// A heavy entry NF (a full 32-packet batch takes ~0.6 ms) offered
+/// `rate` pps wedges at 5 ms; the watchdog (2 ticks) kills it at 8 ms
+/// and it respawns 0.5 ms later, before the next scan. Returns the
+/// report of a 30 ms run.
+fn fast_respawn_after_a_stall(rate: f64) -> nfvnice::Report {
+    let mut cfg = faulted_cfg(5, None, true);
+    cfg.faults.stall_ticks = 2;
+    cfg.faults.respawn_delay = Duration::from_micros(500);
+    cfg.faults = cfg
+        .faults
+        .with_fault(SimTime::from_millis(5), NfId(0), FaultKind::Stall);
+    let mut sim = Simulation::new(cfg);
+    let heavy = sim.add_nf(NfSpec::new("heavy", 0, 50_000));
+    let chain = sim.add_chain(&[heavy]);
+    sim.add_udp(chain, rate, 64);
+    let r = sim.run(Duration::from_millis(30));
+    sim.sanitizer.assert_clean();
+    assert!(r.chains[0].delivered > 0);
+    r
+}
+
+/// At a light load the killed NF's last spin batch is still on the CPU
+/// when it respawns. That batch's end event must retire the old
+/// incarnation's task and leave the fresh one blocked on its RX ring
+/// for the wakeup thread to re-admit — not look for the batch the crash
+/// freed, and not leave an unblocked NF with a parked task for the
+/// watchdog to kill again.
+#[test]
+fn respawn_during_the_killed_batch_readmits_the_nf() {
+    let r = fast_respawn_after_a_stall(100_000.0);
+    assert_eq!(r.nf_stalls_detected, 1, "one stall: the injected one");
+    assert_eq!((r.nf_crashes, r.nf_restarts), (1, 1));
+}
+
+/// At 100× its capacity the respawned NF's first batch is a full one,
+/// still running at the next scan with its progress counter unmoved
+/// since the stall. The watchdog must judge it from its restart, not
+/// from the streak that got it killed.
+#[test]
+fn respawn_restarts_the_watchdog_count() {
+    let r = fast_respawn_after_a_stall(5_000_000.0);
+    assert_eq!(r.nf_stalls_detected, 1, "one stall: the injected one");
+    assert_eq!((r.nf_crashes, r.nf_restarts), (1, 1));
+}
