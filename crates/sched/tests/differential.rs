@@ -63,23 +63,6 @@ fn cmd() -> impl Strategy<Value = Cmd> {
     ]
 }
 
-/// CFS Normal is listed three times (the shim's `prop_oneof!` has no
-/// weighted arms): it is the one policy with wakeup preemption.
-fn policies() -> impl Strategy<Value = Policy> {
-    prop_oneof![
-        Just(Policy::CfsNormal),
-        Just(Policy::CfsNormal),
-        Just(Policy::CfsNormal),
-        Just(Policy::CfsBatch),
-        Just(Policy::rr_1ms()),
-        Just(Policy::Cooperative),
-        Just(Policy::Edf {
-            period: Duration::from_millis(1)
-        }),
-        Just(Policy::Slo),
-    ]
-}
-
 /// The platform-facing calls both schedulers answer.
 trait Driver {
     fn add_task(&mut self, name: String, core: usize) -> TaskId;
@@ -241,26 +224,110 @@ fn fingerprint(s: &KernelCtx, now: SimTime) -> Fingerprint {
     }
 }
 
-proptest! {
-    /// For every policy, the hook-based driver and the classic reference
-    /// model stay in lockstep over arbitrary command streams.
-    #[test]
-    fn backends_stay_in_lockstep(
-        policy in policies(),
-        cmds in prop::collection::vec(cmd(), 1..120),
-    ) {
-        let (cfs, cs_cost) = (CfsParams::default(), Duration::from_micros(2));
-        let mut hooks = with_tasks(OsScheduler::new(CORES, policy, cfs, cs_cost));
-        let mut classic = with_tasks(ClassicScheduler::new(CORES, policy, cfs, cs_cost));
-        let mut now_h = SimTime::ZERO;
-        let mut now_c = SimTime::ZERO;
-        for (i, c) in cmds.iter().enumerate() {
-            apply(&mut hooks, c, &mut now_h);
-            apply(&mut classic, c, &mut now_c);
-            prop_assert_eq!(now_h, now_c);
-            let fh = fingerprint(hooks.kernel(), now_h);
-            let fc = fingerprint(classic.kernel(), now_c);
-            prop_assert_eq!(fh, fc, "divergence after cmd {} = {:?} ({:?})", i, c, policy);
+/// FNV-1a over little-endian `u64` words.
+struct Fnv(u64);
+
+impl Fnv {
+    fn new() -> Self {
+        Fnv(0xcbf2_9ce4_8422_2325)
+    }
+
+    fn word(&mut self, w: u64) {
+        for b in w.to_le_bytes() {
+            self.0 ^= b as u64;
+            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
+    }
+
+    fn fingerprint(&mut self, f: &Fingerprint) {
+        for &(state, vr, dl, cpu, vol, invol, disp) in &f.tasks {
+            let state = match state {
+                TaskState::Blocked => 0,
+                TaskState::Runnable => 1,
+                TaskState::Running => 2,
+            };
+            for w in [state, vr, dl, cpu, vol, invol, disp] {
+                self.word(w);
+            }
+        }
+        for &(current, queued, resched, busy) in &f.cores {
+            for w in [
+                current.map_or(u64::MAX, |t| u64::from(t.0)),
+                queued as u64,
+                u64::from(resched),
+                busy,
+            ] {
+                self.word(w);
+            }
+        }
+    }
+}
+
+/// The pinned configurations: every policy, both RR quanta.
+fn configs() -> [(&'static str, Policy); 7] {
+    [
+        ("cfs_normal", Policy::CfsNormal),
+        ("cfs_batch", Policy::CfsBatch),
+        ("rr_1ms", Policy::rr_1ms()),
+        ("rr_100ms", Policy::rr_100ms()),
+        ("cooperative", Policy::Cooperative),
+        (
+            "edf_1ms",
+            Policy::Edf {
+                period: Duration::from_millis(1),
+            },
+        ),
+        ("slo", Policy::Slo),
+    ]
+}
+
+/// 32 generated command streams, the same for every configuration.
+fn streams() -> Vec<Vec<Cmd>> {
+    let mut rng = TestRng::deterministic("nfv_sched::differential::streams");
+    let strat = prop::collection::vec(cmd(), 1..120);
+    (0..32).map(|_| strat.generate(&mut rng)).collect()
+}
+
+/// One FNV-1a digest of the fingerprint after every command of every
+/// stream, run under `policy`.
+fn digest<S: Driver>(mk: impl Fn() -> S, streams: &[Vec<Cmd>]) -> u64 {
+    let mut h = Fnv::new();
+    for cmds in streams {
+        let mut s = with_tasks(mk());
+        let mut now = SimTime::ZERO;
+        for c in cmds {
+            apply(&mut s, c, &mut now);
+            h.fingerprint(&fingerprint(s.kernel(), now));
+        }
+    }
+    h.0
+}
+
+/// Digests recorded per configuration; any change to a scheduling
+/// decision, a state transition or the accounting moves one of them.
+const PINNED: [(&str, u64); 7] = [
+    ("cfs_normal", 0x8276_af1a_a2dd_8816),
+    ("cfs_batch", 0xf6b7_6983_4718_e83b),
+    ("rr_1ms", 0xeef4_e338_8b75_9649),
+    ("rr_100ms", 0xe809_3ceb_8370_07cf),
+    ("cooperative", 0xe809_3ceb_8370_07cf),
+    ("edf_1ms", 0x33f8_c6c8_349c_2335),
+    ("slo", 0xe93e_2bfc_6f83_279c),
+];
+
+#[test]
+fn policies_keep_their_pinned_digests() {
+    let (cfs, cs_cost) = (CfsParams::default(), Duration::from_micros(2));
+    let streams = streams();
+    let mut got = Vec::new();
+    for (name, policy) in configs() {
+        let hooks = digest(|| OsScheduler::new(CORES, policy, cfs, cs_cost), &streams);
+        let classic = digest(|| ClassicScheduler::new(CORES, policy, cfs, cs_cost), &streams);
+        assert_eq!(hooks, classic, "{name}: hook driver and classic model diverge");
+        got.push((name, hooks));
+    }
+    for ((name, d), (pname, pinned)) in got.iter().zip(PINNED) {
+        assert_eq!(*name, pname);
+        assert_eq!(*d, pinned, "{name}: digest moved to {d:#018x}");
     }
 }
