@@ -175,13 +175,11 @@ type NfSchedPin = (u64, u64, f64, f64);
 
 #[test]
 fn sched_policies_keep_their_pinned_runs() {
-    // Each policy's hooks, on a full fig7-style overloaded-chain sim:
-    // the trace digest, delivery counts, wasted drops, chain p99 and
-    // per-NF switch counters are pinned to the values the hook-based and
-    // the classic monolithic scheduler both produced
-    // (crates/sched/tests/differential.rs keeps that monolith as a
-    // reference model). Poisson arrivals so RNG draws depend on event
-    // order.
+    // Each policy on a full fig7-style overloaded-chain sim: the trace
+    // digest, delivery counts, wasted drops, chain p99 and per-NF switch
+    // counters are pinned to recorded values (the scheduler-level
+    // counterpart is crates/sched/tests/differential.rs, one digest per
+    // policy). Poisson arrivals so RNG draws depend on event order.
     let run = |policy: Policy| {
         let mut sim = Simulation::new(base_cfg(1, policy, NfvniceConfig::full()));
         let a = sim.add_nf(NfSpec::new("light", 0, 120));

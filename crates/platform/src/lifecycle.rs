@@ -40,7 +40,7 @@ impl Platform {
     pub fn crash_nf(&mut self, nf_id: NfId, now: SimTime, tcp_out: &mut Vec<TcpEvent>) -> usize {
         let idx = nf_id.index();
         debug_assert!(self.nfs[idx].health != NfHealth::Down, "crash of dead NF");
-        self.take_down(idx, now);
+        self.take_down(idx);
         self.down_nfs += 1;
         let nf = &mut self.nfs[idx];
         nf.current_batch = None;
@@ -64,14 +64,14 @@ impl Platform {
 
     /// Take NF `idx` out of service, the teardown a crash and a scale-in
     /// share: `Down`, unblocked, no yield or pending work, task parked.
-    fn take_down(&mut self, idx: usize, now: SimTime) {
+    fn take_down(&mut self, idx: usize) {
         let nf = &mut self.nfs[idx];
         nf.health = NfHealth::Down;
         nf.blocked = None;
         nf.yield_flag = false;
         nf.pending_by_chain.clear();
         let task = nf.task;
-        self.sched.park(task, now);
+        self.sched.park(task);
     }
 
     /// Respawn a dead NF: the process comes back with empty rings,
@@ -165,7 +165,7 @@ impl Platform {
         let from = self.nfs[idx].spec.core;
         debug_assert_ne!(from, to_core, "migration to the same core");
         let task = self.nfs[idx].task;
-        let parked = self.sched.park(task, now);
+        let parked = self.sched.park(task);
         debug_assert!(parked, "migrate_nf of a Running task");
         self.sched.rehome_task(task, to_core);
         self.nfs[idx].spec.core = to_core;
@@ -203,7 +203,7 @@ impl Platform {
                 && self.nfs[idx].in_progress.is_empty(),
             "retire of a non-drained replica"
         );
-        self.take_down(idx, now);
+        self.take_down(idx);
         self.replicas.remove(base, replica);
         self.trace.record(
             now,

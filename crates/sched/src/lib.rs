@@ -14,25 +14,20 @@
 //! context switches, CPU time, scheduling latency) reproduces the columns
 //! of the paper's Tables 1, 2 and 4.
 //!
-//! Policies are implemented as sched_ext-style [`Scheduler`] hooks over a
-//! neutral [`KernelCtx`] and driven by [`OsScheduler`] through the
-//! [`PolicyDispatch`] enum (statically dispatched — no trait objects;
-//! DESIGN.md §12).
+//! One struct, [`OsScheduler`], holds the task table and per-core
+//! runqueues; every policy decision is a private function of it that
+//! matches on the [`Policy`] (DESIGN.md §12).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod cgroup;
-pub mod hooks;
-pub mod kernel;
 pub mod params;
-pub mod runqueue;
+mod runqueue;
 pub mod scheduler;
 pub mod task;
 
 pub use cgroup::CgroupCpu;
-pub use hooks::{CfsSched, CoopSched, EdfSched, EnqueueFlags, PolicyDispatch, RrSched, Scheduler};
-pub use kernel::{CoreCtx, KernelCtx};
 pub use params::{CfsParams, Policy, MAX_SHARES, MIN_SHARES, NICE0_WEIGHT, SLO_DEFAULT_BUDGET};
 pub use scheduler::OsScheduler;
 pub use task::{SwitchKind, Task, TaskId, TaskState};

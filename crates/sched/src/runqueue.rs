@@ -1,202 +1,89 @@
-//! Per-core runqueues: a CFS red-black-tree equivalent, an RR FIFO and a
-//! deadline-ordered tree for the EDF/SLO policies.
+//! The per-core runqueue: one ordered set serves every policy.
 
 use crate::task::TaskId;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::BTreeSet;
 
-/// The queue of runnable (not running) tasks on one core.
-///
-/// CFS keeps tasks ordered by `(vruntime, id)` — the kernel uses a
-/// red-black tree; a B-tree set gives the same ordering guarantees and
-/// complexity. RR keeps strict FIFO arrival order. EDF orders by
-/// `(absolute deadline, id)`.
-#[derive(Debug)]
-pub enum RunQueue {
-    /// Virtual-runtime ordered queue (CFS Normal and Batch).
-    Cfs {
-        /// Tasks keyed by (vruntime, id); leftmost runs next.
-        tree: BTreeSet<(u64, TaskId)>,
-        /// Monotonic floor of vruntime on this core, used to place waking
-        /// tasks so sleepers neither starve nor dominate. Advanced on pop
-        /// *and* against the running task at every charge boundary (real
-        /// CFS tracks `curr` too — a floor that only moves on pops
-        /// freezes while one task runs alone).
-        min_vruntime: u64,
-    },
-    /// FIFO queue (round robin and cooperative).
-    Rr {
-        /// Tasks in arrival order.
-        fifo: VecDeque<TaskId>,
-    },
-    /// Deadline-ordered queue (EDF and SLO policies).
-    Edf {
-        /// Tasks keyed by (absolute deadline ns, id); earliest runs next.
-        tree: BTreeSet<(u64, TaskId)>,
-    },
+/// The queue of runnable (not running) tasks on one core, ordered by
+/// `(key, id)`; the smallest runs next. The key is the policy's choice
+/// (`OsScheduler::queue_key`): vruntime under CFS — the kernel uses a
+/// red-black tree, a B-tree set gives the same order and complexity —,
+/// the absolute deadline under EDF/SLO, and an arrival sequence number
+/// from [`RunQueue::next_seq`] under RR and Cooperative, which makes the
+/// set a strict FIFO.
+#[derive(Debug, Default)]
+pub(crate) struct RunQueue {
+    tree: BTreeSet<(u64, TaskId)>,
+    /// Monotonic vruntime floor of this core, used to place waking and
+    /// newly added tasks so sleepers neither starve nor dominate. Only
+    /// CFS advances it; it stays 0 under the other policies.
+    min_vruntime: u64,
+    /// The next arrival sequence number.
+    next_seq: u64,
 }
 
 impl RunQueue {
-    /// Empty CFS queue.
-    pub fn cfs() -> Self {
-        RunQueue::Cfs {
-            tree: BTreeSet::new(),
-            min_vruntime: 0,
-        }
+    /// Insert a runnable task under `key`.
+    pub(crate) fn insert(&mut self, id: TaskId, key: u64) {
+        debug_assert!(self.iter().all(|t| t != id), "task {id} double-inserted");
+        self.tree.insert((key, id));
     }
 
-    /// Empty RR queue.
-    pub fn rr() -> Self {
-        RunQueue::Rr {
-            fifo: VecDeque::new(),
-        }
+    /// Remove and return the task with the smallest key.
+    pub(crate) fn pop_next(&mut self) -> Option<TaskId> {
+        self.tree.pop_first().map(|(_, id)| id)
     }
 
-    /// Empty deadline queue.
-    pub fn edf() -> Self {
-        RunQueue::Edf {
-            tree: BTreeSet::new(),
-        }
+    /// Current `min_vruntime`.
+    pub(crate) fn min_vruntime(&self) -> u64 {
+        self.min_vruntime
     }
 
-    /// Insert a runnable task. `key` is the ordering key — vruntime for
-    /// CFS, absolute deadline for EDF; ignored by RR.
-    pub fn insert(&mut self, id: TaskId, key: u64) {
-        match self {
-            RunQueue::Cfs { tree, .. } | RunQueue::Edf { tree } => {
-                let fresh = tree.insert((key, id));
-                debug_assert!(fresh, "task {id} double-inserted");
-            }
-            RunQueue::Rr { fifo } => {
-                debug_assert!(!fifo.contains(&id), "task {id} double-inserted");
-                fifo.push_back(id);
-            }
-        }
+    /// Raise `min_vruntime` to `floor` if it is behind; it never
+    /// regresses.
+    pub(crate) fn advance_min_vruntime(&mut self, floor: u64) {
+        self.min_vruntime = self.min_vruntime.max(floor);
     }
 
-    /// Remove and return the next task to run, advancing `min_vruntime`
-    /// for CFS.
-    pub fn pop_next(&mut self) -> Option<TaskId> {
-        match self {
-            RunQueue::Cfs { tree, min_vruntime } => {
-                let &(v, id) = tree.iter().next()?;
-                tree.remove(&(v, id));
-                *min_vruntime = (*min_vruntime).max(v);
-                Some(id)
-            }
-            RunQueue::Rr { fifo } => fifo.pop_front(),
-            RunQueue::Edf { tree } => {
-                let &(d, id) = tree.iter().next()?;
-                tree.remove(&(d, id));
-                Some(id)
-            }
-        }
-    }
-
-    /// Current `min_vruntime` (0 for RR/EDF, which have no such notion).
-    pub fn min_vruntime(&self) -> u64 {
-        match self {
-            RunQueue::Cfs { min_vruntime, .. } => *min_vruntime,
-            RunQueue::Rr { .. } | RunQueue::Edf { .. } => 0,
-        }
-    }
-
-    /// Raise `min_vruntime` to `floor` if it is behind (CFS only; no-op
-    /// elsewhere). Called at charge boundaries with
-    /// `min(curr.vruntime, leftmost)` so the floor keeps tracking a task
-    /// running alone — the staleness that otherwise lets a waking sleeper
-    /// monopolize the core.
-    pub fn advance_min_vruntime(&mut self, floor: u64) {
-        if let RunQueue::Cfs { min_vruntime, .. } = self {
-            *min_vruntime = (*min_vruntime).max(floor);
-        }
+    /// Take the next arrival sequence number.
+    pub(crate) fn next_seq(&mut self) -> u64 {
+        self.next_seq += 1;
+        self.next_seq
     }
 
     /// Number of queued (runnable, not running) tasks.
-    pub fn len(&self) -> usize {
-        match self {
-            RunQueue::Cfs { tree, .. } | RunQueue::Edf { tree } => tree.len(),
-            RunQueue::Rr { fifo } => fifo.len(),
-        }
+    pub(crate) fn len(&self) -> usize {
+        self.tree.len()
     }
 
     /// True when no tasks are queued.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
+    pub(crate) fn is_empty(&self) -> bool {
+        self.tree.is_empty()
     }
 
-    /// Iterate over queued task ids (order: next-to-run first for CFS and
-    /// EDF, FIFO order for RR).
-    pub fn iter(&self) -> QueuedIter<'_> {
-        match self {
-            RunQueue::Cfs { tree, .. } | RunQueue::Edf { tree } => QueuedIter::Keyed(tree.iter()),
-            RunQueue::Rr { fifo } => QueuedIter::Rr(fifo.iter()),
-        }
+    /// Queued task ids, next-to-run first.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = TaskId> + '_ {
+        self.tree.iter().map(|&(_, id)| id)
     }
 
     /// The task that would run next, without removing it.
-    pub fn head(&self) -> Option<TaskId> {
+    pub(crate) fn head(&self) -> Option<TaskId> {
         self.iter().next()
+    }
+
+    /// Smallest queued key, if any.
+    pub(crate) fn leftmost_key(&self) -> Option<u64> {
+        self.tree.first().map(|&(k, _)| k)
     }
 
     /// Remove a specific queued task (wherever it sits), returning whether
     /// it was present. Used when a runnable task is parked (e.g. its NF
     /// crashed) and must leave the queue without being dispatched.
-    pub fn remove(&mut self, id: TaskId) -> bool {
-        match self {
-            RunQueue::Cfs { tree, .. } | RunQueue::Edf { tree } => {
-                // The tree is keyed by (key, id); a linear scan finds the
-                // entry without the caller having to know the key. Queues
-                // hold at most a handful of NFs per core.
-                match tree.iter().find(|&&(_, t)| t == id).copied() {
-                    Some(key) => tree.remove(&key),
-                    None => false,
-                }
-            }
-            RunQueue::Rr { fifo } => {
-                let before = fifo.len();
-                fifo.retain(|&t| t != id);
-                fifo.len() != before
-            }
-        }
-    }
-
-    /// Smallest queued ordering key, if any (CFS vruntime / EDF deadline).
-    pub fn leftmost_key(&self) -> Option<u64> {
-        match self {
-            RunQueue::Cfs { tree, .. } | RunQueue::Edf { tree } => {
-                tree.iter().next().map(|&(v, _)| v)
-            }
-            RunQueue::Rr { .. } => None,
-        }
-    }
-}
-
-/// Borrowing iterator over a [`RunQueue`]'s task ids. An enum over the
-/// two backing collections' iterators — no `Box<dyn Iterator>`, which
-/// would both violate the no-trait-objects layering convention and
-/// allocate on the per-dispatch path (`slice` walks the queue to sum
-/// runnable weights on every pick).
-#[derive(Debug)]
-pub enum QueuedIter<'a> {
-    /// CFS/EDF: `(key, id)` pairs in tree order, next-to-run first.
-    Keyed(std::collections::btree_set::Iter<'a, (u64, TaskId)>),
-    /// RR: FIFO arrival order.
-    Rr(std::collections::vec_deque::Iter<'a, TaskId>),
-}
-
-impl Iterator for QueuedIter<'_> {
-    type Item = TaskId;
-    fn next(&mut self) -> Option<TaskId> {
-        match self {
-            QueuedIter::Keyed(it) => it.next().map(|&(_, id)| id),
-            QueuedIter::Rr(it) => it.next().copied(),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            QueuedIter::Keyed(it) => it.size_hint(),
-            QueuedIter::Rr(it) => it.size_hint(),
+    pub(crate) fn remove(&mut self, id: TaskId) -> bool {
+        // A linear scan finds the entry without the caller having to know
+        // the key. Queues hold at most a handful of NFs per core.
+        match self.tree.iter().find(|&&(_, t)| t == id).copied() {
+            Some(entry) => self.tree.remove(&entry),
+            None => false,
         }
     }
 }
@@ -204,10 +91,12 @@ impl Iterator for QueuedIter<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{CfsParams, OsScheduler, Policy, SwitchKind};
+    use nfv_des::{Duration, SimTime};
 
     #[test]
     fn cfs_pops_lowest_vruntime() {
-        let mut rq = RunQueue::cfs();
+        let mut rq = RunQueue::default();
         rq.insert(TaskId(1), 300);
         rq.insert(TaskId(2), 100);
         rq.insert(TaskId(3), 200);
@@ -219,7 +108,7 @@ mod tests {
 
     #[test]
     fn cfs_equal_vruntime_breaks_by_id() {
-        let mut rq = RunQueue::cfs();
+        let mut rq = RunQueue::default();
         rq.insert(TaskId(5), 100);
         rq.insert(TaskId(1), 100);
         assert_eq!(rq.pop_next(), Some(TaskId(1)));
@@ -227,40 +116,51 @@ mod tests {
 
     #[test]
     fn cfs_min_vruntime_monotonic() {
-        let mut rq = RunQueue::cfs();
-        rq.insert(TaskId(1), 500);
-        rq.pop_next();
+        let mut rq = RunQueue::default();
+        rq.advance_min_vruntime(500);
         assert_eq!(rq.min_vruntime(), 500);
-        rq.insert(TaskId(2), 100); // a sleeper with old vruntime
-        rq.pop_next();
-        // min_vruntime never regresses
-        assert_eq!(rq.min_vruntime(), 500);
+        rq.advance_min_vruntime(100); // a sleeper with old vruntime
+        assert_eq!(rq.min_vruntime(), 500, "min_vruntime never regresses");
     }
 
+    /// The floor moves under CFS only: a task added after another ran
+    /// 400 µs starts at that vruntime under CFS, at 0 under RR and EDF.
     #[test]
     fn advance_min_vruntime_is_monotonic_and_cfs_only() {
-        let mut cfs = RunQueue::cfs();
-        cfs.advance_min_vruntime(400);
-        assert_eq!(cfs.min_vruntime(), 400);
-        cfs.advance_min_vruntime(100); // never regresses
-        assert_eq!(cfs.min_vruntime(), 400);
-        let mut edf = RunQueue::edf();
-        edf.advance_min_vruntime(400);
-        assert_eq!(edf.min_vruntime(), 0);
+        let edf = Policy::Edf {
+            period: Duration::from_millis(1),
+        };
+        for (policy, floor) in [
+            (Policy::CfsNormal, 400_000),
+            (Policy::rr_1ms(), 0),
+            (edf, 0),
+        ] {
+            let mut s = OsScheduler::new(1, policy, CfsParams::default(), Duration::ZERO);
+            let a = s.add_task("a", 0);
+            s.wake(a, SimTime::ZERO);
+            s.dispatch(0, SimTime::ZERO);
+            s.charge_current(0, Duration::from_micros(400));
+            s.requeue_current(0, SimTime::from_micros(400), SwitchKind::Voluntary);
+            let late = s.add_task("late", 0);
+            assert_eq!(s.task(late).vruntime, floor, "{policy:?}");
+        }
     }
 
     #[test]
     fn rr_is_fifo() {
-        let mut rq = RunQueue::rr();
-        rq.insert(TaskId(3), 999);
-        rq.insert(TaskId(1), 0);
+        let mut rq = RunQueue::default();
+        for id in [3, 1, 2] {
+            let seq = rq.next_seq();
+            rq.insert(TaskId(id), seq);
+        }
         assert_eq!(rq.pop_next(), Some(TaskId(3)));
         assert_eq!(rq.pop_next(), Some(TaskId(1)));
+        assert_eq!(rq.pop_next(), Some(TaskId(2)));
     }
 
     #[test]
     fn edf_pops_earliest_deadline() {
-        let mut rq = RunQueue::edf();
+        let mut rq = RunQueue::default();
         rq.insert(TaskId(1), 3_000_000);
         rq.insert(TaskId(2), 1_000_000);
         rq.insert(TaskId(3), 2_000_000);
@@ -273,33 +173,19 @@ mod tests {
 
     #[test]
     fn remove_by_id_from_all_kinds() {
-        let mut cfs = RunQueue::cfs();
-        cfs.insert(TaskId(1), 10);
-        cfs.insert(TaskId(2), 5);
-        assert!(cfs.remove(TaskId(1)));
-        assert!(!cfs.remove(TaskId(1)), "second remove is a no-op");
-        assert_eq!(cfs.pop_next(), Some(TaskId(2)));
-        assert_eq!(cfs.pop_next(), None);
-
-        let mut rr = RunQueue::rr();
-        rr.insert(TaskId(3), 0);
-        rr.insert(TaskId(4), 0);
-        assert!(rr.remove(TaskId(4)));
-        assert!(!rr.remove(TaskId(9)));
-        assert_eq!(rr.pop_next(), Some(TaskId(3)));
-        assert_eq!(rr.pop_next(), None);
-
-        let mut edf = RunQueue::edf();
-        edf.insert(TaskId(5), 100);
-        edf.insert(TaskId(6), 50);
-        assert!(edf.remove(TaskId(6)));
-        assert_eq!(edf.pop_next(), Some(TaskId(5)));
-        assert_eq!(edf.pop_next(), None);
+        let mut rq = RunQueue::default();
+        rq.insert(TaskId(1), 10);
+        rq.insert(TaskId(2), 5);
+        assert!(rq.remove(TaskId(1)));
+        assert!(!rq.remove(TaskId(1)), "second remove is a no-op");
+        assert!(!rq.remove(TaskId(9)));
+        assert_eq!(rq.pop_next(), Some(TaskId(2)));
+        assert_eq!(rq.pop_next(), None);
     }
 
     #[test]
     fn iter_len_and_head() {
-        let mut rq = RunQueue::cfs();
+        let mut rq = RunQueue::default();
         rq.insert(TaskId(1), 10);
         rq.insert(TaskId(2), 5);
         assert_eq!(rq.len(), 2);

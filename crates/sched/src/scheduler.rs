@@ -18,77 +18,129 @@
 //!   the next segment boundary, a few microseconds later, just as a real
 //!   kernel preempts at the next tick or interrupt return.
 //!
-//! Policies plug in as sched_ext-style [`Scheduler`]
-//! hooks (DESIGN.md §12): `OsScheduler` owns the shared control flow and
-//! the neutral [`KernelCtx`] state, and [`PolicyDispatch`] makes every
-//! policy decision — queue key, wake placement, preemption, slice.
+//! The public methods are mechanism shared by every policy: state
+//! transitions, context-switch cost, switch counters, CPU-time and
+//! scheduling-latency accounting. Each policy decision is one private
+//! function that matches on the [`Policy`] — `start_job` (wake
+//! placement), `queue_key`, `preempts`, `slice_for`, `advance_floor`
+//! and `default_rel_deadline` (DESIGN.md §12).
 
-use crate::hooks::{EnqueueFlags, PolicyDispatch, Scheduler};
-use crate::kernel::KernelCtx;
-use crate::params::{CfsParams, Policy};
+use crate::params::{CfsParams, Policy, NICE0_WEIGHT, SLO_DEFAULT_BUDGET};
+use crate::runqueue::RunQueue;
 use crate::task::{SwitchKind, Task, TaskId, TaskState};
 use nfv_des::{Duration, SimTime};
-use nfv_obs::TraceSink;
+use nfv_obs::{TraceKind, TraceSink};
 
-/// The simulated OS scheduler for all cores of the machine: one control
-/// flow running the policy's hooks over a [`KernelCtx`] — the driver owns
-/// sequencing and state transitions, the policy owns every decision.
+/// Slice long enough to never expire within a simulated run (one year);
+/// used by policies whose tasks only leave the CPU voluntarily or via
+/// wakeup preemption.
+const SLICE_UNLIMITED: Duration = Duration::from_secs(31_536_000);
+
+/// Per-core scheduling state (one CPU of the machine).
+#[derive(Debug, Default)]
+struct Core {
+    /// Runnable (not running) tasks pinned here.
+    rq: RunQueue,
+    /// The task occupying the CPU, if any.
+    current: Option<TaskId>,
+    /// Absolute time the current task's slice expires.
+    slice_end: SimTime,
+    /// Set by wakeup preemption; consumed at the next segment boundary.
+    resched_pending: bool,
+    /// Task that most recently occupied the CPU (context-switch cost is
+    /// only paid when the incoming task differs).
+    last_ran: Option<TaskId>,
+    /// Total busy time (any task executing).
+    busy: Duration,
+}
+
+/// The simulated OS scheduler for all cores of the machine.
 #[derive(Debug)]
 pub struct OsScheduler {
-    ctx: KernelCtx,
-    hooks: PolicyDispatch,
+    policy: Policy,
+    /// CFS tunables (slices, wake placement, wakeup preemption).
+    cfs: CfsParams,
+    /// Direct cost of a context switch, charged on each dispatch that
+    /// changes tasks.
+    cs_cost: Duration,
+    /// All registered tasks, indexed by [`TaskId`].
+    tasks: Vec<Task>,
+    cores: Vec<Core>,
+    /// Structured-event sink (off unless observability is enabled).
+    trace: TraceSink,
 }
 
 impl OsScheduler {
     /// A scheduler for `num_cores` NF cores under `policy`.
     pub fn new(num_cores: usize, policy: Policy, cfs: CfsParams, cs_cost: Duration) -> Self {
-        let hooks = PolicyDispatch::for_policy(policy);
-        let ctx = KernelCtx::new(num_cores, || hooks.runqueue(), cfs, cs_cost);
-        OsScheduler { ctx, hooks }
-    }
-
-    /// Read-only view of the kernel state (task table, runqueues).
-    pub fn kernel(&self) -> &KernelCtx {
-        &self.ctx
+        OsScheduler {
+            policy,
+            cfs,
+            cs_cost,
+            tasks: Vec::new(),
+            cores: (0..num_cores).map(|_| Core::default()).collect(),
+            trace: TraceSink::off(),
+        }
     }
 
     /// Attach a trace sink recording paid context switches.
     pub fn set_trace(&mut self, trace: TraceSink) {
-        self.ctx.trace = trace;
+        self.trace = trace;
     }
 
-    /// Register a new task pinned to `core`, initially blocked.
+    /// Register a new task pinned to `core`, initially blocked. It starts
+    /// at the core's current min_vruntime so its first wake is fair.
     pub fn add_task(&mut self, name: impl Into<String>, core: usize) -> TaskId {
-        let rel = self.hooks.task_rel_deadline();
-        self.ctx.add_task(name, core, rel)
+        assert!(core < self.cores.len(), "core {core} out of range");
+        let id = TaskId(self.tasks.len() as u32);
+        let mut t = Task::new(name, core, NICE0_WEIGHT);
+        t.vruntime = self.cores[core].rq.min_vruntime();
+        t.rel_deadline = self.default_rel_deadline();
+        self.tasks.push(t);
+        id
     }
 
     /// Immutable task access.
     pub fn task(&self, id: TaskId) -> &Task {
-        self.ctx.task(id)
-    }
-
-    /// Number of registered tasks.
-    pub fn num_tasks(&self) -> usize {
-        self.ctx.num_tasks()
+        &self.tasks[id.index()]
     }
 
     /// Number of cores managed.
     pub fn num_cores(&self) -> usize {
-        self.ctx.num_cores()
+        self.cores.len()
+    }
+
+    /// All registered task ids.
+    pub fn task_ids(&self) -> impl Iterator<Item = TaskId> {
+        (0..self.tasks.len() as u32).map(TaskId)
     }
 
     /// Update a task's scheduler weight (cgroup `cpu.shares` write).
     /// Takes effect from the next charge/dispatch; the queue position is
     /// keyed by vruntime, which is unaffected.
     pub fn set_weight(&mut self, id: TaskId, weight: u64) {
-        self.ctx.set_weight(id, weight);
+        self.tasks[id.index()].weight = weight.max(1);
     }
 
-    /// Re-pin a blocked task to another core (cross-core migration). See
-    /// [`KernelCtx::rehome_task`].
+    /// Re-pin a *blocked* task to another core (cross-core migration,
+    /// `sched_setaffinity` style). The task re-enters competition at the
+    /// destination's current min_vruntime — the same placement a freshly
+    /// added task gets — so it neither starves the incumbents with stale
+    /// credit nor loses its wakeup bonus.
+    ///
+    /// # Panics
+    /// Panics when `core` is out of range or the task is not blocked
+    /// (callers park first; a Running task defers to its batch boundary).
     pub fn rehome_task(&mut self, id: TaskId, core: usize) {
-        self.ctx.rehome_task(id, core);
+        assert!(core < self.cores.len(), "core {core} out of range");
+        let t = &mut self.tasks[id.index()];
+        assert_eq!(
+            t.state,
+            TaskState::Blocked,
+            "rehome of a task still on a runqueue"
+        );
+        t.core = core;
+        t.vruntime = self.cores[core].rq.min_vruntime();
     }
 
     /// Grant `id` a per-job latency budget: each wakeup's deadline
@@ -96,53 +148,60 @@ impl OsScheduler {
     /// ([`Policy::Edf`] / [`Policy::Slo`]); the engine derives these from
     /// per-chain SLO budgets at prime time, before any task first wakes.
     pub fn set_task_budget(&mut self, id: TaskId, budget: Duration) {
-        self.ctx.tasks[id.index()].rel_deadline = budget;
+        self.tasks[id.index()].rel_deadline = budget;
     }
 
     /// Currently running task on `core`.
     pub fn current(&self, core: usize) -> Option<TaskId> {
-        self.ctx.current(core)
+        self.cores[core].current
     }
 
     /// Runnable tasks queued (excluding the running one) on `core`.
     pub fn queued(&self, core: usize) -> usize {
-        self.ctx.queued(core)
+        self.cores[core].rq.len()
     }
 
     /// True when `core` has neither a running task nor queued runnable
     /// work. The engine's per-core domain must be inactive exactly when
     /// its core is idle and no batch event is in flight.
     pub fn core_idle(&self, core: usize) -> bool {
-        self.ctx.core_idle(core)
+        let c = &self.cores[core];
+        c.current.is_none() && c.rq.is_empty()
     }
 
     /// Total busy time accumulated on `core`.
     pub fn core_busy(&self, core: usize) -> Duration {
-        self.ctx.core_busy(core)
+        self.cores[core].busy
+    }
+
+    /// True when `id` is blocked.
+    pub fn is_blocked(&self, id: TaskId) -> bool {
+        self.tasks[id.index()].state == TaskState::Blocked
     }
 
     /// Make `id` runnable (semaphore post). No-op if already runnable or
     /// running. Returns `true` if the task's core had been idle, so the
     /// caller knows to dispatch.
     pub fn wake(&mut self, id: TaskId, now: SimTime) -> bool {
-        if self.ctx.tasks[id.index()].state != TaskState::Blocked {
+        let t = &mut self.tasks[id.index()];
+        if t.state != TaskState::Blocked {
             return false;
         }
-        let core = self.hooks.select_cpu(&self.ctx, id);
-        self.ctx.tasks[id.index()].state = TaskState::Runnable;
-        self.ctx.tasks[id.index()].runnable_since = now;
-        self.hooks
-            .enqueue(&mut self.ctx, core, id, EnqueueFlags::Wakeup, now);
-        if self.ctx.cores[core].current.is_some() && self.hooks.wakeup_preempt(&self.ctx, core, id)
-        {
-            self.ctx.cores[core].resched_pending = true;
+        let core = t.core;
+        t.state = TaskState::Runnable;
+        t.runnable_since = now;
+        self.start_job(core, id, now);
+        let key = self.queue_key(core, id);
+        self.cores[core].rq.insert(id, key);
+        match self.cores[core].current {
+            Some(curr) => {
+                if self.preempts(id, curr) {
+                    self.cores[core].resched_pending = true;
+                }
+                false
+            }
+            None => true,
         }
-        self.ctx.cores[core].current.is_none()
-    }
-
-    /// True when `id` is blocked.
-    pub fn is_blocked(&self, id: TaskId) -> bool {
-        self.ctx.is_blocked(id)
     }
 
     /// Forcibly block a task that is not on the CPU (crash/park). A
@@ -150,83 +209,227 @@ impl OsScheduler {
     /// left blocked. Returns `false` — and does nothing — when the task is
     /// currently `Running`: the caller owns the in-flight batch and must
     /// park again at the batch boundary (via [`OsScheduler::block_current`]).
-    pub fn park(&mut self, id: TaskId, _now: SimTime) -> bool {
-        let core = self.ctx.tasks[id.index()].core;
-        match self.ctx.tasks[id.index()].state {
+    pub fn park(&mut self, id: TaskId) -> bool {
+        let core = self.tasks[id.index()].core;
+        match self.tasks[id.index()].state {
             TaskState::Running => false,
             TaskState::Blocked => true,
             TaskState::Runnable => {
-                let removed = self.ctx.cores[core].rq.remove(id);
+                let c = &mut self.cores[core];
+                let removed = c.rq.remove(id);
                 debug_assert!(removed, "runnable task {id} missing from its runqueue");
-                self.ctx.tasks[id.index()].state = TaskState::Blocked;
+                self.tasks[id.index()].state = TaskState::Blocked;
                 // The parked task may have been the wakeup-preemption
                 // trigger; a stale flag would involuntarily switch the
                 // current task for a competitor that no longer exists.
                 // Re-evaluate against the strongest remaining candidate
                 // (the queue head) — downgrade only, never upgrade.
-                if self.ctx.cores[core].resched_pending {
-                    let keep = match (self.ctx.cores[core].current, self.ctx.cores[core].rq.head())
-                    {
-                        (Some(_), Some(head)) => self.hooks.wakeup_preempt(&self.ctx, core, head),
+                if c.resched_pending {
+                    let keep = match (c.current, c.rq.head()) {
+                        (Some(curr), Some(head)) => self.preempts(head, curr),
                         _ => false,
                     };
-                    self.ctx.cores[core].resched_pending = keep;
+                    self.cores[core].resched_pending = keep;
                 }
                 true
             }
         }
     }
 
-    /// Pick the next task to run on an idle `core`. Returns the task and
-    /// the context-switch overhead to charge before useful work starts.
+    /// Pick the next task to run on an idle `core` and seat it: slice,
+    /// context-switch cost (and trace record) when the task differs from
+    /// the last occupant, scheduling-latency and dispatch counters, the
+    /// Runnable → Running transition. Returns the task and the
+    /// context-switch overhead to charge before useful work starts.
     ///
     /// # Panics
     /// Panics if the core already has a running task.
     pub fn dispatch(&mut self, core: usize, now: SimTime) -> Option<(TaskId, Duration)> {
         assert!(
-            self.ctx.cores[core].current.is_none(),
+            self.cores[core].current.is_none(),
             "dispatch on busy core {core}"
         );
-        let id = self.ctx.cores[core].rq.pop_next()?;
-        let slice = self.hooks.slice(&self.ctx, core, id);
-        Some(self.ctx.account_dispatch(core, id, slice, now))
+        let id = self.cores[core].rq.pop_next()?;
+        self.advance_floor(core, id);
+        let slice = self.slice_for(core, id);
+        let c = &mut self.cores[core];
+        c.current = Some(id);
+        c.slice_end = now + slice;
+        c.resched_pending = false;
+        let overhead = if c.last_ran == Some(id) {
+            Duration::ZERO
+        } else {
+            self.trace.record(
+                now,
+                TraceKind::CtxSwitch {
+                    core: core as u32,
+                    task: id.0,
+                },
+            );
+            self.cs_cost
+        };
+        c.last_ran = Some(id);
+        let t = &mut self.tasks[id.index()];
+        debug_assert_eq!(t.state, TaskState::Runnable);
+        t.state = TaskState::Running;
+        t.sched_latency_sum += now.since(t.runnable_since);
+        t.dispatches += 1;
+        Some((id, overhead))
     }
 
-    /// Charge `dur` of execution to the running task on `core`.
+    /// Charge `dur` of execution to the running task on `core` (the
+    /// model's scheduler tick).
     pub fn charge_current(&mut self, core: usize, dur: Duration) {
-        let id = self.ctx.charge(core, dur);
-        self.hooks.tick(&mut self.ctx, core, id, dur);
+        let id = self.cores[core].current.expect("charge on idle core");
+        self.tasks[id.index()].charge(dur);
+        self.cores[core].busy += dur;
+        self.advance_floor(core, id);
     }
 
     /// Must the current task on `core` be descheduled at this boundary?
     /// True when its slice has expired (and a competitor is waiting) or a
     /// wakeup preemption is pending.
     pub fn need_resched(&self, core: usize, now: SimTime) -> bool {
-        self.ctx.need_resched(core, now)
+        let c = &self.cores[core];
+        if c.current.is_none() || c.rq.is_empty() {
+            return false; // nobody to switch to
+        }
+        c.resched_pending || now >= c.slice_end
     }
 
     /// The current task blocks (empty ring, backpressure yield-to-sleep,
-    /// I/O wait, full TX ring). Voluntary switch.
+    /// I/O wait, full TX ring). Voluntary switch; Running → Blocked.
+    /// `_now` is unused; it stays in the signature because the perfbench
+    /// replay calls `block_current(core, at)`.
     pub fn block_current(&mut self, core: usize, _now: SimTime) -> TaskId {
-        let id = self.ctx.block_current(core);
-        self.hooks.stopping(&mut self.ctx, core, id, false);
+        let id = self.cores[core].current.take().expect("block on idle core");
+        let t = &mut self.tasks[id.index()];
+        t.state = TaskState::Blocked;
+        t.voluntary_switches += 1;
         id
     }
 
     /// The current task leaves the CPU but stays runnable (slice expiry or
     /// cooperative yield with work remaining). `kind` selects which context
-    /// switch counter it lands in.
+    /// switch counter it lands in. The same job continues: no wake
+    /// placement, and a deadline is preserved.
     pub fn requeue_current(&mut self, core: usize, now: SimTime, kind: SwitchKind) -> TaskId {
-        let id = self.ctx.begin_requeue(core, now, kind);
-        self.hooks.stopping(&mut self.ctx, core, id, true);
-        self.hooks
-            .enqueue(&mut self.ctx, core, id, EnqueueFlags::Requeue, now);
+        let c = &mut self.cores[core];
+        let id = c.current.take().expect("requeue on idle core");
+        c.resched_pending = false;
+        let t = &mut self.tasks[id.index()];
+        t.state = TaskState::Runnable;
+        t.runnable_since = now;
+        match kind {
+            SwitchKind::Voluntary => t.voluntary_switches += 1,
+            SwitchKind::Involuntary => t.involuntary_switches += 1,
+        }
+        self.advance_floor(core, id);
+        let key = self.queue_key(core, id);
+        self.cores[core].rq.insert(id, key);
         id
     }
 
-    /// All registered task ids.
-    pub fn task_ids(&self) -> impl Iterator<Item = TaskId> {
-        self.ctx.task_ids()
+    // ---- policy decisions ----
+
+    /// Relative deadline granted to newly registered tasks: the uniform
+    /// EDF period, [`SLO_DEFAULT_BUDGET`] under SLO (budgeted tasks are
+    /// tightened by [`Self::set_task_budget`]), zero elsewhere.
+    fn default_rel_deadline(&self) -> Duration {
+        match self.policy {
+            Policy::Edf { period } => period,
+            Policy::Slo => SLO_DEFAULT_BUDGET,
+            Policy::CfsNormal
+            | Policy::CfsBatch
+            | Policy::RoundRobin { .. }
+            | Policy::Cooperative => Duration::ZERO,
+        }
+    }
+
+    /// A wakeup starts a new job. CFS places a sleeper at no less than
+    /// min_vruntime − latency/2, so it gets a modest wakeup bonus but
+    /// cannot monopolize the core after a long sleep; EDF/SLO assign the
+    /// job's deadline `now + rel_deadline`.
+    fn start_job(&mut self, core: usize, id: TaskId, now: SimTime) {
+        let t = &mut self.tasks[id.index()];
+        match self.policy {
+            Policy::CfsNormal | Policy::CfsBatch => {
+                let floor = self.cores[core]
+                    .rq
+                    .min_vruntime()
+                    .saturating_sub(self.cfs.latency.as_nanos() / 2);
+                t.vruntime = t.vruntime.max(floor);
+            }
+            Policy::Edf { .. } | Policy::Slo => t.deadline = (now + t.rel_deadline).as_nanos(),
+            Policy::RoundRobin { .. } | Policy::Cooperative => {}
+        }
+    }
+
+    /// The runqueue key `id` is inserted under on `core`: vruntime (CFS),
+    /// the job's absolute deadline (EDF/SLO) or the core's next arrival
+    /// sequence number, which makes the queue a FIFO (RR/Cooperative).
+    fn queue_key(&mut self, core: usize, id: TaskId) -> u64 {
+        match self.policy {
+            Policy::CfsNormal | Policy::CfsBatch => self.tasks[id.index()].vruntime,
+            Policy::Edf { .. } | Policy::Slo => self.tasks[id.index()].deadline,
+            Policy::RoundRobin { .. } | Policy::Cooperative => self.cores[core].rq.next_seq(),
+        }
+    }
+
+    /// Does the queued `contender` preempt the running `curr` at the next
+    /// boundary? CFS Normal: when `curr` leads it by more than the wakeup
+    /// granularity; EDF/SLO: when its deadline is earlier. Batch, RR and
+    /// Cooperative never preempt on wakeup.
+    fn preempts(&self, contender: TaskId, curr: TaskId) -> bool {
+        let (cont, curr) = (&self.tasks[contender.index()], &self.tasks[curr.index()]);
+        match self.policy {
+            Policy::CfsNormal => {
+                curr.vruntime > cont.vruntime + self.cfs.wakeup_granularity.as_nanos()
+            }
+            Policy::Edf { .. } | Policy::Slo => cont.deadline < curr.deadline,
+            Policy::CfsBatch | Policy::RoundRobin { .. } | Policy::Cooperative => false,
+        }
+    }
+
+    /// Time slice granted to `id`, just popped from `core`'s queue. CFS:
+    /// its weight's share of `max(latency, min_granularity · nr)`, never
+    /// below `min_granularity`; RR: the fixed quantum; the others never
+    /// expire.
+    fn slice_for(&self, core: usize, id: TaskId) -> Duration {
+        match self.policy {
+            Policy::CfsNormal | Policy::CfsBatch => {
+                let rq = &self.cores[core].rq;
+                let nr = rq.len() as u64 + 1;
+                let scaled_gran = self.cfs.min_granularity.as_nanos() * nr;
+                let period = self.cfs.latency.max(Duration::from_nanos(scaled_gran));
+                let weight = self.tasks[id.index()].weight;
+                let total_weight: u64 =
+                    rq.iter().map(|t| self.tasks[t.index()].weight).sum::<u64>() + weight;
+                let share = period.as_nanos() * weight / total_weight.max(1);
+                Duration::from_nanos(share).max(self.cfs.min_granularity)
+            }
+            Policy::RoundRobin { quantum } => quantum,
+            Policy::Cooperative | Policy::Edf { .. } | Policy::Slo => SLICE_UNLIMITED,
+        }
+    }
+
+    /// CFS only: advance `core`'s min_vruntime floor against `curr`, the
+    /// task on (or just seated on, or just leaving) the CPU —
+    /// `max(floor, min(curr, leftmost))`, exactly real CFS's
+    /// `update_min_vruntime`. Called on dispatch, charge and requeue so
+    /// the floor keeps moving while a task runs alone (DESIGN.md §12).
+    /// Other policies leave the floor at 0, where `add_task` and
+    /// `rehome_task` seed vruntime from it.
+    fn advance_floor(&mut self, core: usize, curr: TaskId) {
+        match self.policy {
+            Policy::CfsNormal | Policy::CfsBatch => {
+                let curr_vr = self.tasks[curr.index()].vruntime;
+                let rq = &mut self.cores[core].rq;
+                let floor = rq.leftmost_key().map_or(curr_vr, |l| curr_vr.min(l));
+                rq.advance_min_vruntime(floor);
+            }
+            Policy::RoundRobin { .. } | Policy::Cooperative | Policy::Edf { .. } | Policy::Slo => {}
+        }
     }
 }
 
@@ -451,7 +654,7 @@ mod tests {
         s.wake(trigger, now); // far behind: preemption trigger
         assert!(s.need_resched(0, now), "trigger wakes far behind: preempt");
         s.wake(late, now); // within the 1 ms granularity: not a trigger
-        assert!(s.park(trigger, now));
+        assert!(s.park(trigger));
         assert!(
             !s.need_resched(0, now),
             "preemption trigger is gone; queued competitor does not \
@@ -467,12 +670,12 @@ mod tests {
         s.wake(a, SimTime::ZERO);
         s.wake(b, SimTime::ZERO);
         s.dispatch(0, SimTime::ZERO); // a runs, b queued
-        assert!(s.park(b, SimTime::ZERO), "runnable task parks immediately");
+        assert!(s.park(b), "runnable task parks immediately");
         assert!(s.is_blocked(b));
         assert!(!s.need_resched(0, SimTime::from_secs(1)), "queue is empty");
-        assert!(!s.park(a, SimTime::ZERO), "running task defers to boundary");
+        assert!(!s.park(a), "running task defers to boundary");
         s.block_current(0, SimTime::ZERO);
-        assert!(s.park(a, SimTime::ZERO), "blocked task stays parked");
+        assert!(s.park(a), "blocked task stays parked");
     }
 
     #[test]

@@ -1,17 +1,13 @@
-//! Differential testing of the hook-based [`OsScheduler`] against the
-//! classic monolith kept here as a reference model (`classic/mod.rs`):
-//! random command streams are applied identically to both, and the full
-//! observable state must match after every command. The engine-level
-//! counterpart (`sched_policies_keep_their_pinned_runs`) pins a full
-//! fig7-style simulation per policy.
+//! The scheduler pin: 32 generated command streams through the
+//! platform-facing API of [`OsScheduler`] under every policy, with the
+//! full observable state folded into one digest per policy after every
+//! command. The engine-level counterpart
+//! (`sched_policies_keep_their_pinned_runs`) pins a full fig7-style
+//! simulation per policy.
 
 #![forbid(unsafe_code)]
 
-mod classic;
-
-use classic::ClassicScheduler;
 use nfv_des::{Duration, SimTime};
-use nfv_sched::kernel::KernelCtx;
 use nfv_sched::{CfsParams, OsScheduler, Policy, SwitchKind, TaskId, TaskState};
 use proptest::prelude::*;
 
@@ -37,7 +33,7 @@ enum Cmd {
 /// Charges at, and 1 µs either side of, the one whose default-weight
 /// vruntime gap equals `wakeup_granularity`. Uniform draws from 1–3,000 µs
 /// rarely land there, yet that is where a changed comparison or a scaled
-/// granularity in `CfsSched::wakeup_preempt` first shows.
+/// granularity in `OsScheduler::preempts` first shows.
 fn wakeup_band_us() -> impl Strategy<Value = u64> {
     let gran_us = CfsParams::default().wakeup_granularity.as_nanos() / 1_000;
     (0u64..3).prop_map(move |i| gran_us - 1 + i)
@@ -63,101 +59,21 @@ fn cmd() -> impl Strategy<Value = Cmd> {
     ]
 }
 
-/// The platform-facing calls both schedulers answer.
-trait Driver {
-    fn add_task(&mut self, name: String, core: usize) -> TaskId;
-    fn wake(&mut self, id: TaskId, now: SimTime) -> bool;
-    fn park(&mut self, id: TaskId, now: SimTime) -> bool;
-    fn set_weight(&mut self, id: TaskId, weight: u64);
-    fn set_task_budget(&mut self, id: TaskId, budget: Duration);
-    fn dispatch(&mut self, core: usize, now: SimTime) -> Option<(TaskId, Duration)>;
-    fn charge_current(&mut self, core: usize, dur: Duration);
-    fn block_current(&mut self, core: usize, now: SimTime) -> TaskId;
-    fn requeue_current(&mut self, core: usize, now: SimTime, kind: SwitchKind) -> TaskId;
-    fn kernel(&self) -> &KernelCtx;
-}
-
-impl Driver for OsScheduler {
-    fn add_task(&mut self, name: String, core: usize) -> TaskId {
-        OsScheduler::add_task(self, name, core)
-    }
-    fn wake(&mut self, id: TaskId, now: SimTime) -> bool {
-        OsScheduler::wake(self, id, now)
-    }
-    fn park(&mut self, id: TaskId, now: SimTime) -> bool {
-        OsScheduler::park(self, id, now)
-    }
-    fn set_weight(&mut self, id: TaskId, weight: u64) {
-        OsScheduler::set_weight(self, id, weight)
-    }
-    fn set_task_budget(&mut self, id: TaskId, budget: Duration) {
-        OsScheduler::set_task_budget(self, id, budget)
-    }
-    fn dispatch(&mut self, core: usize, now: SimTime) -> Option<(TaskId, Duration)> {
-        OsScheduler::dispatch(self, core, now)
-    }
-    fn charge_current(&mut self, core: usize, dur: Duration) {
-        OsScheduler::charge_current(self, core, dur)
-    }
-    fn block_current(&mut self, core: usize, now: SimTime) -> TaskId {
-        OsScheduler::block_current(self, core, now)
-    }
-    fn requeue_current(&mut self, core: usize, now: SimTime, kind: SwitchKind) -> TaskId {
-        OsScheduler::requeue_current(self, core, now, kind)
-    }
-    fn kernel(&self) -> &KernelCtx {
-        OsScheduler::kernel(self)
-    }
-}
-
-impl Driver for ClassicScheduler {
-    fn add_task(&mut self, name: String, core: usize) -> TaskId {
-        ClassicScheduler::add_task(self, name, core)
-    }
-    fn wake(&mut self, id: TaskId, now: SimTime) -> bool {
-        ClassicScheduler::wake(self, id, now)
-    }
-    fn park(&mut self, id: TaskId, now: SimTime) -> bool {
-        ClassicScheduler::park(self, id, now)
-    }
-    fn set_weight(&mut self, id: TaskId, weight: u64) {
-        self.ctx.set_weight(id, weight)
-    }
-    fn set_task_budget(&mut self, id: TaskId, budget: Duration) {
-        self.ctx.tasks[id.index()].rel_deadline = budget;
-    }
-    fn dispatch(&mut self, core: usize, now: SimTime) -> Option<(TaskId, Duration)> {
-        ClassicScheduler::dispatch(self, core, now)
-    }
-    fn charge_current(&mut self, core: usize, dur: Duration) {
-        ClassicScheduler::charge_current(self, core, dur)
-    }
-    fn block_current(&mut self, core: usize, now: SimTime) -> TaskId {
-        ClassicScheduler::block_current(self, core, now)
-    }
-    fn requeue_current(&mut self, core: usize, now: SimTime, kind: SwitchKind) -> TaskId {
-        ClassicScheduler::requeue_current(self, core, now, kind)
-    }
-    fn kernel(&self) -> &KernelCtx {
-        &self.ctx
-    }
-}
-
-fn with_tasks<S: Driver>(mut s: S) -> S {
+fn with_tasks(mut s: OsScheduler) -> OsScheduler {
     for i in 0..6 {
         s.add_task(format!("t{i}"), i % CORES);
     }
     s
 }
 
-/// Apply one command, advancing `now` identically on both sides.
-fn apply(s: &mut impl Driver, c: &Cmd, now: &mut SimTime) {
+/// Apply one command, advancing `now` by any charged segment.
+fn apply(s: &mut OsScheduler, c: &Cmd, now: &mut SimTime) {
     match *c {
         Cmd::Wake(t) => {
             s.wake(TaskId(t), *now);
         }
         Cmd::Park(t) => {
-            s.park(TaskId(t), *now);
+            s.park(TaskId(t));
         }
         Cmd::SetWeight(t, w) => s.set_weight(TaskId(t), w),
         Cmd::SetBudget(t, us) => s.set_task_budget(TaskId(t), Duration::from_micros(us)),
@@ -166,61 +82,24 @@ fn apply(s: &mut impl Driver, c: &Cmd, now: &mut SimTime) {
             charge_us,
             yield_if_done,
         } => {
-            if s.kernel().current(core).is_none() {
+            if s.current(core).is_none() {
                 s.dispatch(core, *now);
                 return;
             }
             let step = Duration::from_micros(charge_us);
             s.charge_current(core, step);
             *now += step;
-            if s.kernel().need_resched(core, *now) {
+            if s.need_resched(core, *now) {
                 s.requeue_current(core, *now, SwitchKind::Involuntary);
             } else if yield_if_done {
                 s.requeue_current(core, *now, SwitchKind::Voluntary);
             }
         }
         Cmd::Block(core) => {
-            if s.kernel().current(core).is_some() {
+            if s.current(core).is_some() {
                 s.block_current(core, *now);
             }
         }
-    }
-}
-
-/// Everything externally observable about a scheduler, for equality.
-#[derive(Debug, PartialEq, Eq)]
-struct Fingerprint {
-    tasks: Vec<(TaskState, u64, u64, u64, u64, u64, u64)>,
-    cores: Vec<(Option<TaskId>, usize, bool, u64)>,
-}
-
-fn fingerprint(s: &KernelCtx, now: SimTime) -> Fingerprint {
-    Fingerprint {
-        tasks: s
-            .task_ids()
-            .map(|id| {
-                let t = s.task(id);
-                (
-                    t.state,
-                    t.vruntime,
-                    t.deadline,
-                    t.cpu_time.as_nanos(),
-                    t.voluntary_switches,
-                    t.involuntary_switches,
-                    t.dispatches,
-                )
-            })
-            .collect(),
-        cores: (0..s.num_cores())
-            .map(|c| {
-                (
-                    s.current(c),
-                    s.queued(c),
-                    s.need_resched(c, now),
-                    s.core_busy(c).as_nanos(),
-                )
-            })
-            .collect(),
     }
 }
 
@@ -228,57 +107,45 @@ fn fingerprint(s: &KernelCtx, now: SimTime) -> Fingerprint {
 struct Fnv(u64);
 
 impl Fnv {
-    fn new() -> Self {
-        Fnv(0xcbf2_9ce4_8422_2325)
-    }
-
     fn word(&mut self, w: u64) {
         for b in w.to_le_bytes() {
-            self.0 ^= b as u64;
+            self.0 ^= u64::from(b);
             self.0 = self.0.wrapping_mul(0x0000_0100_0000_01b3);
         }
     }
 
-    fn fingerprint(&mut self, f: &Fingerprint) {
-        for &(state, vr, dl, cpu, vol, invol, disp) in &f.tasks {
-            let state = match state {
+    /// Fold in everything externally observable about `s` at `now`.
+    fn fingerprint(&mut self, s: &OsScheduler, now: SimTime) {
+        for id in s.task_ids() {
+            let t = s.task(id);
+            let state = match t.state {
                 TaskState::Blocked => 0,
                 TaskState::Runnable => 1,
                 TaskState::Running => 2,
             };
-            for w in [state, vr, dl, cpu, vol, invol, disp] {
+            for w in [
+                state,
+                t.vruntime,
+                t.deadline,
+                t.cpu_time.as_nanos(),
+                t.voluntary_switches,
+                t.involuntary_switches,
+                t.dispatches,
+            ] {
                 self.word(w);
             }
         }
-        for &(current, queued, resched, busy) in &f.cores {
+        for c in 0..s.num_cores() {
             for w in [
-                current.map_or(u64::MAX, |t| u64::from(t.0)),
-                queued as u64,
-                u64::from(resched),
-                busy,
+                s.current(c).map_or(u64::MAX, |t| u64::from(t.0)),
+                s.queued(c) as u64,
+                u64::from(s.need_resched(c, now)),
+                s.core_busy(c).as_nanos(),
             ] {
                 self.word(w);
             }
         }
     }
-}
-
-/// The pinned configurations: every policy, both RR quanta.
-fn configs() -> [(&'static str, Policy); 7] {
-    [
-        ("cfs_normal", Policy::CfsNormal),
-        ("cfs_batch", Policy::CfsBatch),
-        ("rr_1ms", Policy::rr_1ms()),
-        ("rr_100ms", Policy::rr_100ms()),
-        ("cooperative", Policy::Cooperative),
-        (
-            "edf_1ms",
-            Policy::Edf {
-                period: Duration::from_millis(1),
-            },
-        ),
-        ("slo", Policy::Slo),
-    ]
 }
 
 /// 32 generated command streams, the same for every configuration.
@@ -290,44 +157,41 @@ fn streams() -> Vec<Vec<Cmd>> {
 
 /// One FNV-1a digest of the fingerprint after every command of every
 /// stream, run under `policy`.
-fn digest<S: Driver>(mk: impl Fn() -> S, streams: &[Vec<Cmd>]) -> u64 {
-    let mut h = Fnv::new();
+fn digest(policy: Policy, streams: &[Vec<Cmd>]) -> u64 {
+    let (cfs, cs_cost) = (CfsParams::default(), Duration::from_micros(2));
+    let mut h = Fnv(0xcbf2_9ce4_8422_2325);
     for cmds in streams {
-        let mut s = with_tasks(mk());
+        let mut s = with_tasks(OsScheduler::new(CORES, policy, cfs, cs_cost));
         let mut now = SimTime::ZERO;
         for c in cmds {
             apply(&mut s, c, &mut now);
-            h.fingerprint(&fingerprint(s.kernel(), now));
+            h.fingerprint(&s, now);
         }
     }
     h.0
 }
 
-/// Digests recorded per configuration; any change to a scheduling
-/// decision, a state transition or the accounting moves one of them.
-const PINNED: [(&str, u64); 7] = [
-    ("cfs_normal", 0x8276_af1a_a2dd_8816),
-    ("cfs_batch", 0xf6b7_6983_4718_e83b),
-    ("rr_1ms", 0xeef4_e338_8b75_9649),
-    ("rr_100ms", 0xe809_3ceb_8370_07cf),
-    ("cooperative", 0xe809_3ceb_8370_07cf),
-    ("edf_1ms", 0x33f8_c6c8_349c_2335),
-    ("slo", 0xe93e_2bfc_6f83_279c),
-];
-
+/// Every policy, both RR quanta, with the digests recorded when the
+/// sched_ext-style hook driver and the monolithic reference model it
+/// replaced still agreed on them. RR(100 ms) and Cooperative share a
+/// digest: no stream runs one task 100 ms without a switch.
 #[test]
 fn policies_keep_their_pinned_digests() {
-    let (cfs, cs_cost) = (CfsParams::default(), Duration::from_micros(2));
+    let edf_1ms = Policy::Edf {
+        period: Duration::from_millis(1),
+    };
+    let pinned = [
+        (Policy::CfsNormal, 0x8276_af1a_a2dd_8816),
+        (Policy::CfsBatch, 0xf6b7_6983_4718_e83b),
+        (Policy::rr_1ms(), 0xeef4_e338_8b75_9649),
+        (Policy::rr_100ms(), 0xe809_3ceb_8370_07cf),
+        (Policy::Cooperative, 0xe809_3ceb_8370_07cf),
+        (edf_1ms, 0x33f8_c6c8_349c_2335),
+        (Policy::Slo, 0xe93e_2bfc_6f83_279c),
+    ];
     let streams = streams();
-    let mut got = Vec::new();
-    for (name, policy) in configs() {
-        let hooks = digest(|| OsScheduler::new(CORES, policy, cfs, cs_cost), &streams);
-        let classic = digest(|| ClassicScheduler::new(CORES, policy, cfs, cs_cost), &streams);
-        assert_eq!(hooks, classic, "{name}: hook driver and classic model diverge");
-        got.push((name, hooks));
-    }
-    for ((name, d), (pname, pinned)) in got.iter().zip(PINNED) {
-        assert_eq!(*name, pname);
-        assert_eq!(*d, pinned, "{name}: digest moved to {d:#018x}");
+    for (policy, want) in pinned {
+        let got = digest(policy, &streams);
+        assert_eq!(got, want, "{policy:?}: digest moved to {got:#018x}");
     }
 }

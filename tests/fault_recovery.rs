@@ -18,8 +18,8 @@
 #![forbid(unsafe_code)]
 
 use nfvnice::{
-    Duration, FaultKind, NfId, NfSpec, NfvniceConfig, Policy, SanitizerConfig, SimConfig, SimTime,
-    Simulation,
+    DropCause, Duration, FaultKind, NfId, NfSpec, NfvniceConfig, Policy, SanitizerConfig,
+    SimConfig, SimTime, Simulation, TraceKind,
 };
 
 /// Offered load (pps), above the one-core chain's ~2.77 Mpps capacity so
@@ -240,4 +240,59 @@ fn respawn_restarts_the_watchdog_count() {
     let r = fast_respawn_after_a_stall(5_000_000.0);
     assert_eq!(r.nf_stalls_detected, 1, "one stall: the injected one");
     assert_eq!((r.nf_crashes, r.nf_restarts), (1, 1));
+}
+
+/// A crash while the bottleneck throttles its chain must take the
+/// chain's entry marks with it (`Backpressure::clear_nf`). Marks left
+/// behind do not show while the NF is down — admission sheds a chain
+/// through a dead NF as `NfDown` before it consults them — but they
+/// outlive the outage: after the respawn, RX batches of the chain are
+/// shed as `EntryThrottle` until the next wakeup scan sees the fresh
+/// NF's empty ring and lifts them.
+#[test]
+fn respawn_does_not_inherit_the_dead_nfs_throttle_marks() {
+    // The bottleneck enters throttle at 46.08 ms and is still there at
+    // 46.5 ms.
+    let crash = SimTime::from_micros(46_500);
+    let mut cfg = faulted_cfg(7, None, true);
+    cfg.faults = cfg.faults.with_fault(crash, NfId(2), FaultKind::Crash);
+    cfg.obs.trace = true;
+    let wakeup = cfg.wakeup_period;
+    let mut sim = build(cfg);
+    sim.run(Duration::from_millis(60));
+    let trace = sim.take_trace();
+
+    let throttled_at_crash = trace
+        .iter()
+        .take_while(|e| e.t < crash)
+        .filter_map(|e| match e.kind {
+            TraceKind::ThrottleEnter { nf: 2 } => Some(true),
+            TraceKind::ThrottleExit { nf: 2 } => Some(false),
+            _ => None,
+        })
+        .last();
+    assert_eq!(
+        throttled_at_crash,
+        Some(true),
+        "crash must land in throttle"
+    );
+    let restart = trace
+        .iter()
+        .find(|e| matches!(e.kind, TraceKind::NfRestart { nf: 2 }))
+        .expect("the bottleneck respawns")
+        .t;
+    let shed = trace
+        .iter()
+        .filter(|e| e.t >= restart && e.t < restart + wakeup)
+        .filter(|e| {
+            matches!(
+                e.kind,
+                TraceKind::PacketDrop {
+                    cause: DropCause::EntryThrottle,
+                    ..
+                }
+            )
+        })
+        .count();
+    assert_eq!(shed, 0, "entry sheds on marks of the dead incarnation");
 }
