@@ -59,6 +59,26 @@ fn cmd() -> impl Strategy<Value = Cmd> {
     ]
 }
 
+/// Long uninterrupted charges: 20–60 ms segments that never yield, so a
+/// task keeps its CPU past RR's 100 ms slice within a few steps, while
+/// the uniform family's ≤ 3 ms charges and frequent yields never do.
+fn long_cmd() -> impl Strategy<Value = Cmd> {
+    let run = || {
+        (0usize..CORES, 20_000u64..60_000).prop_map(|(core, charge_us)| Cmd::Step {
+            core,
+            charge_us,
+            yield_if_done: false,
+        })
+    };
+    prop_oneof![
+        (0u32..6).prop_map(Cmd::Wake),
+        run(),
+        run(),
+        run(),
+        (0usize..CORES).prop_map(Cmd::Block),
+    ]
+}
+
 fn with_tasks(mut s: OsScheduler) -> OsScheduler {
     for i in 0..6 {
         s.add_task(format!("t{i}"), i % CORES);
@@ -148,10 +168,11 @@ impl Fnv {
     }
 }
 
-/// 32 generated command streams, the same for every configuration.
-fn streams() -> Vec<Vec<Cmd>> {
-    let mut rng = TestRng::deterministic("nfv_sched::differential::streams");
-    let strat = prop::collection::vec(cmd(), 1..120);
+/// 32 command streams drawn from `cmd` under the RNG seed `name`, the
+/// same for every configuration.
+fn streams<S: Strategy<Value = Cmd>>(cmd: S, name: &str) -> Vec<Vec<Cmd>> {
+    let mut rng = TestRng::deterministic(name);
+    let strat = prop::collection::vec(cmd, 1..120);
     (0..32).map(|_| strat.generate(&mut rng)).collect()
 }
 
@@ -174,7 +195,8 @@ fn digest(policy: Policy, streams: &[Vec<Cmd>]) -> u64 {
 /// Every policy, both RR quanta, with the digests recorded when the
 /// sched_ext-style hook driver and the monolithic reference model it
 /// replaced still agreed on them. RR(100 ms) and Cooperative share a
-/// digest: no stream runs one task 100 ms without a switch.
+/// digest here: no stream of this family runs one task 100 ms without a
+/// switch (`long_charges_keep_their_pinned_digests` tells them apart).
 #[test]
 fn policies_keep_their_pinned_digests() {
     let edf_1ms = Policy::Edf {
@@ -189,7 +211,30 @@ fn policies_keep_their_pinned_digests() {
         (edf_1ms, 0x33f8_c6c8_349c_2335),
         (Policy::Slo, 0xe93e_2bfc_6f83_279c),
     ];
-    let streams = streams();
+    let streams = streams(cmd(), "nfv_sched::differential::streams");
+    for (policy, want) in pinned {
+        let got = digest(policy, &streams);
+        assert_eq!(got, want, "{policy:?}: digest moved to {got:#018x}");
+    }
+}
+
+/// Every policy over the long-charge family: here RR(100 ms) expires its
+/// slice where Cooperative keeps running, so the two digests differ.
+#[test]
+fn long_charges_keep_their_pinned_digests() {
+    let edf_1ms = Policy::Edf {
+        period: Duration::from_millis(1),
+    };
+    let pinned = [
+        (Policy::CfsNormal, 0x9f95_80f0_b8c3_7399),
+        (Policy::CfsBatch, 0x7ea4_dc5a_4d75_c685),
+        (Policy::rr_1ms(), 0x063e_2116_9f57_e847),
+        (Policy::rr_100ms(), 0x7802_f802_6460_85a7),
+        (Policy::Cooperative, 0x6991_75fd_e777_e8ec),
+        (edf_1ms, 0x74c0_f1e7_d2d7_89ac),
+        (Policy::Slo, 0x7aed_7225_854f_94a3),
+    ];
+    let streams = streams(long_cmd(), "nfv_sched::differential::long_charges");
     for (policy, want) in pinned {
         let got = digest(policy, &streams);
         assert_eq!(got, want, "{policy:?}: digest moved to {got:#018x}");
