@@ -4,7 +4,7 @@
 
 use super::Simulation;
 use crate::report::{ChainReport, FlowReports, NfReport, Report};
-use nfv_des::Duration;
+use nfv_des::{Duration, Severity, SimTime};
 use nfv_pkt::NfId;
 
 impl Simulation {
@@ -35,13 +35,25 @@ impl Simulation {
         // the current interval.
         if full {
             let flows = &self.platform.stats.flows;
-            let col = flows.iter().map(|fs| fs.delivered_bytes).collect();
+            let col = flows.iter().map(|fs| fs.delivered_bytes()).collect();
             self.series.flow_bytes.push(col);
         }
         self.series.spans.push(span_secs);
     }
 
     pub(super) fn build_report(&mut self, wall: Duration) -> Report {
+        // A per-flow counter that saturated at 2^48 − 1 reads short: a
+        // real bug or an impossible run, surfaced once here like the
+        // pending-count desyncs (no per-event check).
+        let saturated = self.platform.saturated_adds();
+        if saturated > 0 {
+            self.sanitizer.record(
+                Severity::Error,
+                "counter-saturation",
+                SimTime::ZERO + wall,
+                format!("{saturated} per-flow counter add(s) saturated at 2^48 - 1"),
+            );
+        }
         let secs = wall.as_secs_f64().max(1e-9);
         let nfs: Vec<NfReport> = (0..self.platform.nfs.len())
             .map(|idx| {

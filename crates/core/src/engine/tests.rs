@@ -71,6 +71,25 @@ fn sanitizer_audits_overloaded_chain_clean() {
 }
 
 #[test]
+fn saturated_flow_counters_are_reported_once_without_a_panic() {
+    let mut cfg = base_cfg(1, Policy::CfsBatch, NfvniceConfig::off());
+    cfg.sanitizer = crate::SanitizerConfig::audit();
+    let mut sim = Simulation::new(cfg);
+    let nf = sim.add_nf(NfSpec::new("fwd", 0, 120));
+    let chain = sim.add_chain(&[nf]);
+    sim.add_udp(chain, 100_000.0, 64);
+    // Stands in for an add that clipped at 2^48 - 1 mid-run.
+    sim.platform.stats.saturated_adds = 3;
+    let r = sim.run(Duration::from_millis(5));
+    let errors: Vec<_> = sim.sanitizer.errors().collect();
+    assert_eq!(errors.len(), 1, "{errors:?}");
+    assert_eq!(errors[0].rule, "counter-saturation");
+    assert_eq!(errors[0].at, SimTime::from_millis(5));
+    assert!(errors[0].detail.starts_with("3 "), "{}", errors[0].detail);
+    assert!(r.flow(0).delivered > 0, "the run itself is unaffected");
+}
+
+#[test]
 fn trace_digest_is_reproducible_and_seed_sensitive() {
     let run = |seed: u64| {
         let mut cfg = base_cfg(1, Policy::CfsNormal, NfvniceConfig::full());
@@ -457,7 +476,7 @@ fn flow_mbps_keeps_the_values_of_the_per_interval_columns() {
 }
 
 #[test]
-fn compact_report_keeps_only_the_32_byte_counter_column() {
+fn compact_report_keeps_only_the_24_byte_counter_column() {
     // Without per-flow detail, the report's per-flow storage is the
     // counter column moved in from the platform: no latency column and
     // no copy of the flow table's chains.
@@ -473,8 +492,8 @@ fn compact_report_keeps_only_the_32_byte_counter_column() {
     sim.add_sweep(SweepSource::new(1 << 20, FLOWS, 64, 1_000_000.0));
     let r = sim.run(Duration::from_millis(10));
     assert_eq!(r.flows.len(), FLOWS as usize);
-    assert_eq!(r.flows.heap_bytes(), 32 * r.flows.counters.capacity());
-    assert_eq!(r.flows.heap_bytes(), 131_072);
+    assert_eq!(r.flows.heap_bytes(), 24 * r.flows.counters.capacity());
+    assert_eq!(r.flows.heap_bytes(), 98_304);
 }
 
 #[test]

@@ -97,11 +97,11 @@ impl FlowReports {
             .unwrap_or((Duration::ZERO, Duration::ZERO));
         FlowReport {
             flow: FlowId(i as u32),
-            delivered: c.delivered,
-            delivered_pps: c.delivered as f64 / self.secs,
-            mbps: c.delivered_bytes as f64 * 8.0 / self.secs / 1e6,
-            dropped: c.dropped,
-            entry_drops: c.entry_drops,
+            delivered: c.delivered(),
+            delivered_pps: c.delivered() as f64 / self.secs,
+            mbps: c.delivered_bytes() as f64 * 8.0 / self.secs / 1e6,
+            dropped: c.dropped(),
+            entry_drops: c.entry_drops(),
             latency_p50,
             latency_p99,
         }
@@ -260,15 +260,23 @@ impl Report {
     /// late); empty for a flow no interval saw. The final partial
     /// interval, if any, ends at the flow's delivered-bytes counter.
     pub fn flow_mbps(&self, flow: usize) -> Vec<f64> {
-        let closed = self.series.flow_bytes.iter().map(|col| col.get(flow));
-        let tail = (self.series.spans.len() > self.series.flow_bytes.len())
-            .then(|| self.flows.counters.get(flow).map(|c| &c.delivered_bytes));
+        let closed = self
+            .series
+            .flow_bytes
+            .iter()
+            .map(|col| col.get(flow).copied());
+        let tail = (self.series.spans.len() > self.series.flow_bytes.len()).then(|| {
+            self.flows
+                .counters
+                .get(flow)
+                .map(FlowStats::delivered_bytes)
+        });
         let mut prev = 0;
         closed
             .chain(tail)
             .zip(&self.series.spans)
             .filter_map(|(cur, &span)| {
-                let cur = *cur?;
+                let cur = cur?;
                 let mbps = (cur - prev) as f64 * 8.0 / span / 1e6;
                 prev = cur;
                 Some(mbps)
@@ -336,14 +344,16 @@ mod tests {
             nfs: vec![],
             flows: FlowReports {
                 secs: 1.0,
-                counters: [FlowStats {
-                    delivered: 100,
-                    delivered_bytes: 8_000,
-                    dropped: 0,
-                    entry_drops: 0,
-                }; 2]
-                    .into_iter()
-                    .collect(),
+                counters: {
+                    // Two flows, each 100 deliveries of 80 B.
+                    let mut s = nfv_platform::PlatformStats::default();
+                    s.chains.push(Default::default());
+                    for f in 0..2 {
+                        s.flows.push(FlowStats::default());
+                        s.delivered_n(FlowId(f), ChainId(0), 80, Duration::ZERO, 100);
+                    }
+                    s.flows
+                },
                 latency: FlowColumn::new(),
             },
             chains: vec![],

@@ -13,11 +13,12 @@
 //!
 //! - **SoA layout.** The classify hot path touches two parallel
 //!   [`FlowColumn`]s indexed by flow id: `keys` (the 5-tuples, 16 B,
-//!   compared on probe) and `slots` (chain, aging stamp and packet
-//!   counter, 16 B, written on every classify). A probe that misses on
-//!   the tag never loads a key, and a classify writes one 16-byte slot.
-//!   Chunked columns grow without copying, so the table's per-flow state
-//!   is 32 B per flow plus the index, with no doubling slack.
+//!   compared on probe) and `slots` (aging stamp, 16-bit chain and a
+//!   48-bit packet counter, 12 B, written on every classify). A probe
+//!   that misses on the tag never loads a key, and a classify writes one
+//!   12-byte slot. Chunked columns grow without copying, so the table's
+//!   per-flow state is 28 B per flow plus the index, with no doubling
+//!   slack. Chain ids above 65,535 are refused at install.
 //! - **Sharded open addressing.** The exact-match index is a set of
 //!   power-of-two Robin Hood linear-probing shards selected by the
 //!   *high* bits of a seed-free multiply-xor tuple hash (in-shard home
@@ -59,6 +60,7 @@
 //!   and moves every slot.
 
 use crate::column::FlowColumn;
+use crate::count::Count48;
 use crate::ids::{ChainId, FlowId};
 use crate::nic::FrameRun;
 use crate::packet::FiveTuple;
@@ -176,8 +178,24 @@ pub struct FlowTableStats {
 #[derive(Debug, Clone)]
 struct WildcardRule {
     pattern: TuplePattern,
-    chain: ChainId,
+    chain: u16,
     priority: i32,
+}
+
+/// The largest chain id a flow slot holds: slots keep 16-bit chains.
+/// Every chain also carries a ~4 KB latency histogram, so no config
+/// comes near it.
+const MAX_CHAIN_ID: u32 = u16::MAX as u32;
+
+/// `chain` as a slot's 16-bit chain. Panics above `MAX_CHAIN_ID`:
+/// installs are configuration, so a bad id fails the build of the
+/// scenario, never a classify.
+fn slot_chain(chain: ChainId) -> u16 {
+    assert!(
+        chain.0 <= MAX_CHAIN_ID,
+        "{chain} is above the flow table's chain cap {MAX_CHAIN_ID}"
+    );
+    chain.0 as u16
 }
 
 /// Memo sentinel: no flow cached (flow ids are dense from 0 and can
@@ -193,13 +211,13 @@ const DEAD: u32 = u32::MAX - 1;
 const MAX_EPOCH: u32 = DEAD - 1;
 
 /// Per-flow record beside the key: everything a classify writes, in
-/// 16 bytes.
+/// 12 bytes.
 #[derive(Debug, Clone, Copy)]
 struct FlowSlot {
-    chain: ChainId,
     last_seen: u32,
+    chain: u16,
     /// Packets classified (since install or recycle).
-    packets: u64,
+    packets: Count48,
 }
 
 /// Seed-free multiply-xor hash of a 5-tuple (the ports/proto and the two
@@ -239,7 +257,7 @@ const SHARDS: usize = 1 << SHARD_BITS;
 /// One index slot. The tag answers almost every probe mismatch, and it
 /// holds the in-shard home position, so probes, rehash and deletion
 /// never load a random `keys[f]` cache line except on a tag match.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct Slot {
     /// Low 32 bits of the tuple hash.
     tag: u32,
@@ -362,20 +380,38 @@ impl Shard {
     }
 
     /// Double the capacity (8 slots when empty) and rehash this shard
-    /// only, from the tags alone. The old array is walked from an empty
-    /// slot, so every cluster is read from its start and slots arrive in
-    /// home order; the layout stays a pure function of the table's
+    /// only, from the tags alone, in one forward pass with no probe and
+    /// no shift. The layout is the one Robin Hood inserts in this order
+    /// would build, so it stays a pure function of the table's
     /// install/evict history.
+    ///
+    /// The old array of `m` slots is walked from an empty position `e`:
+    /// no cluster crosses `e`, so slots arrive in home order. A doubled
+    /// home is the old home or the old home plus `m`, so no cluster of
+    /// the new array crosses `e` or `e + m` either, and the new array
+    /// splits into two arcs of `m` positions that fill independently.
+    /// Within an arc the slots arrive in new-home order, equal homes in
+    /// their old order, so each goes at its new home or one past the
+    /// arc's last placed slot, whichever is later.
     fn grow(&mut self) {
         let cap = (2 * self.slots.len()).max(8);
         let old = std::mem::take(&mut self.slots);
         self.slots.resize(cap, Slot::default());
-        let start = old.iter().position(|s| s.flow == 0).unwrap_or(0);
-        let (tail, head) = old.split_at(start);
-        for &s in head.iter().chain(tail) {
-            if s.flow != 0 {
-                self.place(s);
-            }
+        let Some(e) = old.iter().position(|s| s.flow == 0) else {
+            return; // no slot to move (an empty shard)
+        };
+        let (m, mask) = (old.len(), cap - 1);
+        // Per arc, the offset from the arc's start of its next free
+        // position.
+        let mut next = [0; 2];
+        let (tail, head) = old.split_at(e);
+        for &s in head.iter().chain(tail).filter(|s| s.flow != 0) {
+            let off = (s.tag as usize).wrapping_sub(e) & mask;
+            let arc = usize::from(off >= m);
+            let at = (off & (m - 1)).max(next[arc]);
+            debug_assert!(at < m, "a cluster ran past its arc");
+            next[arc] = at + 1;
+            self.slots[(e + arc * m + at) & mask] = s;
         }
     }
 
@@ -484,6 +520,8 @@ pub struct FlowTable {
     classified_packets: u64,
     /// Packets classified to since-evicted flows (conservation ledger).
     forgotten_packets: u64,
+    /// Per-flow packet-count adds that saturated at [`Count48::MAX`].
+    saturated_adds: u64,
     wildcards: Vec<WildcardRule>,
     index: Index,
     kind: FlowTableKind,
@@ -526,6 +564,7 @@ impl FlowTable {
             epoch: 0,
             classified_packets: 0,
             forgotten_packets: 0,
+            saturated_adds: 0,
             wildcards: Vec::new(),
             index: Index::with_kind(kind),
             kind,
@@ -553,8 +592,10 @@ impl FlowTable {
     /// Install a rule mapping `tuple` to `chain`, returning the interned
     /// [`FlowId`]. Reinstalling an existing tuple updates its chain (rule
     /// replacement) and keeps its id and counters. Explicit installs are
-    /// pinned: they are never aged out.
+    /// pinned: they are never aged out. Panics if `chain` is above
+    /// 65,535: a flow slot keeps a 16-bit chain.
     pub fn install(&mut self, tuple: FiveTuple, chain: ChainId) -> FlowId {
+        let chain = slot_chain(chain);
         let h = tuple_hash(&tuple);
         let (found, steps) = self.index.shard(h).find(h, &tuple, &self.keys);
         self.note_probe(steps);
@@ -574,11 +615,11 @@ impl FlowTable {
     /// the slot its miss probe stopped at. Shared by
     /// [`FlowTable::install`] (pinned) and the wildcard cache path
     /// (stamped with the current epoch).
-    fn mint(&mut self, h: u64, tuple: FiveTuple, chain: ChainId, stamp: u32, at: usize) -> u32 {
+    fn mint(&mut self, h: u64, tuple: FiveTuple, chain: u16, stamp: u32, at: usize) -> u32 {
         let slot = FlowSlot {
-            chain,
             last_seen: stamp,
-            packets: 0,
+            chain,
+            packets: Count48::default(),
         };
         let id = match self.free.pop() {
             Some(id) => {
@@ -610,8 +651,10 @@ impl FlowTable {
     /// Install a wildcard rule at `priority` (higher wins on overlap).
     /// The rule list is kept sorted highest-priority-first; binary-search
     /// the insertion point so each install is O(log n) compare + shift,
-    /// and equal priorities keep installation order.
+    /// and equal priorities keep installation order. Panics if `chain`
+    /// is above 65,535: a flow slot keeps a 16-bit chain.
     pub fn install_wildcard(&mut self, pattern: TuplePattern, chain: ChainId, priority: i32) {
+        let chain = slot_chain(chain);
         let at = self.wildcards.partition_point(|r| r.priority >= priority);
         self.wildcards.insert(
             at,
@@ -734,9 +777,9 @@ impl FlowTable {
         if fs.last_seen != PINNED {
             fs.last_seen = self.epoch;
         }
-        fs.packets += packets;
+        self.saturated_adds += u64::from(fs.packets.add(packets));
         self.classified_packets += packets;
-        Some((FlowId(f), fs.chain))
+        Some((FlowId(f), ChainId(fs.chain.into())))
     }
 
     /// Advance the aging epoch and evict wildcard-learned entries idle
@@ -761,7 +804,7 @@ impl FlowTable {
             self.index.shard_mut(h).remove(h, &tuple, &self.keys);
             let fs = &mut self.slots[id as usize];
             fs.last_seen = DEAD;
-            self.forgotten_packets += fs.packets;
+            self.forgotten_packets += fs.packets.get();
             // An evicted slot keeps its key; disarm a memo naming it so
             // the next classify goes through the index (which no longer
             // holds the tuple).
@@ -795,6 +838,13 @@ impl FlowTable {
         self.forgotten_packets
     }
 
+    /// Per-flow packet-count adds that saturated at [`Count48::MAX`]
+    /// (each leaves that flow's count, and the conservation ledger,
+    /// short). Zero in any real run.
+    pub fn saturated_adds(&self) -> u64 {
+        self.saturated_adds
+    }
+
     /// Look up without mutating counters or aging stamps.
     #[inline]
     pub fn get(&self, tuple: &FiveTuple) -> Option<FlowEntry> {
@@ -810,15 +860,15 @@ impl FlowTable {
         let fs = &self.slots[f as usize];
         FlowEntry {
             flow: FlowId(f),
-            chain: fs.chain,
-            packets: fs.packets,
+            chain: ChainId(fs.chain.into()),
+            packets: fs.packets.get(),
         }
     }
 
     /// The chain a flow id is steered onto (for an evicted id awaiting
     /// recycle: the chain it last carried).
     pub fn chain_of(&self, flow: FlowId) -> ChainId {
-        self.slots[flow.index()].chain
+        ChainId(self.slots[flow.index()].chain.into())
     }
 
     /// The tuple for a given (live) flow id.
@@ -1137,10 +1187,10 @@ mod tests {
     }
 
     #[test]
-    fn learned_flows_cost_32_bytes_of_columns_plus_index_slots() {
+    fn learned_flows_cost_28_bytes_of_columns_plus_index_slots() {
         use crate::column::FLOW_CHUNK;
         assert_eq!(std::mem::size_of::<FiveTuple>(), 16);
-        assert_eq!(std::mem::size_of::<FlowSlot>(), 16);
+        assert_eq!(std::mem::size_of::<FlowSlot>(), 12);
         const N: u32 = (1 << 18) + 1;
         let mut ft = aging_table(FlowTableKind::Sharded);
         for n in 0..N {
@@ -1153,10 +1203,107 @@ mod tests {
         let entries = 5 * FLOW_CHUNK;
         assert!(entries - (N as usize) < FLOW_CHUNK);
         let slots = ft.stats().slots as usize;
-        assert_eq!(ft.heap_bytes(), 32 * entries + 8 * slots);
+        assert_eq!(ft.heap_bytes(), 28 * entries + 8 * slots);
         // 64 shards of 8,192 slots: 16 B of index per flow.
         assert_eq!(slots, 524_288);
-        assert_eq!(ft.heap_bytes(), 14_680_064);
+        assert_eq!(ft.heap_bytes(), 13_369_344);
+    }
+
+    #[test]
+    fn packet_counts_saturate_at_two_to_the_48_minus_one() {
+        let mut ft = FlowTable::new();
+        let t = FiveTuple::synthetic(1, Proto::Udp);
+        ft.install(t, ChainId(0));
+        ft.classify_run(&t, Count48::MAX);
+        assert_eq!(ft.get(&t).unwrap().packets, Count48::MAX);
+        assert_eq!(ft.saturated_adds(), 0, "reaching the cap is exact");
+        ft.classify_run(&t, 2);
+        assert_eq!(ft.get(&t).unwrap().packets, Count48::MAX);
+        assert_eq!(ft.saturated_adds(), 1);
+        // The lifetime total is a u64: it stays exact, so the ledger
+        // shows the clipped count's shortfall.
+        assert_eq!(ft.classified_packets(), Count48::MAX + 2);
+    }
+
+    #[test]
+    fn chains_up_to_the_16_bit_cap_install_and_classify() {
+        use crate::pattern::TuplePattern;
+        let mut ft = FlowTable::new();
+        let pinned = FiveTuple::synthetic(1, Proto::Udp);
+        let top = ChainId(MAX_CHAIN_ID);
+        let f = ft.install(pinned, top);
+        assert_eq!(ft.chain_of(f), ChainId(65_535));
+        assert_eq!(ft.classify(&pinned, 64), Some((f, top)));
+        ft.install_wildcard(TuplePattern::any(), top, 0);
+        let learned = FiveTuple::synthetic(2, Proto::Udp);
+        assert_eq!(ft.classify(&learned, 64).map(|(_, c)| c), Some(top));
+    }
+
+    #[test]
+    #[should_panic(expected = "chain cap")]
+    fn install_refuses_a_chain_above_the_cap() {
+        FlowTable::new().install(FiveTuple::synthetic(1, Proto::Udp), ChainId(65_536));
+    }
+
+    #[test]
+    #[should_panic(expected = "chain cap")]
+    fn install_wildcard_refuses_a_chain_above_the_cap() {
+        use crate::pattern::TuplePattern;
+        FlowTable::new().install_wildcard(TuplePattern::any(), ChainId(65_536), 0);
+    }
+
+    /// The Robin Hood grow the split pass replaced: every old slot,
+    /// walked from an empty slot, re-placed with [`Shard::place`].
+    fn grow_by_place(old: &Shard) -> Vec<Slot> {
+        let mut s = Shard {
+            slots: vec![Slot::default(); (2 * old.slots.len()).max(8)],
+            used: old.used,
+        };
+        let start = old.slots.iter().position(|x| x.flow == 0).unwrap_or(0);
+        let (tail, head) = old.slots.split_at(start);
+        for &x in head.iter().chain(tail).filter(|x| x.flow != 0) {
+            s.place(x);
+        }
+        s.slots
+    }
+
+    #[test]
+    fn split_grow_builds_the_robin_hood_layout() {
+        // Shards of 8 to 64 slots at every load up to 3/4, with uniform
+        // homes and with homes crowded at the array's end (clusters wrap
+        // round), and equal homes: the one-pass grow must lay out
+        // exactly what Robin Hood re-inserts build.
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        let mut rand = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..2_000u64 {
+            let cap = 8usize << (round % 4);
+            let mut shard = Shard {
+                slots: vec![Slot::default(); cap],
+                used: 0,
+            };
+            let n = rand() as usize % (3 * cap / 4 + 1);
+            for f in 0..n as u32 {
+                let r = rand();
+                let home = match round % 3 {
+                    0 => r as usize % cap,
+                    1 => cap - 1 - r as usize % (cap / 4),
+                    _ => r as usize % 3,
+                };
+                // Random high bits pick each slot's half after the grow.
+                let tag = (r >> 32) as u32 & !(cap as u32 - 1) | home as u32;
+                shard.used += 1;
+                shard.place(Slot { tag, flow: f + 1 });
+            }
+            let want = grow_by_place(&shard);
+            shard.grow();
+            assert_eq!(shard.slots, want, "round {round}: {n} slots of {cap}");
+            check_shard(&shard);
+        }
     }
 
     /// Check one shard's Robin Hood invariants: `used` counts the

@@ -16,6 +16,7 @@
 #![warn(missing_docs)]
 
 pub mod column;
+pub mod count;
 pub mod flowtable;
 pub mod ids;
 pub mod mempool;
@@ -25,6 +26,7 @@ pub mod pattern;
 pub mod ring;
 
 pub use column::{FlowColumn, FLOW_CHUNK};
+pub use count::Count48;
 pub use flowtable::{FlowAging, FlowEntry, FlowTable, FlowTableKind, FlowTableStats};
 pub use ids::{ChainId, CoreId, FlowId, NfId, PktId};
 pub use mempool::{Mempool, PacketRun};

@@ -289,6 +289,14 @@ impl Platform {
             + self.tcp_flows.capacity() * std::mem::size_of::<FlowId>()
     }
 
+    /// Per-flow counter adds that saturated at 2^48 − 1, in the
+    /// [`FlowStats`] counters and the flow table's packet counts. Zero
+    /// in any real run; the engine reports a non-zero count as an
+    /// invariant violation.
+    pub fn saturated_adds(&self) -> u64 {
+        self.stats.saturated_adds + self.flow_table.saturated_adds()
+    }
+
     /// Whether `flow` was installed as a TCP flow.
     #[inline]
     fn is_tcp(&self, flow: FlowId) -> bool {
@@ -440,7 +448,7 @@ mod tests {
     }
 
     #[test]
-    fn compact_flow_counters_cost_32_bytes_per_flow() {
+    fn compact_flow_counters_cost_24_bytes_per_flow() {
         use nfv_pkt::FLOW_CHUNK;
         let mut p = Platform::new(PlatformConfig {
             flow_detail: false,
@@ -461,10 +469,35 @@ mod tests {
         assert_eq!(p.tcp_flows, [tcp]);
         // Four full chunks and one holding the last flow; no per-flow
         // TCP flag, no detail entries, no doubling slack.
-        assert_eq!(p.stats.flows.heap_bytes(), 32 * 5 * FLOW_CHUNK);
-        assert_eq!(p.stats.flows.heap_bytes(), 10_485_760);
+        assert_eq!(p.stats.flows.heap_bytes(), 24 * 5 * FLOW_CHUNK);
+        assert_eq!(p.stats.flows.heap_bytes(), 7_864_320);
         let tcp_list = p.tcp_flows.capacity() * std::mem::size_of::<FlowId>();
-        assert_eq!(p.flow_heap_bytes(), 10_485_760 + tcp_list);
+        assert_eq!(p.flow_heap_bytes(), 7_864_320 + tcp_list);
+    }
+
+    #[test]
+    fn learned_flows_cost_68_bytes_each_at_two_to_the_20() {
+        // Per-flow state of a compact platform, summed over its layers:
+        // table keys 16 + table slot 12 + index 16 (8-byte slots at 1/2
+        // load) + counters 24.
+        let mut p = Platform::new(PlatformConfig {
+            flow_detail: false,
+            ..test_cfg()
+        });
+        let nf = p.add_nf(NfSpec::new("a", 0, 100));
+        let chain = p.install_chain(&[nf]);
+        p.install_wildcard(TuplePattern::any(), chain, 0);
+        const N: u32 = 1 << 20;
+        for n in 0..N {
+            let tuple = FiveTuple::synthetic(n, Proto::Udp);
+            let (flow, _) = p.flow_table.classify(&tuple, 64).unwrap();
+            p.grow_flow_stats(flow);
+        }
+        assert_eq!(p.flow_table.len(), N as usize);
+        assert_eq!(p.flow_table.stats().slots, 2 * u64::from(N));
+        let tcp_list = p.tcp_flows.capacity() * std::mem::size_of::<FlowId>();
+        let bytes = p.flow_table.heap_bytes() + p.flow_heap_bytes() - tcp_list;
+        assert_eq!(bytes, 68 << 20);
     }
 
     #[test]
@@ -476,7 +509,7 @@ mod tests {
         assert_eq!(p.nfs[0].pending(), 0);
         assert_eq!(p.stats.entry_throttle_drops, 5);
         assert_eq!(p.stats.chains[chain.index()].entry_drops, 5);
-        assert_eq!(p.stats.flows[flow.index()].entry_drops, 5);
+        assert_eq!(p.stats.flows[flow.index()].entry_drops(), 5);
         assert_eq!(p.mempool.in_use(), 0);
     }
 
@@ -519,7 +552,7 @@ mod tests {
         assert_eq!(admit_calls, vec![fa, fb, fa]);
         assert_eq!(p.stats.unclassified, 2);
         assert_eq!(p.stats.entry_throttle_drops, 2);
-        assert_eq!(p.stats.flows[fb.index()].entry_drops, 2);
+        assert_eq!(p.stats.flows[fb.index()].entry_drops(), 2);
         assert_eq!(p.nfs[na.index()].pending(), 3);
         // λ counts shed frames too (pre-admission), never unknown ones.
         assert_eq!(p.nfs[na.index()].arrivals, 3);
@@ -752,7 +785,7 @@ mod tests {
             &mut tcp,
             &mut woken,
         );
-        assert_eq!(p.stats.flows[flow.index()].delivered, 32);
+        assert_eq!(p.stats.flows[flow.index()].delivered(), 32);
         assert_eq!(p.nic.tx_frames, 32);
         assert!(p.packets_accounted());
     }
@@ -857,7 +890,7 @@ mod tests {
         p.plan_batch(a);
         p.finish_batch(a, SimTime::from_micros(1));
         assert_eq!(p.mempool.in_use(), 0);
-        assert_eq!(p.stats.flows[flow.index()].dropped, 8);
+        assert_eq!(p.stats.flows[flow.index()].dropped(), 8);
         assert_eq!(p.nfs[a.index()].processed, 8);
     }
 
@@ -972,7 +1005,7 @@ mod tests {
         assert_eq!(p.mempool.in_use(), 0);
         assert!(p.packets_accounted());
         assert_eq!(p.stats.nf_down_drops, 40);
-        assert_eq!(p.stats.flows[flow.index()].dropped, 40);
+        assert_eq!(p.stats.flows[flow.index()].dropped(), 40);
         assert!(p.nfs[0].pending_by_chain.is_empty());
         assert!(p.nfs[0].current_batch.is_none());
         assert!(p.any_nf_down());
@@ -1006,7 +1039,7 @@ mod tests {
         assert_eq!(p.nfs[0].pending(), 0);
         assert_eq!(p.nfs[0].arrivals, 4, "shed frames are not offered load");
         assert_eq!(p.stats.nf_down_drops, 8);
-        assert_eq!(p.stats.flows[flow.index()].dropped, 8);
+        assert_eq!(p.stats.flows[flow.index()].dropped(), 8);
         assert_eq!(p.mempool.in_use(), 0);
         // Respawn: traffic flows again.
         p.restart_nf(NfId(1), SimTime::from_micros(5));

@@ -1,7 +1,7 @@
 //! Platform-wide statistics and the TCP feedback channel.
 
 use nfv_des::{Duration, DurationHistogram, RateMeter};
-use nfv_pkt::{ChainId, FlowColumn, FlowId, NfId};
+use nfv_pkt::{ChainId, Count48, FlowColumn, FlowId, NfId};
 
 /// Where a packet died. Locations early in the pipeline wasted no work;
 /// drops at a downstream NF's full ring wasted the processing of every NF
@@ -52,7 +52,7 @@ pub enum TcpEventKind {
 /// histogram (~4 KB of buckets). Kept in a side table,
 /// [`PlatformStats::flow_detail`], that only detailed platforms fill
 /// (`PlatformConfig::flow_detail`), so million-flow runs keep per-flow
-/// accounting at the 32-byte [`FlowStats`] counters.
+/// accounting at the 24-byte [`FlowStats`] counters.
 #[derive(Debug, Default)]
 pub struct FlowDetail {
     /// Per-second delivered packet rate.
@@ -63,18 +63,43 @@ pub struct FlowDetail {
     pub latency: DurationHistogram,
 }
 
-/// Per-flow delivery counters: a plain 32-byte record, maintained for
-/// every flow whatever the detail setting.
+/// Per-flow delivery counters: four saturating 48-bit counters in 24
+/// bytes, maintained for every flow whatever the detail setting. Only
+/// [`PlatformStats::delivered_n`] and [`PlatformStats::dropped_n`] write
+/// them (counting any add that saturates); read them through the `u64`
+/// accessors.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowStats {
+    delivered: Count48,
+    delivered_bytes: Count48,
+    dropped: Count48,
+    entry_drops: Count48,
+}
+
+impl FlowStats {
     /// Packets that exited the chain.
-    pub delivered: u64,
+    #[inline]
+    pub fn delivered(&self) -> u64 {
+        self.delivered.get()
+    }
+
     /// Bytes that exited the chain.
-    pub delivered_bytes: u64,
+    #[inline]
+    pub fn delivered_bytes(&self) -> u64 {
+        self.delivered_bytes.get()
+    }
+
     /// Packets dropped anywhere inside the box.
-    pub dropped: u64,
+    #[inline]
+    pub fn dropped(&self) -> u64 {
+        self.dropped.get()
+    }
+
     /// Packets discarded by admission control at chain entry.
-    pub entry_drops: u64,
+    #[inline]
+    pub fn entry_drops(&self) -> u64 {
+        self.entry_drops.get()
+    }
 }
 
 /// Per-chain delivery accounting.
@@ -108,6 +133,10 @@ pub struct PlatformStats {
     /// no pending count). Surfaced by the sanitizer as an invariant
     /// violation instead of a mid-sim panic.
     pub pending_desync: u64,
+    /// Per-flow counter adds that saturated at [`Count48::MAX`]: each
+    /// leaves a [`FlowStats`] counter short. Surfaced by the engine as
+    /// an invariant violation when it builds the report.
+    pub saturated_adds: u64,
     /// Running totals of the per-flow `delivered`/`dropped` counters —
     /// maintained on each delivery/drop so the packet-conservation ledger
     /// is O(1) even with a million flows.
@@ -144,8 +173,8 @@ impl PlatformStats {
         let run_bytes = u64::from(bytes) * n;
         self.delivered_total += n;
         let f = &mut self.flows[flow.index()];
-        f.delivered += n;
-        f.delivered_bytes += run_bytes;
+        self.saturated_adds +=
+            u64::from(f.delivered.add(n)) + u64::from(f.delivered_bytes.add(run_bytes));
         if let Some(d) = self.flow_detail.get_mut(flow.index()) {
             d.pps_meter.add(n);
             d.bytes_meter.add(run_bytes);
@@ -167,9 +196,10 @@ impl PlatformStats {
     /// [`PlatformStats::dropped`] calls.
     pub fn dropped_n(&mut self, flow: FlowId, chain: ChainId, loc: DropLocation, n: u64) {
         self.dropped_total += n;
-        self.flows[flow.index()].dropped += n;
+        let f = &mut self.flows[flow.index()];
+        self.saturated_adds += u64::from(f.dropped.add(n));
         if loc == DropLocation::EntryThrottle {
-            self.flows[flow.index()].entry_drops += n;
+            self.saturated_adds += u64::from(f.entry_drops.add(n));
             self.chains[chain.index()].entry_drops += n;
             self.entry_throttle_drops += n;
         }
@@ -211,8 +241,8 @@ mod tests {
         let mut s = one_flow(true);
         s.delivered(FlowId(0), ChainId(0), 64, Duration::from_micros(5));
         s.delivered(FlowId(0), ChainId(0), 64, Duration::from_micros(7));
-        assert_eq!(s.flows[0].delivered, 2);
-        assert_eq!(s.flows[0].delivered_bytes, 128);
+        assert_eq!(s.flows[0].delivered(), 2);
+        assert_eq!(s.flows[0].delivered_bytes(), 128);
         assert_eq!(s.chains[0].delivered, 2);
         assert!(s.flow_detail[0].latency.median().unwrap() >= Duration::from_micros(4));
     }
@@ -222,8 +252,8 @@ mod tests {
         let mut s = one_flow(true);
         s.dropped(FlowId(0), ChainId(0), DropLocation::EntryThrottle);
         s.dropped(FlowId(0), ChainId(0), DropLocation::RingFull(NfId(1)));
-        assert_eq!(s.flows[0].dropped, 2);
-        assert_eq!(s.flows[0].entry_drops, 1);
+        assert_eq!(s.flows[0].dropped(), 2);
+        assert_eq!(s.flows[0].entry_drops(), 1);
         assert_eq!(s.chains[0].entry_drops, 1);
         assert_eq!(s.entry_throttle_drops, 1);
     }
@@ -280,15 +310,38 @@ mod tests {
         let mut s = one_flow(false);
         s.delivered(FlowId(0), ChainId(0), 64, Duration::from_micros(5));
         s.roll(SimTime::from_secs(1));
-        assert_eq!(s.flows[0].delivered, 1);
-        assert_eq!(s.flows[0].delivered_bytes, 64);
+        assert_eq!(s.flows[0].delivered(), 1);
+        assert_eq!(s.flows[0].delivered_bytes(), 64);
         assert!(s.flow_detail.is_empty());
         // Chain-level accounting is unaffected by compact flows.
         assert!(s.chains[0].latency.median().is_some());
     }
 
     #[test]
-    fn flow_counters_are_32_bytes() {
-        assert_eq!(std::mem::size_of::<FlowStats>(), 32);
+    fn flow_counters_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<FlowStats>(), 24);
+    }
+
+    #[test]
+    fn flow_counters_saturate_and_count_it() {
+        let mut s = one_flow(false);
+        let max = Count48::MAX;
+        s.dropped_n(FlowId(0), ChainId(0), DropLocation::EntryThrottle, max);
+        s.delivered_n(FlowId(0), ChainId(0), 1, Duration::ZERO, max);
+        assert_eq!(s.saturated_adds, 0, "reaching the cap is exact");
+        s.dropped_n(FlowId(0), ChainId(0), DropLocation::EntryThrottle, 1);
+        assert_eq!(s.saturated_adds, 2, "dropped and entry_drops clip");
+        s.delivered_n(FlowId(0), ChainId(0), 1, Duration::ZERO, 3);
+        assert_eq!(s.saturated_adds, 4, "delivered and delivered_bytes clip");
+        let f = s.flows[0];
+        let got = [
+            f.delivered(),
+            f.delivered_bytes(),
+            f.dropped(),
+            f.entry_drops(),
+        ];
+        assert_eq!(got, [max; 4]);
+        // The platform-wide totals are u64 and stay exact.
+        assert_eq!((s.delivered_total, s.dropped_total), (max + 3, max + 1));
     }
 }
