@@ -777,7 +777,7 @@ impl FlowTable {
         if fs.last_seen != PINNED {
             fs.last_seen = self.epoch;
         }
-        self.saturated_adds += u64::from(fs.packets.add(packets));
+        fs.packets.add(packets, &mut self.saturated_adds);
         self.classified_packets += packets;
         Some((FlowId(f), ChainId(fs.chain.into())))
     }

@@ -173,8 +173,8 @@ impl PlatformStats {
         let run_bytes = u64::from(bytes) * n;
         self.delivered_total += n;
         let f = &mut self.flows[flow.index()];
-        self.saturated_adds +=
-            u64::from(f.delivered.add(n)) + u64::from(f.delivered_bytes.add(run_bytes));
+        f.delivered.add(n, &mut self.saturated_adds);
+        f.delivered_bytes.add(run_bytes, &mut self.saturated_adds);
         if let Some(d) = self.flow_detail.get_mut(flow.index()) {
             d.pps_meter.add(n);
             d.bytes_meter.add(run_bytes);
@@ -197,9 +197,9 @@ impl PlatformStats {
     pub fn dropped_n(&mut self, flow: FlowId, chain: ChainId, loc: DropLocation, n: u64) {
         self.dropped_total += n;
         let f = &mut self.flows[flow.index()];
-        self.saturated_adds += u64::from(f.dropped.add(n));
+        f.dropped.add(n, &mut self.saturated_adds);
         if loc == DropLocation::EntryThrottle {
-            self.saturated_adds += u64::from(f.entry_drops.add(n));
+            f.entry_drops.add(n, &mut self.saturated_adds);
             self.chains[chain.index()].entry_drops += n;
             self.entry_throttle_drops += n;
         }
