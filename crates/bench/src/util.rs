@@ -62,15 +62,14 @@ struct CellRecord {
     wall_ms: f64,
     trace_digest: u64,
     /// Event-queue self-profiling counters from the run's report. They are
-    /// deterministic per queue backend, but live in the timings file (not
-    /// the metrics document) so the metrics stay backend-independent.
+    /// deterministic, but live in the timings file (not the metrics
+    /// document) so the metrics describe the simulated system only.
     queue: QueueStats,
     /// Events popped and discarded as stale by the engine.
     stale_pops: u64,
-    /// Flow-table self-profiling counters. Backend-dependent (probe
-    /// lengths, rehashes), so like `queue` they live in the timings file
-    /// only — the metrics document must stay identical across the
-    /// sharded engine and the flat oracle.
+    /// Flow-table self-profiling counters. They depend on the index layout
+    /// (probe lengths, rehashes), so like `queue` they live in the timings
+    /// file only.
     flow: FlowTableStats,
     /// Flows installed at the end of the run / evicted by aging over it.
     flows_active: u64,
@@ -296,15 +295,13 @@ pub fn timings_json() -> String {
         let per_sec = |x: u64| x as f64 / c.sim_secs.max(1e-9);
         let _ = write!(
             s,
-            ",\"queue\":{{\"pushes\":{},\"pops\":{},\"stale_pops\":{},\"cascades\":{},\
-             \"cascaded_entries\":{},\"allocs\":{},\"max_len\":{},\
+            ",\"queue\":{{\"pushes\":{},\"pops\":{},\"stale_pops\":{},\
+             \"allocs\":{},\"max_len\":{},\
              \"coalesced_pops\":{},\"skipped_ticks\":{},\
              \"pops_per_sim_sec\":{:.1},\"allocs_per_sim_sec\":{:.1}}}",
             q.pushes,
             q.pops,
             c.stale_pops,
-            q.cascades,
-            q.cascaded_entries,
             q.allocs,
             q.max_len,
             q.coalesced_pops,
@@ -312,7 +309,7 @@ pub fn timings_json() -> String {
             per_sec(q.pops),
             per_sec(q.allocs),
         );
-        // Flow-table self-profiling: like `queue`, backend-dependent
+        // Flow-table self-profiling: like `queue`, implementation
         // internals stay in this (timings) file only.
         let f = &c.flow;
         let avg_probe = f.probe_steps as f64 / (f.exact_hits + f.installs).max(1) as f64;

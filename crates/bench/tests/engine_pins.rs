@@ -7,9 +7,7 @@
 //! wildcard rule, which also pin the flow-table counters. Changes to how
 //! the queue stores or delivers events, how the datapath moves packets
 //! or how the RX thread classifies them must leave every pinned value
-//! exactly as it is; only `cascades` may move. The pins hold on both
-//! queue backends and both flow-table backends (CI runs this file under
-//! the `heap-queue` and `flat-flowtable` features too).
+//! exactly as it is.
 
 #![forbid(unsafe_code)]
 
@@ -53,14 +51,6 @@ fn quick_cells_keep_their_digest_and_queue_counts() {
             10,
             863_501,
         ),
-    );
-    // The manager ticks make up most of fig13's pops; off the wheel, they
-    // no longer cascade.
-    assert!(
-        fig13.queue.cascades * 20 < fig13.queue.pops,
-        "fig13: {} cascades for {} pops",
-        fig13.queue.cascades,
-        fig13.queue.pops
     );
 
     let (_, crash) = faults::cells()
@@ -155,29 +145,6 @@ fn per_packet_paths_keep_their_digest_and_counts() {
     assert_eq!(outcome(&chain), (40_988, 19_002, 0));
 }
 
-/// `(probe_steps, max_probe, rehashes, shards, slots)`.
-type Probe = (u64, u64, u64, u64, u64);
-
-/// Check a run's flow-table counters: `shared` holds the fields both
-/// index backends agree on, `sharded` and `flat` each backend's own
-/// probe and shape fields (the build-default backend picks which).
-fn check_flow_table(cell: &str, r: &Report, shared: FlowTableStats, sharded: Probe, flat: Probe) {
-    let (probe_steps, max_probe, rehashes, shards, slots) = if cfg!(feature = "flat-flowtable") {
-        flat
-    } else {
-        sharded
-    };
-    let want = FlowTableStats {
-        probe_steps,
-        max_probe,
-        rehashes,
-        shards,
-        slots,
-        ..shared
-    };
-    assert_eq!(r.flow, want, "{cell}: flow-table counters");
-}
-
 /// Pins of the flow-learning path: the two scale cells that mint flows
 /// through a wildcard rule on nearly every frame. `1m_flows` learns 2^20
 /// tuples in sweep order; `tenants` learns four interleaved tuple slices
@@ -193,9 +160,8 @@ fn flow_learning_cells_keep_their_digest_and_counts() {
         &m,
         (0xc24c_55c1_021d_9d1c, 210_296, 210_294, 75_300, 7, 30_001),
     );
-    check_flow_table(
-        "scale/1m_flows",
-        &m,
+    assert_eq!(
+        m.flow,
         FlowTableStats {
             installs: 1_048_576,
             recycled: 0,
@@ -203,12 +169,15 @@ fn flow_learning_cells_keep_their_digest_and_counts() {
             exact_hits: 301_424,
             memo_hits: 0,
             wildcard_hits: 1_048_576,
+            probe_steps: 2_396_056,
+            max_probe: 21,
+            rehashes: 832,
+            shards: 64,
+            slots: 2_097_152,
             live: 1_048_576,
             pinned: 0,
-            ..FlowTableStats::default()
         },
-        (2_396_056, 21, 832, 64, 2_097_152),
-        (2_401_005, 19, 19, 1, 2_097_152),
+        "scale/1m_flows: flow-table counters"
     );
     assert_eq!((m.flows_active, m.flows_evicted), (1_048_576, 0));
     assert_eq!((m.nic_overflow, m.entry_drops), (0, 0));
@@ -220,9 +189,8 @@ fn flow_learning_cells_keep_their_digest_and_counts() {
         &t,
         (0xfb03_260c_9dc9_0aa2, 285_290, 285_288, 75_300, 7, 30_001),
     );
-    check_flow_table(
-        "scale/tenants",
-        &t,
+    assert_eq!(
+        t.flow,
         FlowTableStats {
             installs: 538_176,
             recycled: 423_232,
@@ -230,12 +198,15 @@ fn flow_learning_cells_keep_their_digest_and_counts() {
             exact_hits: 301_824,
             memo_hits: 0,
             wildcard_hits: 538_176,
+            probe_steps: 1_236_788,
+            max_probe: 16,
+            rehashes: 640,
+            shards: 64,
+            slots: 262_144,
             live: 110_168,
             pinned: 0,
-            ..FlowTableStats::default()
         },
-        (1_236_788, 16, 640, 64, 262_144),
-        (1_232_029, 17, 16, 1, 262_144),
+        "scale/tenants: flow-table counters"
     );
     assert_eq!((t.flows_active, t.flows_evicted), (110_168, 428_008));
     assert_eq!((t.nic_overflow, t.entry_drops), (0, 0));

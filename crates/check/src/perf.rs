@@ -41,34 +41,26 @@ pub struct CellTiming {
 }
 
 /// The event-queue counters of one cell that tell which layer a wall
-/// clock change sits in: how many events popped, how many wheel cascades
-/// each cost, and how many rode in a same-instant batch. Deterministic
-/// for a given build, so any run's copy will do.
+/// clock change sits in: how many events popped, and how many rode in a
+/// same-instant batch. Deterministic for a given build, so any run's
+/// copy will do.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct QueueCounts {
     /// Events delivered.
     pub pops: u64,
-    /// Timer-wheel slot cascades.
-    pub cascades: u64,
     /// Events delivered as non-first members of a same-instant batch.
     pub coalesced_pops: u64,
 }
 
 impl QueueCounts {
-    /// Parse a cell's `"queue"` object; `None` unless all three counters
-    /// are present.
+    /// Parse a cell's `"queue"` object; `None` unless both counters are
+    /// present.
     fn parse(q: &Json) -> Option<QueueCounts> {
         let count = |name: &str| q.get(name).and_then(Json::as_num).map(|x| x as u64);
         Some(QueueCounts {
             pops: count("pops")?,
-            cascades: count("cascades")?,
             coalesced_pops: count("coalesced_pops")?,
         })
-    }
-
-    /// Cascades per pop (0 when nothing popped).
-    pub fn cascades_per_pop(&self) -> f64 {
-        ratio(self.cascades, self.pops)
     }
 
     /// Share of pops delivered inside a batch (0 when nothing popped).
@@ -78,7 +70,6 @@ impl QueueCounts {
 
     fn add(&mut self, other: QueueCounts) {
         self.pops += other.pops;
-        self.cascades += other.cascades;
         self.coalesced_pops += other.coalesced_pops;
     }
 }
@@ -433,24 +424,23 @@ pub fn render_report(diff: &Diff) -> String {
         .collect();
     if !flagged.is_empty() {
         s.push_str(
-            "\nEvent queue of each flagged cell (current run): a pop count or \
-             cascade rate that moved with the wall clock points at the \
-             event-queue layer.\n\n",
+            "\nEvent queue of each flagged cell (current run): a pop count \
+             that moved with the wall clock points at the event-queue \
+             layer.\n\n",
         );
-        s.push_str("| cell | current (ms) | pops | cascades/pop | coalesced share |\n");
-        s.push_str("|---|---:|---:|---:|---:|\n");
+        s.push_str("| cell | current (ms) | pops | coalesced share |\n");
+        s.push_str("|---|---:|---:|---:|\n");
         for r in flagged {
             let _ = match r.queue {
                 Some(q) => writeln!(
                     s,
-                    "| {} | {:.1} | {} | {:.4} | {:.4} |",
+                    "| {} | {:.1} | {} | {:.4} |",
                     r.key,
                     r.cur_ms,
                     q.pops,
-                    q.cascades_per_pop(),
                     q.coalesced_share()
                 ),
-                None => writeln!(s, "| {} | {:.1} | n/a | n/a | n/a |", r.key, r.cur_ms),
+                None => writeln!(s, "| {} | {:.1} | n/a | n/a |", r.key, r.cur_ms),
             };
         }
     }
@@ -505,8 +495,8 @@ mod tests {
     fn parses_real_timings_shape() {
         let doc = r#"{"cells":[
             {"experiment":"fig1","cell":"a","sim_secs":0.3,"wall_ms":100.5,
-             "queue":{"pushes":1,"pops":1,"stale_pops":0,"cascades":0,
-                      "cascaded_entries":0,"allocs":1,"max_len":1,
+             "queue":{"pushes":1,"pops":1,"stale_pops":0,
+                      "allocs":1,"max_len":1,
                       "pops_per_sim_sec":3.3,"allocs_per_sim_sec":3.3}},
             {"experiment":"fig1","cell":"b","sim_secs":0.3,"wall_ms":50.0,
              "queue":{}}],
@@ -629,9 +619,9 @@ mod tests {
             format!(
                 r#"{{"cells":[
                 {{"experiment":"fig13","cell":"NFVnice","wall_ms":{a_ms},
-                 "queue":{{"pushes":2000,"pops":2000,"cascades":100,"coalesced_pops":500}}}},
+                 "queue":{{"pushes":2000,"pops":2000,"coalesced_pops":500}}}},
                 {{"experiment":"fig7","cell":"Default","wall_ms":{b_ms},
-                 "queue":{{"pushes":10,"pops":10,"cascades":0,"coalesced_pops":0}}}}]}}"#
+                 "queue":{{"pushes":10,"pops":10,"coalesced_pops":0}}}}]}}"#
             )
         };
         let base = parse_timings(&doc(100.0, 100.0)).unwrap();
@@ -640,7 +630,6 @@ mod tests {
             cur[0].queue,
             Some(QueueCounts {
                 pops: 2000,
-                cascades: 100,
                 coalesced_pops: 500
             })
         );
@@ -648,7 +637,7 @@ mod tests {
         assert!(d.failed());
         let md = render_report(&d);
         assert!(
-            md.contains("| fig13/NFVnice | 300.0 | 2000 | 0.0500 | 0.2500 |"),
+            md.contains("| fig13/NFVnice | 300.0 | 2000 | 0.2500 |"),
             "{md}"
         );
         // Only flagged cells are listed.
@@ -660,7 +649,7 @@ mod tests {
             &BTreeSet::new(),
             Gate::default(),
         );
-        assert!(render_report(&d).contains("| fig13/NFVnice | 300.0 | n/a | n/a | n/a |"));
+        assert!(render_report(&d).contains("| fig13/NFVnice | 300.0 | n/a | n/a |"));
     }
 
     #[test]

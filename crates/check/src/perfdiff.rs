@@ -216,12 +216,7 @@ fn compare_mode(argv: &[String]) -> ExitCode {
             perf::Verdict::Regressed => "FAIL",
         };
         let queue = r.queue.map_or(String::new(), |q| {
-            format!(
-                " [{} pops, {:.4} cascades/pop, {:.4} coalesced]",
-                q.pops,
-                q.cascades_per_pop(),
-                q.coalesced_share()
-            )
+            format!(" [{} pops, {:.4} coalesced]", q.pops, q.coalesced_share())
         });
         eprintln!(
             "{tag}: {}: {:.1} ms -> {:.1} ms ({:+.1}%){queue}",

@@ -142,10 +142,8 @@ pub struct SimConfig {
     /// hysteresis scale-in (inert by default — same byte-identity
     /// contract as `faults`).
     pub elastic: ElasticConfig,
-    /// Event-queue backend. Defaults to the build's default
-    /// ([`QueueKind::default_kind`]: the arena timer wheel, or the binary
-    /// heap under the `heap-queue` feature); both produce identical event
-    /// streams, so this only selects the differential oracle.
+    /// Event-queue structure: single-valued, kept only because the
+    /// benchmark's replay names it (see [`QueueKind`]).
     pub queue: QueueKind,
 }
 
@@ -163,7 +161,7 @@ impl Default for SimConfig {
             obs: ObsConfig::default(),
             faults: FaultConfig::default(),
             elastic: ElasticConfig::default(),
-            queue: QueueKind::default_kind(),
+            queue: QueueKind::default(),
         }
     }
 }

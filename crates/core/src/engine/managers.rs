@@ -449,8 +449,8 @@ impl Simulation {
         }
         self.metrics
             .begin_tick(now, self.platform.mempool.in_use() as u64);
-        // Deterministic sim state, identical across flow-table index
-        // backends — unlike the probe/rehash counters, which stay out of
+        // Deterministic sim state, independent of the flow-table index
+        // layout — unlike the probe/rehash counters, which stay out of
         // the metrics document (BENCH_timings.json only).
         self.metrics
             .record_flows(self.platform.flow_table.len() as u64, self.flows_evicted);

@@ -97,8 +97,7 @@ pub struct Simulation {
     elastic: ElasticController,
     /// Events popped and discarded because lazy invalidation made them
     /// stale (dead-NF batch events, no-op respawns/crashes/slowdown
-    /// ends). Counted at the discard site, so both queue backends agree
-    /// on it by construction.
+    /// ends). Counted at the discard site.
     stale_pops: u64,
     /// Periodic ticks whose handler body was elided by idle skip-ahead
     /// (the event was still popped and digested). Injected into the
@@ -107,8 +106,8 @@ pub struct Simulation {
     /// `pending_desync` counter value already reported to the sanitizer.
     seen_desync: u64,
     traffic_rotor: usize,
-    /// Flows evicted by aging over the run (cumulative; backend-identical
-    /// by construction, so it may feed metrics columns).
+    /// Flows evicted by aging over the run (cumulative; independent of the
+    /// index layout, so it may feed metrics columns).
     flows_evicted: u64,
     // per-second series bookkeeping (CPU snapshots live in the domains)
     series: Series,
@@ -381,7 +380,7 @@ impl Simulation {
         }
 
         // The six self-rescheduling manager ticks wait in the queue's
-        // periodic lanes, beside the timer wheel (DESIGN.md §15).
+        // periodic lanes, beside the heap (DESIGN.md §10).
         let q = &mut self.queue;
         q.push_periodic(SimTime::ZERO + self.cfg.traffic_poll, Ev::Traffic);
         q.push_periodic(SimTime::ZERO + self.cfg.rx_poll, Ev::RxPoll);

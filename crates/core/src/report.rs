@@ -220,23 +220,22 @@ pub struct Report {
     pub trace_digest: u64,
     /// Events popped and discarded as stale (lazy invalidation: dead-NF
     /// batch events, no-op respawns/crashes/slowdown ends). Counted at
-    /// the engine's discard sites, so the number is identical whichever
-    /// queue backend delivered the events.
+    /// the engine's discard sites.
     pub stale_pops: u64,
-    /// Event-queue self-profiling counters (pushes, pops, wheel
-    /// cascades, backing-store allocations). Deterministic per backend;
-    /// surfaced in `BENCH_timings.json`, never in the metrics document.
+    /// Event-queue self-profiling counters (pushes, pops, coalesced pops,
+    /// heap allocations). Deterministic; surfaced in
+    /// `BENCH_timings.json`, never in the metrics document.
     pub queue: QueueStats,
     /// Flows installed in the flow table when the run ended. Part of the
-    /// deterministic sim state (identical across index backends), so it
+    /// deterministic sim state (independent of the index layout), so it
     /// may appear in metrics output — unlike the flow-table counters in
     /// the `flow` field.
     pub flows_active: u64,
     /// Flows evicted by aging over the whole run (cumulative). Also
-    /// backend-identical by construction.
+    /// independent of the index layout.
     pub flows_evicted: u64,
     /// Flow-table self-profiling counters (probe lengths, rehashes,
-    /// shard shape). Backend-*dependent*, so like [`Report::queue`] they
+    /// shard shape). They depend on the index layout, so like [`Report::queue`] they
     /// go to `BENCH_timings.json` only — never into metrics or traces.
     pub flow: FlowTableStats,
     /// Per-second series.

@@ -2,9 +2,10 @@
 
 #![forbid(unsafe_code)]
 
-use nfv_des::{jain_index, DurationHistogram, EventQueue, QueueKind, SimTime, WindowedMedian};
+use nfv_des::{jain_index, DurationHistogram, EventQueue, SimTime, WindowedMedian};
 use nfv_des::{Duration, Ewma};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// One step of an interleaved queue workload: schedule events at an offset
 /// from the current clock, or drain some.
@@ -23,13 +24,13 @@ enum QueueOp {
     PopBatch,
 }
 
-/// One step of a lane workload: [`QueueOp`]s against the backend plus
+/// One step of a lane workload: [`QueueOp`]s against the heap plus
 /// pushes that land exactly on a pending periodic tick's instant.
 #[derive(Debug, Clone, Copy)]
 enum LaneOp {
     Queue(QueueOp),
     /// Push `count` events at the instant lane `lane` (mod the lane count)
-    /// is next due: a wheel entry tied with a lane entry.
+    /// is next due: a heap entry tied with a lane entry.
     OnTick {
         lane: usize,
         count: u8,
@@ -55,21 +56,14 @@ fn period() -> impl Strategy<Value = u64> {
     ]
 }
 
-/// Tag of lane `i`'s tick; backend events count up from 0.
+/// Tag of lane `i`'s tick; heap events count up from 0.
 const TICK: u32 = 1 << 31;
-
-/// One queue under test: `laned` schedules ticks with `push_periodic`,
-/// the reference the same ticks with plain `push`.
-struct LanePair {
-    laned: EventQueue<u32>,
-    plain: EventQueue<u32>,
-}
 
 fn queue_op() -> impl Strategy<Value = QueueOp> {
     prop_oneof![
-        // Near-term offsets: land in the wheel's low levels.
+        // Near-term offsets: frequent same-instant ties.
         (0u64..5_000, 1u8..4).prop_map(|(delta, count)| QueueOp::Push { delta, count }),
-        // Far-future timers: exercise high levels and cascades.
+        // Far-future timers.
         (1u64 << 20..1u64 << 40, 1u8..3).prop_map(|(delta, count)| QueueOp::Push { delta, count }),
         Just(QueueOp::Pop),
         (0u64..10_000).prop_map(|horizon| QueueOp::PopBefore { horizon }),
@@ -77,137 +71,167 @@ fn queue_op() -> impl Strategy<Value = QueueOp> {
     ]
 }
 
+/// Reference model of [`EventQueue`]: a `BTreeMap` keyed by
+/// `(time, seq)`, which is the queue's whole ordering contract.
+#[derive(Default)]
+struct ModelQueue {
+    pending: BTreeMap<(u64, u64), u32>,
+    seq: u64,
+    now: u64,
+    pops: u64,
+    coalesced: u64,
+    max_len: usize,
+}
+
+impl ModelQueue {
+    fn push(&mut self, at: u64, tag: u32) {
+        self.pending.insert((at, self.seq), tag);
+        self.seq += 1;
+        self.max_len = self.max_len.max(self.pending.len());
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.pending
+            .keys()
+            .next()
+            .map(|&(at, _)| SimTime::from_nanos(at))
+    }
+
+    fn pop_before(&mut self, limit: u64) -> Option<(SimTime, u32)> {
+        let first = self.pending.first_entry().filter(|e| e.key().0 <= limit)?;
+        self.now = first.key().0;
+        self.pops += 1;
+        Some((SimTime::from_nanos(self.now), first.remove()))
+    }
+
+    /// The earliest due event, plus every other event at its instant.
+    fn pop_batch_before(
+        &mut self,
+        limit: u64,
+        out: &mut Vec<(SimTime, u32)>,
+    ) -> Option<(SimTime, u32)> {
+        out.clear();
+        let first = self.pop_before(limit)?;
+        let t = self.now;
+        while let Some(e) = self.pending.first_entry().filter(|e| e.key().0 == t) {
+            out.push((first.0, e.remove()));
+        }
+        self.pops += out.len() as u64;
+        self.coalesced += out.len() as u64;
+        Some(first)
+    }
+}
+
 proptest! {
-    /// The arena wheel and the binary heap dequeue bit-identical
-    /// `(time, tag)` streams for arbitrary interleavings of scheduling and
-    /// draining, including same-instant bursts, far-future timers and
-    /// whole-instant batch drains. This is the backend-equivalence
-    /// property CI's `heap-queue` leg checks end to end over the quick
-    /// suite.
+    /// The queue dequeues the `(time, tag)` stream of a `BTreeMap` model
+    /// for arbitrary interleavings of scheduling and draining, including
+    /// same-instant bursts, far-future timers, `pop_before` refusals and
+    /// whole-instant batch drains; clock, `peek_time`, `len` and the
+    /// pop, coalesced and peak-length counts agree at every step.
     #[test]
-    fn queue_backends_dequeue_identically(
+    fn queue_matches_btreemap_model(
         ops in prop::collection::vec(queue_op(), 1..200),
     ) {
-        let mut wheel: EventQueue<u32> = EventQueue::with_kind(QueueKind::Wheel);
-        let mut heap: EventQueue<u32> = EventQueue::with_kind(QueueKind::Heap);
+        let mut q: EventQueue<u32> = EventQueue::new();
+        let mut model = ModelQueue::default();
         let mut tag = 0u32;
-        let (mut ow, mut oh) = (Vec::new(), Vec::new());
+        let (mut oq, mut om) = (Vec::new(), Vec::new());
         for op in ops {
             match op {
                 QueueOp::Push { delta, count } => {
-                    // All queues have identical clocks (asserted below),
-                    // so the same absolute time goes to each.
-                    let at = SimTime::from_nanos(wheel.now().as_nanos() + delta);
+                    let at = model.now + delta;
                     for _ in 0..count {
-                        wheel.push(at, tag);
-                        heap.push(at, tag);
+                        q.push(SimTime::from_nanos(at), tag);
+                        model.push(at, tag);
                         tag += 1;
                     }
                 }
                 QueueOp::Pop => {
-                    prop_assert_eq!(wheel.pop(), heap.pop());
+                    prop_assert_eq!(q.pop(), model.pop_before(u64::MAX));
                 }
                 QueueOp::PopBefore { horizon } => {
-                    let limit = SimTime::from_nanos(wheel.now().as_nanos() + horizon);
-                    prop_assert_eq!(wheel.pop_before(limit), heap.pop_before(limit));
+                    let limit = model.now + horizon;
+                    prop_assert_eq!(q.pop_before(SimTime::from_nanos(limit)), model.pop_before(limit));
                 }
                 QueueOp::PopBatch => {
-                    let k = wheel.pop_batch_before(SimTime::MAX, &mut ow);
-                    prop_assert_eq!(k, heap.pop_batch_before(SimTime::MAX, &mut oh));
-                    prop_assert_eq!(&ow, &oh);
+                    let k = q.pop_batch_before(SimTime::MAX, &mut oq);
+                    prop_assert_eq!(k, model.pop_batch_before(u64::MAX, &mut om));
+                    prop_assert_eq!(&oq, &om);
                 }
             }
-            prop_assert_eq!(wheel.now(), heap.now());
-            prop_assert_eq!(wheel.len(), heap.len());
-            prop_assert_eq!(wheel.peek_time(), heap.peek_time());
+            prop_assert_eq!(q.now().as_nanos(), model.now);
+            prop_assert_eq!(q.len(), model.pending.len());
+            prop_assert_eq!(q.peek_time(), model.peek_time());
         }
         // Drain all to the end: every remaining event must match too.
         loop {
-            let a = wheel.pop();
-            prop_assert_eq!(a, heap.pop());
+            let a = q.pop();
+            prop_assert_eq!(a, model.pop_before(u64::MAX));
             if a.is_none() {
                 break;
             }
         }
+        let s = q.stats();
+        prop_assert_eq!(
+            (s.pushes, s.pops, s.coalesced_pops, s.max_len),
+            (model.seq, model.pops, model.coalesced, model.max_len)
+        );
     }
 
-    /// Periodic lanes are invisible: on every backend, scheduling the
-    /// self-rescheduling ticks with `push_periodic` delivers the exact
-    /// `(time, event)` stream — hence seq order — and `QueueStats` counts
-    /// of scheduling them with plain `push`, through `pop_before` and
-    /// `pop_batch_before`. Covers ties between lanes and wheel entries at
-    /// one instant, pushes at `now`, far-future cascades and limit
+    /// Periodic lanes are invisible: scheduling the self-rescheduling
+    /// ticks with `push_periodic` delivers the exact `(time, event)`
+    /// stream — hence seq order — and `QueueStats` counts of scheduling
+    /// them with plain `push`, through `pop_before` and
+    /// `pop_batch_before`. Covers ties between lanes and heap entries at
+    /// one instant, pushes at `now`, far-future timers and limit
     /// refusals.
     #[test]
     fn periodic_lanes_match_plain_pushes(
         periods in prop::collection::vec(period(), 1..7),
         ops in prop::collection::vec(lane_op(), 1..200),
     ) {
-        let mut qs: Vec<LanePair> = [QueueKind::Wheel, QueueKind::Heap]
-            .into_iter()
-            .map(|k| LanePair { laned: EventQueue::with_kind(k), plain: EventQueue::with_kind(k) })
-            .collect();
+        // `laned` schedules the ticks with `push_periodic`, the reference
+        // `plain` the same ticks with plain `push`.
+        let mut laned: EventQueue<u32> = EventQueue::new();
+        let mut plain: EventQueue<u32> = EventQueue::new();
         // The instant each lane's tick is next due, mirrored in the test.
         let mut due: Vec<u64> = periods.clone();
         for (i, &p) in periods.iter().enumerate() {
-            for q in &mut qs {
-                q.laned.push_periodic(SimTime::from_nanos(p), TICK | i as u32);
-                q.plain.push(SimTime::from_nanos(p), TICK | i as u32);
-            }
+            laned.push_periodic(SimTime::from_nanos(p), TICK | i as u32);
+            plain.push(SimTime::from_nanos(p), TICK | i as u32);
         }
         let mut tag = 0u32;
-        let mut out = Vec::new();
+        let (mut out_l, mut out_p) = (Vec::new(), Vec::new());
         for op in ops {
-            let now = qs[0].plain.now().as_nanos();
+            let now = plain.now().as_nanos();
             let mut delivered: Vec<(SimTime, u32)> = Vec::new();
+            let mut push = |at: u64, count: u8| {
+                for _ in 0..count {
+                    laned.push(SimTime::from_nanos(at), tag);
+                    plain.push(SimTime::from_nanos(at), tag);
+                    tag += 1;
+                }
+            };
             match op {
-                LaneOp::OnTick { lane, count } => {
-                    let at = SimTime::from_nanos(due[lane % due.len()]);
-                    for _ in 0..count {
-                        for q in &mut qs {
-                            q.laned.push(at, tag);
-                            q.plain.push(at, tag);
-                        }
-                        tag += 1;
-                    }
-                }
-                LaneOp::Queue(QueueOp::Push { delta, count }) => {
-                    let at = SimTime::from_nanos(now + delta);
-                    for _ in 0..count {
-                        for q in &mut qs {
-                            q.laned.push(at, tag);
-                            q.plain.push(at, tag);
-                        }
-                        tag += 1;
-                    }
-                }
-                LaneOp::Queue(QueueOp::Pop) => {
-                    let got: Vec<_> =
-                        qs.iter_mut().flat_map(|q| [q.plain.pop(), q.laned.pop()]).collect();
-                    prop_assert!(got.iter().all(|g| *g == got[0]), "pop: {:?}", got);
-                    delivered.extend(got[0]);
-                }
+                LaneOp::OnTick { lane, count } => push(due[lane % due.len()], count),
+                LaneOp::Queue(QueueOp::Push { delta, count }) => push(now + delta, count),
                 LaneOp::Queue(QueueOp::PopBefore { horizon }) => {
                     let limit = SimTime::from_nanos(now + horizon);
-                    let got: Vec<_> = qs
-                        .iter_mut()
-                        .flat_map(|q| [q.plain.pop_before(limit), q.laned.pop_before(limit)])
-                        .collect();
-                    prop_assert!(got.iter().all(|g| *g == got[0]), "pop_before: {:?}", got);
-                    delivered.extend(got[0]);
+                    let got = plain.pop_before(limit);
+                    prop_assert_eq!(laned.pop_before(limit), got);
+                    delivered.extend(got);
                 }
                 LaneOp::Queue(QueueOp::PopBatch) => {
-                    let mut got = Vec::new();
-                    for q in &mut qs {
-                        for queue in [&mut q.plain, &mut q.laned] {
-                            let first = queue.pop_batch_before(SimTime::MAX, &mut out);
-                            got.push((first, out.clone()));
-                        }
-                    }
-                    prop_assert!(got.iter().all(|g| *g == got[0]), "pop_batch_before: {:?}", got);
-                    let (first, rest) = got.swap_remove(0);
+                    let first = plain.pop_batch_before(SimTime::MAX, &mut out_p);
+                    prop_assert_eq!(laned.pop_batch_before(SimTime::MAX, &mut out_l), first);
+                    prop_assert_eq!(&out_l, &out_p);
                     delivered.extend(first);
-                    delivered.extend(rest);
+                    delivered.append(&mut out_p);
+                }
+                LaneOp::Queue(QueueOp::Pop) => {
+                    let got = plain.pop();
+                    prop_assert_eq!(laned.pop(), got);
+                    delivered.extend(got);
                 }
             }
             // Handle deliveries in order: each tick reschedules itself
@@ -217,37 +241,27 @@ proptest! {
                     let lane = (ev & !TICK) as usize;
                     prop_assert_eq!(t.as_nanos(), due[lane]);
                     due[lane] += periods[lane];
-                    for q in &mut qs {
-                        q.laned.push_periodic(SimTime::from_nanos(due[lane]), ev);
-                        q.plain.push(SimTime::from_nanos(due[lane]), ev);
-                    }
+                    laned.push_periodic(SimTime::from_nanos(due[lane]), ev);
+                    plain.push(SimTime::from_nanos(due[lane]), ev);
                 }
             }
-            for q in &qs {
-                for queue in [&q.plain, &q.laned] {
-                    prop_assert_eq!(queue.now(), qs[0].plain.now());
-                    prop_assert_eq!(queue.len(), qs[0].plain.len());
-                    prop_assert_eq!(queue.peek_time(), qs[0].plain.peek_time());
-                }
-            }
+            prop_assert_eq!(laned.now(), plain.now());
+            prop_assert_eq!(laned.len(), plain.len());
+            prop_assert_eq!(laned.peek_time(), plain.peek_time());
         }
         // Drain the backlog without rescheduling.
         loop {
-            let got: Vec<_> = qs.iter_mut().flat_map(|q| [q.plain.pop(), q.laned.pop()]).collect();
-            prop_assert!(got.iter().all(|g| *g == got[0]), "drain: {:?}", got);
-            if got[0].is_none() {
+            let got = plain.pop();
+            prop_assert_eq!(laned.pop(), got);
+            if got.is_none() {
                 break;
             }
         }
-        let want = qs[0].plain.stats();
-        for q in &qs {
-            for s in [q.laned.stats(), q.plain.stats()] {
-                prop_assert_eq!(
-                    (s.pushes, s.pops, s.coalesced_pops, s.max_len),
-                    (want.pushes, want.pops, want.coalesced_pops, want.max_len)
-                );
-            }
-        }
+        let (l, p) = (laned.stats(), plain.stats());
+        prop_assert_eq!(
+            (l.pushes, l.pops, l.coalesced_pops, l.max_len),
+            (p.pushes, p.pops, p.coalesced_pops, p.max_len)
+        );
     }
 
     /// The top-down percentile walk equals the bottom-up scan of a

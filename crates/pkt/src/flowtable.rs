@@ -29,14 +29,8 @@
 //!   probe stops at the first slot displaced less than itself, and an
 //!   insert shifts the rest of its cluster right by one. A shard doubles
 //!   when an insert would pass 3/4 occupancy and rehashes alone, so the
-//!   amortized rehash spike is 1/64th of a monolithic table's. The
-//!   pre-shard flat table (the same shard code, one shard)
-//!   survives as a differential oracle: select per table via
-//!   [`FlowTable::with_kind`] / [`FlowTableKind`], or build flat-default
-//!   with `--features flat-flowtable`. Ids, classification results and
-//!   eviction order are byte-identical across backends (CI
-//!   `bench-variants` matrix); only internal probe/rehash counters differ, and those go to
-//!   `BENCH_timings.json` only.
+//!   amortized rehash spike is 1/64th of a monolithic table's.
+//!   Probe and rehash counters go to `BENCH_timings.json` only.
 //! - **Deterministic aging.** Every entry carries an epoch-granular
 //!   `last_seen` stamp. [`FlowTable::age`] advances the epoch and scans in
 //!   flow-id order, evicting wildcard-learned entries idle for more than
@@ -79,33 +73,15 @@ pub struct FlowEntry {
     pub packets: u64,
 }
 
-/// Exact-match index backend selector (mirrors `QueueKind`): the sharded
-/// engine is the default, the flat single-table survives as a
-/// differential oracle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+/// The exact-match index's layout. There is one: 64 shards. The type
+/// stays, with `PlatformConfig.flow_table` and [`FlowTable::with_kind`],
+/// only because the benchmark's replay (`perfbench/src/replay.rs`) names
+/// them; ROADMAP.md's "Next change to the benchmark" retires all three.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum FlowTableKind {
     /// Sharded open addressing: 64 shards by tuple-hash high bits.
+    #[default]
     Sharded,
-    /// One monolithic open-addressing table (the pre-shard engine).
-    Flat,
-}
-
-impl FlowTableKind {
-    /// The build-default backend: `Sharded`, unless the crate was built
-    /// with `--features flat-flowtable`.
-    pub fn default_kind() -> Self {
-        if cfg!(feature = "flat-flowtable") {
-            FlowTableKind::Flat
-        } else {
-            FlowTableKind::Sharded
-        }
-    }
-}
-
-impl Default for FlowTableKind {
-    fn default() -> Self {
-        Self::default_kind()
-    }
 }
 
 /// Flow aging policy. `idle_epochs == 0` disables aging entirely (the
@@ -138,7 +114,7 @@ impl Default for FlowAging {
 }
 
 /// Internal flow-table counters. Probe/rehash numbers depend on the
-/// index backend, so — like `QueueStats` — they are reported only through
+/// index layout, so — like `QueueStats` — they are reported only through
 /// `BENCH_timings.json`-style channels, never metrics or trace output.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FlowTableStats {
@@ -287,6 +263,11 @@ struct Shard {
 }
 
 impl Shard {
+    /// Bytes of slot storage allocated.
+    fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<Slot>()
+    }
+
     /// Probe for `tuple`: `Ok(slot)` holding it, or `Err(slot)` — the
     /// empty or less displaced slot the probe stopped at, where an
     /// insert (without growth) would place it. Plus the probe length.
@@ -438,69 +419,16 @@ impl Shard {
     }
 }
 
-/// The exact-match index: one shard (flat oracle) or 64 (sharded engine).
-#[derive(Debug)]
-enum Index {
-    Flat(Shard),
-    Sharded(Vec<Shard>),
-}
-
-impl Index {
-    fn with_kind(kind: FlowTableKind) -> Self {
-        match kind {
-            FlowTableKind::Flat => Index::Flat(Shard::default()),
-            FlowTableKind::Sharded => {
-                let mut shards = Vec::with_capacity(SHARDS);
-                shards.resize_with(SHARDS, Shard::default);
-                Index::Sharded(shards)
-            }
-        }
-    }
-
-    #[inline]
-    fn shard(&self, h: u64) -> &Shard {
-        match self {
-            Index::Flat(s) => s,
-            Index::Sharded(v) => &v[(h >> (64 - SHARD_BITS)) as usize],
-        }
-    }
-
-    #[inline]
-    fn shard_mut(&mut self, h: u64) -> &mut Shard {
-        match self {
-            Index::Flat(s) => s,
-            Index::Sharded(v) => &mut v[(h >> (64 - SHARD_BITS)) as usize],
-        }
-    }
-
-    fn shard_count(&self) -> usize {
-        match self {
-            Index::Flat(_) => 1,
-            Index::Sharded(v) => v.len(),
-        }
-    }
-
-    fn slot_count(&self) -> usize {
-        match self {
-            Index::Flat(s) => s.slots.len(),
-            Index::Sharded(v) => v.iter().map(|s| s.slots.len()).sum(),
-        }
-    }
-
-    /// Bytes of slot storage allocated across shards.
-    fn heap_bytes(&self) -> usize {
-        let shard = |s: &Shard| s.slots.capacity() * std::mem::size_of::<Slot>();
-        match self {
-            Index::Flat(s) => shard(s),
-            Index::Sharded(v) => v.iter().map(shard).sum(),
-        }
-    }
+/// The shard of the exact-match index that holds hash `h`.
+#[inline]
+fn shard_of(h: u64) -> usize {
+    (h >> (64 - SHARD_BITS)) as usize
 }
 
 /// 5-tuple flow table: exact-match entries backed by prioritized wildcard
 /// rules. See the module docs for the engine layout; all ordered views
 /// (iteration, the eviction scan) go through flow-id order, never the
-/// index, so external behavior is identical across index backends.
+/// index, so the index layout never shows in external behavior.
 #[derive(Debug)]
 pub struct FlowTable {
     /// Tuple keys by flow id (probed on lookup).
@@ -523,8 +451,8 @@ pub struct FlowTable {
     /// Per-flow packet-count adds that saturated at [`Count48::MAX`].
     saturated_adds: u64,
     wildcards: Vec<WildcardRule>,
-    index: Index,
-    kind: FlowTableKind,
+    /// The exact-match index: [`SHARDS`] shards, picked by [`shard_of`].
+    index: Vec<Shard>,
     stats: FlowTableStats,
     /// Last flow id classified: traffic sources emit per-flow bursts, so
     /// consecutive classify calls usually repeat a tuple — an inline key
@@ -544,18 +472,15 @@ pub struct FlowTable {
 
 impl Default for FlowTable {
     fn default() -> Self {
-        Self::with_kind(FlowTableKind::default_kind())
+        Self::new()
     }
 }
 
 impl FlowTable {
-    /// An empty table on the build-default backend.
+    /// An empty table.
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty table on an explicit index backend.
-    pub fn with_kind(kind: FlowTableKind) -> Self {
+        let mut index = Vec::with_capacity(SHARDS);
+        index.resize_with(SHARDS, Shard::default);
         FlowTable {
             keys: FlowColumn::new(),
             slots: FlowColumn::new(),
@@ -566,8 +491,7 @@ impl FlowTable {
             forgotten_packets: 0,
             saturated_adds: 0,
             wildcards: Vec::new(),
-            index: Index::with_kind(kind),
-            kind,
+            index,
             stats: FlowTableStats::default(),
             memo: NO_MEMO,
             // Placeholder: never read while the memo is disarmed.
@@ -576,9 +500,11 @@ impl FlowTable {
         }
     }
 
-    /// The index backend this table runs on.
-    pub fn kind(&self) -> FlowTableKind {
-        self.kind
+    /// An empty table of the given (single) [`FlowTableKind`]; the same
+    /// as [`FlowTable::new`].
+    pub fn with_kind(kind: FlowTableKind) -> Self {
+        let FlowTableKind::Sharded = kind;
+        Self::new()
     }
 
     #[inline]
@@ -597,11 +523,11 @@ impl FlowTable {
     pub fn install(&mut self, tuple: FiveTuple, chain: ChainId) -> FlowId {
         let chain = slot_chain(chain);
         let h = tuple_hash(&tuple);
-        let (found, steps) = self.index.shard(h).find(h, &tuple, &self.keys);
+        let (found, steps) = self.index[shard_of(h)].find(h, &tuple, &self.keys);
         self.note_probe(steps);
         match found {
             Ok(slot) => {
-                let f = self.index.shard(h).slots[slot].flow - 1;
+                let f = self.index[shard_of(h)].slots[slot].flow - 1;
                 let fs = &mut self.slots[f as usize];
                 fs.chain = chain;
                 fs.last_seen = PINNED;
@@ -640,7 +566,7 @@ impl FlowTable {
                 id
             }
         };
-        let (rehashes, steps) = self.index.shard_mut(h).insert(h, id, at);
+        let (rehashes, steps) = self.index[shard_of(h)].insert(h, id, at);
         self.stats.rehashes += rehashes;
         self.note_probe(steps);
         self.live += 1;
@@ -710,7 +636,7 @@ impl FlowTable {
         // mint in pass 2 can grow a shard and move every slot.
         hashes.extend(runs.iter().map(|run| {
             let h = tuple_hash(&run.head.tuple);
-            self.index.shard(h).prefetch_home(h);
+            self.index[shard_of(h)].prefetch_home(h);
             h
         }));
         out.reserve(runs.len());
@@ -743,7 +669,7 @@ impl FlowTable {
             self.memo
         } else {
             let h = hash();
-            let shard = self.index.shard(h);
+            let shard = &self.index[shard_of(h)];
             let (found, steps) = shard.find(h, tuple, &self.keys);
             let f = match found {
                 Ok(slot) => {
@@ -785,8 +711,8 @@ impl FlowTable {
     /// Advance the aging epoch and evict wildcard-learned entries idle
     /// for more than `idle_epochs` completed epochs, appending their ids
     /// (ascending) to `evicted`. Pinned entries always survive. The scan
-    /// runs in flow-id order, so eviction (and therefore id recycling) is
-    /// identical across index backends. No-op when `idle_epochs == 0`.
+    /// runs in flow-id order, so eviction (and therefore id recycling)
+    /// does not depend on the index layout. No-op when `idle_epochs == 0`.
     pub fn age(&mut self, idle_epochs: u32, evicted: &mut Vec<FlowId>) {
         if idle_epochs == 0 {
             return;
@@ -801,7 +727,7 @@ impl FlowTable {
             }
             let tuple = self.keys[id as usize];
             let h = tuple_hash(&tuple);
-            self.index.shard_mut(h).remove(h, &tuple, &self.keys);
+            self.index[shard_of(h)].remove(h, &tuple, &self.keys);
             let fs = &mut self.slots[id as usize];
             fs.last_seen = DEAD;
             self.forgotten_packets += fs.packets.get();
@@ -849,7 +775,7 @@ impl FlowTable {
     #[inline]
     pub fn get(&self, tuple: &FiveTuple) -> Option<FlowEntry> {
         let h = tuple_hash(tuple);
-        let shard = self.index.shard(h);
+        let shard = &self.index[shard_of(h)];
         let (found, _) = shard.find(h, tuple, &self.keys);
         found
             .ok()
@@ -906,8 +832,8 @@ impl FlowTable {
     /// Backend-dependent — report via `BENCH_timings.json` only.
     pub fn stats(&self) -> FlowTableStats {
         let mut s = self.stats;
-        s.shards = self.index.shard_count() as u64;
-        s.slots = self.index.slot_count() as u64;
+        s.shards = self.index.len() as u64;
+        s.slots = self.index.iter().map(|s| s.slots.len() as u64).sum();
         s.live = self.live as u64;
         s.pinned = self.slots.iter().filter(|s| s.last_seen == PINNED).count() as u64;
         s
@@ -920,7 +846,7 @@ impl FlowTable {
     pub fn heap_bytes(&self) -> usize {
         self.keys.heap_bytes()
             + self.slots.heap_bytes()
-            + self.index.heap_bytes()
+            + self.index.iter().map(Shard::heap_bytes).sum::<usize>()
             + self.free.capacity() * std::mem::size_of::<u32>()
     }
 }
@@ -1041,9 +967,9 @@ mod tests {
         assert_eq!(ft.classify(&tcp, 64).unwrap().1, ChainId(3));
     }
 
-    fn aging_table(kind: FlowTableKind) -> FlowTable {
+    fn aging_table() -> FlowTable {
         use crate::pattern::{IpPrefix, TuplePattern};
-        let mut ft = FlowTable::with_kind(kind);
+        let mut ft = FlowTable::new();
         ft.install_wildcard(
             TuplePattern::any().from_src(IpPrefix::new(0x0a000000, 8)),
             ChainId(0),
@@ -1054,7 +980,7 @@ mod tests {
 
     #[test]
     fn aging_evicts_idle_learned_flows_and_recycles_ids() {
-        let mut ft = aging_table(FlowTableKind::default_kind());
+        let mut ft = aging_table();
         let a = FiveTuple::synthetic(1, Proto::Udp);
         let b = FiveTuple::synthetic(2, Proto::Udp);
         let (fa, _) = ft.classify(&a, 100).unwrap();
@@ -1082,7 +1008,7 @@ mod tests {
 
     #[test]
     fn pinned_and_recently_seen_flows_survive_aging() {
-        let mut ft = aging_table(FlowTableKind::default_kind());
+        let mut ft = aging_table();
         let pinned = FiveTuple::synthetic(1, Proto::Udp);
         let warm = FiveTuple::synthetic(2, Proto::Udp);
         let idle = FiveTuple::synthetic(3, Proto::Udp);
@@ -1102,7 +1028,7 @@ mod tests {
 
     #[test]
     fn explicit_install_pins_a_learned_flow() {
-        let mut ft = aging_table(FlowTableKind::default_kind());
+        let mut ft = aging_table();
         let t = FiveTuple::synthetic(1, Proto::Udp);
         let (f, _) = ft.classify(&t, 64).unwrap();
         ft.install(t, ChainId(7)); // promote to pinned, keep id
@@ -1116,34 +1042,8 @@ mod tests {
     }
 
     #[test]
-    fn backends_agree_under_install_classify_evict_churn() {
-        let mut sharded = aging_table(FlowTableKind::Sharded);
-        let mut flat = aging_table(FlowTableKind::Flat);
-        for round in 0..6u32 {
-            for n in 0..200u32 {
-                let t = FiveTuple::synthetic(round * 97 + n, Proto::Udp);
-                let a = sharded.classify(&t, 64);
-                let b = flat.classify(&t, 64);
-                assert_eq!(a, b);
-            }
-            let (mut ev_s, mut ev_f) = (Vec::new(), Vec::new());
-            sharded.age(1, &mut ev_s);
-            flat.age(1, &mut ev_f);
-            assert_eq!(ev_s, ev_f, "eviction order identical across backends");
-            assert_eq!(sharded.len(), flat.len());
-            assert_eq!(sharded.id_space(), flat.id_space());
-        }
-        assert_eq!(
-            sharded.stats().evicted,
-            flat.stats().evicted,
-            "same churn totals"
-        );
-        assert!(sharded.stats().shards == SHARDS as u64 && flat.stats().shards == 1);
-    }
-
-    #[test]
     fn memo_repeats_hit_without_probing_and_never_resurrects_evicted() {
-        let mut ft = aging_table(FlowTableKind::default_kind());
+        let mut ft = aging_table();
         let t = FiveTuple::synthetic(1, Proto::Udp);
         let (f, c) = ft.classify(&t, 64).unwrap();
         let probes_before = ft.stats().probe_steps;
@@ -1175,15 +1075,26 @@ mod tests {
     #[test]
     fn shards_double_past_three_quarter_occupancy() {
         // Growth keeps live ≤ 3/4 capacity with the smallest power of
-        // two: capacity is the smallest power of two ≥ 4n/3 (8 at least).
-        let mut ft = FlowTable::with_kind(FlowTableKind::Flat);
-        for n in 1..=1536u64 {
-            ft.install(FiveTuple::synthetic(n as u32, Proto::Udp), ChainId(0));
-            let want = (4 * n).div_ceil(3).next_power_of_two().max(8);
-            assert_eq!(ft.stats().slots, want, "{n} flows");
+        // two: each shard's capacity is the smallest power of two ≥ 4n/3
+        // of its n flows (8 at least, none before its first flow).
+        let want = |n: usize| match n {
+            0 => 0,
+            n => (4 * n).div_ceil(3).next_power_of_two().max(8),
+        };
+        let mut ft = FlowTable::new();
+        for n in 1..=20_000u32 {
+            ft.install(FiveTuple::synthetic(n, Proto::Udp), ChainId(0));
+            let h = tuple_hash(&FiveTuple::synthetic(n, Proto::Udp));
+            let s = &ft.index[shard_of(h)];
+            assert_eq!(s.slots.len(), want(s.used), "{n} flows");
         }
-        // 1,536 flows fill 2,048 slots to exactly 3/4.
-        assert_eq!(ft.stats().rehashes, 9, "8 → 2048 slots");
+        // A shard's first slot array (8 slots) counts as a rehash too.
+        let grown: u64 = ft
+            .index
+            .iter()
+            .map(|s| u64::from(want(s.used).trailing_zeros()) - 2)
+            .sum();
+        assert_eq!(ft.stats().rehashes, grown, "one rehash per doubling");
     }
 
     #[test]
@@ -1192,7 +1103,7 @@ mod tests {
         assert_eq!(std::mem::size_of::<FiveTuple>(), 16);
         assert_eq!(std::mem::size_of::<FlowSlot>(), 12);
         const N: u32 = (1 << 18) + 1;
-        let mut ft = aging_table(FlowTableKind::Sharded);
+        let mut ft = aging_table();
         for n in 0..N {
             ft.classify(&FiveTuple::synthetic(n, Proto::Udp), 64)
                 .unwrap();
@@ -1341,18 +1252,12 @@ mod tests {
     /// absent from it): a miss probe may visit at most one slot more
     /// than its shard's longest hit probe.
     fn check_index(ft: &FlowTable, misses: &[FiveTuple]) {
-        let longest: Vec<u64> = match &ft.index {
-            Index::Flat(s) => vec![check_shard(s)],
-            Index::Sharded(v) => v.iter().map(check_shard).collect(),
-        };
+        let longest: Vec<u64> = ft.index.iter().map(check_shard).collect();
         for t in misses {
             let h = tuple_hash(t);
-            let (found, steps) = ft.index.shard(h).find(h, t, &ft.keys);
+            let k = shard_of(h);
+            let (found, steps) = ft.index[k].find(h, t, &ft.keys);
             assert!(found.is_err(), "{t:?} is not in the table");
-            let k = match ft.index {
-                Index::Flat(_) => 0,
-                Index::Sharded(_) => (h >> (64 - SHARD_BITS)) as usize,
-            };
             assert!(
                 steps <= longest[k] + 1,
                 "miss probe of {steps} slots, longest hit {}",
@@ -1367,25 +1272,23 @@ mod tests {
         let misses: Vec<FiveTuple> = (0..64)
             .map(|n| FiveTuple::synthetic(n * 7, Proto::Tcp))
             .collect();
-        for kind in [FlowTableKind::Sharded, FlowTableKind::Flat] {
-            let mut ft = aging_table(kind);
-            let mut ev = Vec::new();
-            for round in 0..8u32 {
-                for n in 0..300u32 {
-                    let t = FiveTuple::synthetic(round * 131 + n, Proto::Udp);
-                    if n % 16 == 0 {
-                        ft.install(t, ChainId(1));
-                    } else {
-                        ft.classify(&t, 64).unwrap();
-                    }
-                    check_index(&ft, &misses);
+        let mut ft = aging_table();
+        let mut ev = Vec::new();
+        for round in 0..8u32 {
+            for n in 0..300u32 {
+                let t = FiveTuple::synthetic(round * 131 + n, Proto::Udp);
+                if n % 16 == 0 {
+                    ft.install(t, ChainId(1));
+                } else {
+                    ft.classify(&t, 64).unwrap();
                 }
-                ft.age(1, &mut ev);
                 check_index(&ft, &misses);
             }
-            let s = ft.stats();
-            assert!(s.evicted > 0 && s.recycled > 0, "{kind:?}: {s:?}");
+            ft.age(1, &mut ev);
+            check_index(&ft, &misses);
         }
+        let s = ft.stats();
+        assert!(s.evicted > 0 && s.recycled > 0, "{s:?}");
     }
 
     #[test]
@@ -1428,7 +1331,7 @@ mod tests {
 
     #[test]
     fn probe_lengths_stay_bounded_at_scale() {
-        let mut ft = FlowTable::with_kind(FlowTableKind::Sharded);
+        let mut ft = FlowTable::new();
         for n in 0..100_000u32 {
             ft.install(FiveTuple::synthetic(n, Proto::Udp), ChainId(0));
         }

@@ -4,7 +4,7 @@
 
 use nfv_des::SimTime;
 use nfv_pkt::WireFrame;
-use nfv_pkt::{ChainId, Ecn, FlowId, FlowTableKind, FlowTableStats, FrameRun, Nic, TuplePattern};
+use nfv_pkt::{ChainId, Ecn, FlowId, FlowTableStats, FrameRun, Nic, TuplePattern};
 use nfv_pkt::{Enqueue, FiveTuple, FlowTable, Mempool, Packet, PacketRun, PktId, Proto, Ring};
 use nfv_pkt::{FlowColumn, FLOW_CHUNK};
 use proptest::prelude::*;
@@ -24,7 +24,7 @@ struct ModelTable {
     forgotten_packets: u64,
     /// Tuple the last-flow memo names (cleared when it is evicted).
     memo: Option<u16>,
-    /// Expected `FlowTableStats` counters (backend-independent ones).
+    /// Expected `FlowTableStats` counters (those not tied to the index layout).
     stats: FlowTableStats,
 }
 
@@ -514,63 +514,47 @@ proptest! {
     }
 
     /// Interleaved install / install_wildcard / classify / eviction churn:
-    /// the sharded engine, the flat-table oracle and a BTreeMap model all
-    /// agree on classification results, flow ids, counters, eviction order
-    /// and the conservation accumulator at every step.
+    /// the flow table and a BTreeMap model agree on classification
+    /// results, flow ids, counters, eviction order and the conservation
+    /// accumulator at every step.
     #[test]
     fn flow_table_backends_match_model_under_churn(
         script in prop::collection::vec(ft_op(), 1..400),
     ) {
-        let mut sharded = FlowTable::with_kind(FlowTableKind::Sharded);
-        let mut flat = FlowTable::with_kind(FlowTableKind::Flat);
+        let mut table = FlowTable::new();
         let mut model = ModelTable::default();
-        let mut scratch_s = Vec::new();
-        let mut scratch_f = Vec::new();
+        let mut scratch = Vec::new();
         for op in script {
             match op {
                 FtOp::Install { n, chain } => {
                     let t = FiveTuple::synthetic(n as u32, Proto::Udp);
                     let c = ChainId(chain as u32);
-                    let fs = sharded.install(t, c);
-                    let ff = flat.install(t, c);
-                    let fm = model.install(n, c);
-                    prop_assert_eq!(fs, ff);
-                    prop_assert_eq!(fs, FlowId(fm));
+                    prop_assert_eq!(table.install(t, c), FlowId(model.install(n, c)));
                 }
                 FtOp::InstallWildcard { chain, priority } => {
                     let c = ChainId(chain as u32);
-                    sharded.install_wildcard(TuplePattern::any(), c, priority);
-                    flat.install_wildcard(TuplePattern::any(), c, priority);
+                    table.install_wildcard(TuplePattern::any(), c, priority);
                     model.install_wildcard(c, priority);
                 }
                 FtOp::Classify { n } => {
                     let t = FiveTuple::synthetic(n as u32, Proto::Udp);
-                    let rs = sharded.classify(&t, 64);
-                    let rf = flat.classify(&t, 64);
                     let rm = model.classify(n).map(|(id, c)| (FlowId(id), c));
-                    prop_assert_eq!(rs, rf);
-                    prop_assert_eq!(rs, rm);
+                    prop_assert_eq!(table.classify(&t, 64), rm);
                 }
                 FtOp::Age { idle_epochs } => {
-                    scratch_s.clear();
-                    scratch_f.clear();
-                    sharded.age(idle_epochs, &mut scratch_s);
-                    flat.age(idle_epochs, &mut scratch_f);
+                    scratch.clear();
+                    table.age(idle_epochs, &mut scratch);
                     let em: Vec<FlowId> =
                         model.age(idle_epochs).into_iter().map(FlowId).collect();
-                    prop_assert_eq!(&scratch_s, &scratch_f);
-                    prop_assert_eq!(&scratch_s, &em);
+                    prop_assert_eq!(&scratch, &em);
                 }
             }
-            prop_assert_eq!(sharded.len(), model.live.len());
-            prop_assert_eq!(flat.len(), model.live.len());
+            prop_assert_eq!(table.len(), model.live.len());
         }
         // Terminal state: every tuple's counters and chain agree.
         for n in 0u16..48 {
             let t = FiveTuple::synthetic(n as u32, Proto::Udp);
-            let es = sharded.get(&t);
-            prop_assert_eq!(es, flat.get(&t));
-            match (es, model.live.get(&n)) {
+            match (table.get(&t), model.live.get(&n)) {
                 (Some(e), Some(m)) => {
                     prop_assert_eq!(e.flow, FlowId(m.id));
                     prop_assert_eq!(e.chain, m.chain);
@@ -580,14 +564,11 @@ proptest! {
                 (e, _) => prop_assert!(false, "presence mismatch for tuple {}: {:?}", n, e),
             }
         }
-        prop_assert_eq!(sharded.forgotten_packets(), model.forgotten_packets);
-        prop_assert_eq!(flat.forgotten_packets(), model.forgotten_packets);
-        prop_assert_eq!(sharded.id_space(), flat.id_space());
+        prop_assert_eq!(table.forgotten_packets(), model.forgotten_packets);
         // The running lifetime total must equal live counters + forgotten
         // (the O(1) conservation-ledger invariant).
-        let live_sum: u64 = sharded.entries().map(|e| e.packets).sum();
-        prop_assert_eq!(sharded.classified_packets(), live_sum + model.forgotten_packets);
-        prop_assert_eq!(flat.classified_packets(), sharded.classified_packets());
+        let live_sum: u64 = table.entries().map(|e| e.packets).sum();
+        prop_assert_eq!(table.classified_packets(), live_sum + model.forgotten_packets);
     }
 
     /// Run classification (one `classify_run` per `FrameRun` of the NIC
@@ -599,12 +580,10 @@ proptest! {
     /// and adjacent runs of one tuple.
     #[test]
     fn burst_classification_matches_per_frame_and_model(
-        flat in prop::bool::ANY,
         script in prop::collection::vec(burst_op(), 1..200),
     ) {
-        let kind = if flat { FlowTableKind::Flat } else { FlowTableKind::Sharded };
-        let mut burst = FlowTable::with_kind(kind);
-        let mut per_frame = FlowTable::with_kind(kind);
+        let mut burst = FlowTable::new();
+        let mut per_frame = FlowTable::new();
         let mut model = ModelTable::default();
         let (mut ev_b, mut ev_p) = (Vec::new(), Vec::new());
         for op in script {
@@ -676,8 +655,8 @@ proptest! {
     }
 
     /// Bulk classification (`classify_runs` over a whole RX poll) equals
-    /// one `classify_run` per run and the per-frame BTreeMap model, on
-    /// both index backends: per-run results, every `FlowTableStats` field,
+    /// one `classify_run` per run and the per-frame BTreeMap model:
+    /// per-run results, every `FlowTableStats` field,
     /// `len`, `entries()` and the memo state the next classification
     /// meets. Batches mix adjacent same-tuple runs (memo hits),
     /// unclassified tuples and fresh wildcard mints, which grow shards in
@@ -687,96 +666,94 @@ proptest! {
     fn bulk_classification_matches_per_run_and_model(
         script in prop::collection::vec(bulk_op(), 1..120),
     ) {
-        for kind in [FlowTableKind::Sharded, FlowTableKind::Flat] {
-            let mut bulk = FlowTable::with_kind(kind);
-            let mut per_run = FlowTable::with_kind(kind);
-            let mut model = ModelTable::default();
-            let (mut ev_b, mut ev_r) = (Vec::new(), Vec::new());
-            let (mut runs, mut keys, mut out) = (Vec::new(), Vec::new(), Vec::new());
-            let mut fresh = BULK_FRESH;
-            for op in &script {
-                match *op {
-                    BulkOp::Install { n, chain } => {
-                        let (t, c) = (bulk_tuple(n), ChainId(chain as u32));
-                        let fb = bulk.install(t, c);
-                        prop_assert_eq!(fb, per_run.install(t, c));
-                        prop_assert_eq!(fb, FlowId(model.install(n, c)));
-                    }
-                    BulkOp::InstallWildcard { chain, priority } => {
-                        let (c, udp) = (ChainId(chain as u32), TuplePattern::any().proto(Proto::Udp));
-                        bulk.install_wildcard(udp, c, priority);
-                        per_run.install_wildcard(udp, c, priority);
-                        model.install_wildcard(c, priority);
-                    }
-                    BulkOp::Batch { runs: ref spec } => {
-                        runs.clear();
-                        keys.clear();
-                        for (k, &(from, count)) in spec.iter().enumerate() {
-                            let n = match from {
-                                RunTuple::Hot(n) | RunTuple::Tcp(n) => n,
-                                RunTuple::Again => keys.last().copied().unwrap_or(0),
-                                RunTuple::Fresh => {
-                                    fresh += 1;
-                                    fresh - 1
-                                }
-                            };
-                            keys.push(n);
-                            // Sizes vary run to run, so byte totals are checked.
-                            let size = 64 + 8 * k as u32 + n as u32;
-                            runs.push(FrameRun {
-                                head: WireFrame { tuple: bulk_tuple(n), ..frame(n, size) },
-                                count: count as u32,
-                            });
-                        }
-                        out.clear();
-                        bulk.classify_runs(&runs, &mut out);
-                        prop_assert_eq!(out.len(), runs.len());
-                        for ((run, &n), &class) in runs.iter().zip(&keys).zip(&out) {
-                            let packets = run.count as u64;
-                            let rr = per_run.classify_run(&run.head.tuple, packets);
-                            prop_assert_eq!(class, rr, "tuple {}", n);
-                            for _ in 0..run.count {
-                                let matched = !BULK_TCP.contains(&n);
-                                let rm = model.classify_matching(n, matched);
-                                prop_assert_eq!(rr, rm.map(|(id, c)| (FlowId(id), c)));
-                            }
-                        }
-                        // Memo state: classifying the batch's last tuple
-                        // again moves the same counters on all three.
-                        let &n = keys.last().unwrap();
-                        let t = bulk_tuple(n);
-                        let rb = bulk.classify(&t, 64);
-                        prop_assert_eq!(rb, per_run.classify(&t, 64));
-                        let rm = model.classify_matching(n, !BULK_TCP.contains(&n));
-                        prop_assert_eq!(rb, rm.map(|(id, c)| (FlowId(id), c)));
-                    }
-                    BulkOp::Age { idle_epochs } => {
-                        ev_b.clear();
-                        ev_r.clear();
-                        bulk.age(idle_epochs, &mut ev_b);
-                        per_run.age(idle_epochs, &mut ev_r);
-                        let em: Vec<FlowId> =
-                            model.age(idle_epochs).into_iter().map(FlowId).collect();
-                        prop_assert_eq!(&ev_b, &ev_r);
-                        prop_assert_eq!(&ev_b, &em);
-                    }
+        let mut bulk = FlowTable::new();
+        let mut per_run = FlowTable::new();
+        let mut model = ModelTable::default();
+        let (mut ev_b, mut ev_r) = (Vec::new(), Vec::new());
+        let (mut runs, mut keys, mut out) = (Vec::new(), Vec::new(), Vec::new());
+        let mut fresh = BULK_FRESH;
+        for op in &script {
+            match *op {
+                BulkOp::Install { n, chain } => {
+                    let (t, c) = (bulk_tuple(n), ChainId(chain as u32));
+                    let fb = bulk.install(t, c);
+                    prop_assert_eq!(fb, per_run.install(t, c));
+                    prop_assert_eq!(fb, FlowId(model.install(n, c)));
                 }
-                let stats = bulk.stats();
-                prop_assert_eq!(stats, per_run.stats());
-                let m = &model.stats;
-                prop_assert_eq!(
-                    (stats.exact_hits, stats.memo_hits, stats.wildcard_hits),
-                    (m.exact_hits, m.memo_hits, m.wildcard_hits)
-                );
-                prop_assert_eq!(
-                    (stats.installs, stats.recycled, stats.evicted),
-                    (m.installs, m.recycled, m.evicted)
-                );
-                prop_assert!(bulk.entries().eq(per_run.entries()), "entries diverged");
-                prop_assert_eq!(bulk.classified_packets(), per_run.classified_packets());
-                prop_assert_eq!(bulk.len(), per_run.len());
-                prop_assert_eq!(bulk.len(), model.live.len());
+                BulkOp::InstallWildcard { chain, priority } => {
+                    let (c, udp) = (ChainId(chain as u32), TuplePattern::any().proto(Proto::Udp));
+                    bulk.install_wildcard(udp, c, priority);
+                    per_run.install_wildcard(udp, c, priority);
+                    model.install_wildcard(c, priority);
+                }
+                BulkOp::Batch { runs: ref spec } => {
+                    runs.clear();
+                    keys.clear();
+                    for (k, &(from, count)) in spec.iter().enumerate() {
+                        let n = match from {
+                            RunTuple::Hot(n) | RunTuple::Tcp(n) => n,
+                            RunTuple::Again => keys.last().copied().unwrap_or(0),
+                            RunTuple::Fresh => {
+                                fresh += 1;
+                                fresh - 1
+                            }
+                        };
+                        keys.push(n);
+                        // Sizes vary run to run, so byte totals are checked.
+                        let size = 64 + 8 * k as u32 + n as u32;
+                        runs.push(FrameRun {
+                            head: WireFrame { tuple: bulk_tuple(n), ..frame(n, size) },
+                            count: count as u32,
+                        });
+                    }
+                    out.clear();
+                    bulk.classify_runs(&runs, &mut out);
+                    prop_assert_eq!(out.len(), runs.len());
+                    for ((run, &n), &class) in runs.iter().zip(&keys).zip(&out) {
+                        let packets = run.count as u64;
+                        let rr = per_run.classify_run(&run.head.tuple, packets);
+                        prop_assert_eq!(class, rr, "tuple {}", n);
+                        for _ in 0..run.count {
+                            let matched = !BULK_TCP.contains(&n);
+                            let rm = model.classify_matching(n, matched);
+                            prop_assert_eq!(rr, rm.map(|(id, c)| (FlowId(id), c)));
+                        }
+                    }
+                    // Memo state: classifying the batch's last tuple
+                    // again moves the same counters on all three.
+                    let &n = keys.last().unwrap();
+                    let t = bulk_tuple(n);
+                    let rb = bulk.classify(&t, 64);
+                    prop_assert_eq!(rb, per_run.classify(&t, 64));
+                    let rm = model.classify_matching(n, !BULK_TCP.contains(&n));
+                    prop_assert_eq!(rb, rm.map(|(id, c)| (FlowId(id), c)));
+                }
+                BulkOp::Age { idle_epochs } => {
+                    ev_b.clear();
+                    ev_r.clear();
+                    bulk.age(idle_epochs, &mut ev_b);
+                    per_run.age(idle_epochs, &mut ev_r);
+                    let em: Vec<FlowId> =
+                        model.age(idle_epochs).into_iter().map(FlowId).collect();
+                    prop_assert_eq!(&ev_b, &ev_r);
+                    prop_assert_eq!(&ev_b, &em);
+                }
             }
+            let stats = bulk.stats();
+            prop_assert_eq!(stats, per_run.stats());
+            let m = &model.stats;
+            prop_assert_eq!(
+                (stats.exact_hits, stats.memo_hits, stats.wildcard_hits),
+                (m.exact_hits, m.memo_hits, m.wildcard_hits)
+            );
+            prop_assert_eq!(
+                (stats.installs, stats.recycled, stats.evicted),
+                (m.installs, m.recycled, m.evicted)
+            );
+            prop_assert!(bulk.entries().eq(per_run.entries()), "entries diverged");
+            prop_assert_eq!(bulk.classified_packets(), per_run.classified_packets());
+            prop_assert_eq!(bulk.len(), per_run.len());
+            prop_assert_eq!(bulk.len(), model.live.len());
         }
     }
 

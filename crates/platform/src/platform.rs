@@ -59,8 +59,8 @@ pub struct PlatformConfig {
     pub nic_rx_capacity: usize,
     /// `libnf` batch size (the paper processes ≤ 32 packets per batch).
     pub batch_size: usize,
-    /// Flow-table index backend (sharded engine or the flat oracle —
-    /// byte-identical by contract).
+    /// Flow-table index layout: single-valued, kept only because the
+    /// benchmark's replay names it (see [`FlowTableKind`]).
     pub flow_table: FlowTableKind,
     /// Flow aging/eviction policy (off by default: `idle_epochs == 0`
     /// keeps default runs byte-identical to the pre-aging engine).
@@ -81,7 +81,7 @@ impl Default for PlatformConfig {
             mempool_capacity: 524_288,
             nic_rx_capacity: Nic::DEFAULT_RX_CAPACITY,
             batch_size: 32,
-            flow_table: FlowTableKind::default_kind(),
+            flow_table: FlowTableKind::default(),
             flow_aging: FlowAging::default(),
             flow_detail: true,
         }
